@@ -18,8 +18,7 @@ from .dga import (DgaError, DgaPresentation, StructuredMatrices, build_dga,
                   verify_d_squared, verify_d_squared_sampled,
                   verify_phi_factorization, verify_phi_factorization_sampled)
 from .ht0 import (Ht0Presentation, b_consequences, eliminate_linear,
-                  ht0_relations, ht0_relations_split, normalize_unit,
-                  reduced_relations)
+                  ht0_relations, normalize_unit, reduced_relations)
 from .ncpoly import GenMatrix, Generator, NCPoly, evaluate_abelian, gen
 from .phi import (apply_phi, phi_matrices, phi_matrix_inverses,
                   sigma_images, verify_chain_rules)

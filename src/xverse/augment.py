@@ -5,8 +5,12 @@ Counting: an augmentation of a degree-0 presentation is an assignment of
 field values to the a-variables killing every abelianized relation, with
 the scalars sent to fixed (lam0, mu0, u0, v0).  Relations are packed as
 dicts from bit-packed monomials to coefficients mod p; exponents fold by
-Fermat (x^e = x^((e-1) mod (p-1) + 1) for e >= 1).  The count runs a
-linear pre-elimination pass followed by depth-first enumeration with
+Fermat (x^e = x^((e-1) mod (p-1) + 1) for e >= 1).  They come from one
+construction, `ht0.cd_relations`, run over two entry types: symbolic
+`NCPoly` entries abelianized afterwards (`count_augmentations`), or packed
+entries throughout (`packed_relations`), where only the Phi matrices are
+built by a packed extractor of their own.  The count runs a linear
+pre-elimination pass followed by depth-first enumeration with
 forced-value propagation and early abort.
 
 Polynomial: for a 2-braid knot the infinity-flavor presentation reduces
@@ -16,20 +20,21 @@ after setting V=1 the one-variable elimination is a Sylvester resultant.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import sympy
 
-from .braid import BraidWord, braid_stats, braid_transform
-from .dga import DgaError
-from .ht0 import (Ht0Presentation, ht0_relations, ht0_relations_split,
+from .braid import BraidWord, braid_stats
+from .ht0 import (Ht0Presentation, a_variables, cd_relations, ht0_relations,
                   reduced_relations)
-from .ncpoly import Generator, NCPoly, gen, pow_mod
+from .ncpoly import GenMatrix, Generator, NCPoly, gen, pow_mod
+from .phi import sigma_images
 
 PRIMES = (2, 3, 5, 7)
 DEFAULT_BUDGET = 10 ** 8
@@ -501,20 +506,57 @@ def count_augmentations_exhaustive(q: AugQuery) -> AugResult:
 
 
 # ---------------------------------------------------------------------------
-# Fast relation construction: abelianize first, then run the representation
-# and the matrix algebra over packed F_p polynomials.  Valid because
-# counting only sees relations as functions F_p^m -> F_p, and every step
-# (substitution, products, exponent folding) preserves those functions.
+# Fast relation construction: abelianize first, then run ht0's construction
+# over packed F_p polynomials.  Valid because counting only sees relations
+# as functions F_p^m -> F_p, and every step (substitution, products,
+# exponent folding) preserves those functions.
 # ---------------------------------------------------------------------------
 
 
-def _a_var_index(n: int) -> dict[Generator, int]:
-    idx = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                idx[gen("a", i, j)] = len(idx)
-    return idx
+class _PackedPoly:
+    """A packed F_p polynomial as a matrix entry for `cd_relations`.
+
+    Sums and products keep the key order of the dict arithmetic above, so
+    the relations come out in the order pre-elimination expects.  A
+    constant factor only scales the other factor's coefficients."""
+
+    __slots__ = ("terms", "nvars", "p")
+
+    def __init__(self, terms: dict[int, int], nvars: int, p: int):
+        self.terms = terms
+        self.nvars = nvars
+        self.p = p
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _combine(self, other: "_PackedPoly", sign: int) -> "_PackedPoly":
+        p = self.p
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            c2 = (out.get(k, 0) + sign * c) % p
+            if c2:
+                out[k] = c2
+            elif k in out:
+                del out[k]
+        return _PackedPoly(out, self.nvars, p)
+
+    def __add__(self, other: "_PackedPoly") -> "_PackedPoly":
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "_PackedPoly") -> "_PackedPoly":
+        return self._combine(other, -1)
+
+    def __mul__(self, other: "_PackedPoly") -> "_PackedPoly":
+        a, b, p = self.terms, other.terms, self.p
+        if len(b) == 1 and 0 in b:
+            a, b = b, a
+        if len(a) == 1 and 0 in a:
+            c = a[0]
+            out = {k: c * cb % p for k, cb in b.items()}
+        else:
+            out = _poly_mul(a, b, self.nvars, p)
+        return _PackedPoly(out, self.nvars, p)
 
 
 def _subst_many(poly: dict[int, int], images: dict[int, dict[int, int]],
@@ -551,9 +593,11 @@ def _subst_many(poly: dict[int, int], images: dict[int, dict[int, int]],
     return out
 
 
-def _packed_sigma_images(n: int, var_index, p: int):
-    """images[(k, inverse)] as packed substitution maps."""
-    from .phi import sigma_images
+@functools.lru_cache(maxsize=None)
+def _packed_sigma_images(n: int, p: int):
+    """images[(k, inverse)] as packed substitution maps on n strands, read
+    only; cached because they cost as much as the rest of a small build."""
+    var_index = {g: i for i, g in enumerate(a_variables(n))}
     maps = {}
     for k in range(1, n):
         for inverse in (False, True):
@@ -570,13 +614,14 @@ def _packed_apply_phi(b: BraidWord, poly, maps, nvars, p):
     return poly
 
 
-def _packed_phi_matrices(b: BraidWord, p: int):
+def _packed_phi_matrices(b: BraidWord, p: int) -> tuple[GenMatrix, GenMatrix]:
     """PhiL, PhiR over the base variable universe, entries packed."""
     n = b.strands
-    ext_index = _a_var_index(n + 1)
-    base_index = _a_var_index(n)
+    ext_index = {g: i for i, g in enumerate(a_variables(n + 1))}
+    base_index = {g: i for i, g in enumerate(a_variables(n))}
+    nvars = len(base_index)
     nvars_ext = len(ext_index)
-    maps = _packed_sigma_images(n + 1, ext_index, p)
+    maps = _packed_sigma_images(n + 1, p)
     ext = BraidWord(n + 1, b.letters)
     # remap table ext idx -> base idx (marked vars map to None)
     remap: list[int | None] = [None] * nvars_ext
@@ -617,155 +662,35 @@ def _packed_phi_matrices(b: BraidWord, p: int):
         img = _packed_apply_phi(ext, start, maps, nvars_ext, p)
         row = extract(img, marked_l)
         for ell in range(n):
-            phi_l[i - 1][ell] = {k: c for k, c in row[ell].items() if c}
+            phi_l[i - 1][ell] = _PackedPoly(
+                {k: c for k, c in row[ell].items() if c}, nvars, p)
         start = {1 << (_BITS * ext_index[gen("a", n + 1, i)]): 1}
         img = _packed_apply_phi(ext, start, maps, nvars_ext, p)
         row = extract(img, marked_r)
         for ell in range(n):
-            phi_r[ell][i - 1] = {k: c for k, c in row[ell].items() if c}
-    return phi_l, phi_r
-
-
-def _pmat_mul(A, B, nvars, p):
-    n = len(A)
-    out = [[{} for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            x = A[i][k]
-            if not x:
-                continue
-            for j in range(n):
-                y = B[k][j]
-                if not y:
-                    continue
-                acc = out[i][j]
-                for km, cm in _poly_mul(x, y, nvars, p).items():
-                    c2 = (acc.get(km, 0) + cm) % p
-                    if c2:
-                        acc[km] = c2
-                    elif km in acc:
-                        del acc[km]
-    return out
-
-
-def _pmat_scale_rows(diag, M, p):
-    return [[{k: c * diag[i] % p for k, c in e.items() if c * diag[i] % p}
-             for e in row] for i, row in enumerate(M)]
-
-
-def _pmat_scale_cols(M, diag, p):
-    return [[{k: c * diag[j] % p for k, c in e.items() if c * diag[j] % p}
-             for j, e in enumerate(row)] for row in M]
-
-
-def _pmat_sub(A, B, p):
-    n = len(A)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = dict(A[i][j])
-            for k, c in B[i][j].items():
-                c2 = (e.get(k, 0) - c) % p
-                if c2:
-                    e[k] = c2
-                elif k in e:
-                    del e[k]
-            row.append(e)
-        out.append(row)
-    return out
-
-
-def _packed_structure(n: int, var_index, p: int, mu0: int, u0: int, v0: int):
-    """Ahat and Acheck with numeric scalars."""
-
-    def var_key(i, j):
-        return 1 << (_BITS * var_index[gen("a", i, j)])
-
-    ahat = [[{} for _ in range(n)] for _ in range(n)]
-    acheck = [[{} for _ in range(n)] for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i > j:
-                ahat[i - 1][j - 1] = {var_key(i, j): 1}
-                if v0 % p:
-                    acheck[i - 1][j - 1] = {var_key(i, j): v0 % p}
-            elif i == j:
-                c = (-1 - mu0 * u0) % p
-                if c:
-                    ahat[i - 1][i - 1] = {0: c}
-                c = (-v0 - mu0) % p
-                if c:
-                    acheck[i - 1][i - 1] = {0: c}
-            else:
-                c = mu0 * u0 % p
-                if c:
-                    ahat[i - 1][j - 1] = {var_key(i, j): c}
-                if mu0 % p:
-                    acheck[i - 1][j - 1] = {var_key(i, j): mu0 % p}
-    return ahat, acheck
-
-
-def _lam_diag(b: BraidWord, flavor: str, p: int, lam0: int, mu0: int,
-              u0: int, v0: int, lam_override=None) -> list[int]:
-    stats = braid_stats(b)
-    lam_eff = lam0 % p
-    if flavor == "infinity":
-        k = (stats.self_linking + 1) // 2
-        lam_eff = lam_eff * pow_mod(u0 * pow_mod(v0, -1, p) % p, -k, p) % p
-    if lam_override is None:
-        diag = [lam_eff * pow_mod(mu0, -stats.writhe, p) % p] + [1] * (b.strands - 1)
-    else:
-        # numeric evaluation of the override entries (unit monomials in L, m)
-        from .dga import _diag_override
-        lam_m, _ = _diag_override(lam_override, b.strands, stats.writhe)
-        diag = []
-        for i in range(b.strands):
-            (word, base), coeff = next(iter(lam_m.at(i + 1, i + 1).terms.items()))
-            val = coeff * pow_mod(lam_eff, base[0], p) * pow_mod(mu0, base[1], p)
-            diag.append(val % p)
-    return diag
+            phi_r[ell][i - 1] = _PackedPoly(
+                {k: c for k, c in row[ell].items() if c}, nvars, p)
+    return GenMatrix(n, phi_l), GenMatrix(n, phi_r)
 
 
 def packed_relations(b: BraidWord, flavor: str, prime: int, lam0: int,
                      mu0: int, u0: int, v0: int, split: int | None = None,
                      lam_override=None):
-    """The 2n^2 degree-0 relations as packed F_p polynomials, built
-    without any symbolic intermediate."""
-    stats = braid_stats(b)
-    if not stats.is_knot:
-        raise DgaError("links unsupported")
-    n = b.strands
-    var_index = _a_var_index(n)
-    nvars = len(var_index)
-    p = prime
-    ahat, acheck = _packed_structure(n, var_index, p, mu0 % p, u0 % p, v0 % p)
-    diag = _lam_diag(b, flavor, p, lam0, mu0, u0, v0, lam_override)
-    diag_inv = [pow_mod(d, -1, p) for d in diag]
-    if split is None:
-        phi_l, phi_r = _packed_phi_matrices(b, p)
-        c_block = _pmat_sub(ahat, _pmat_scale_rows(
-            diag, _pmat_mul(phi_l, acheck, nvars, p), p), p)
-        d_block = _pmat_sub(acheck, _pmat_scale_cols(
-            _pmat_mul(ahat, phi_r, nvars, p), diag_inv, p), p)
-    else:
-        b1 = BraidWord(n, b.letters[:split])
-        b2 = BraidWord(n, b.letters[split:])
-        l1i, r1i = _packed_phi_matrices(braid_transform(b1, "inverse"), p)
-        l2, r2 = _packed_phi_matrices(b2, p)
-        c_block = _pmat_sub(
-            _pmat_mul(l1i, ahat, nvars, p),
-            _pmat_scale_rows(diag, _pmat_mul(l2, acheck, nvars, p), p), p)
-        d_block = _pmat_sub(
-            _pmat_mul(acheck, r1i, nvars, p),
-            _pmat_scale_cols(_pmat_mul(ahat, r2, nvars, p), diag_inv, p), p)
-    rels = []
-    for block in (c_block, d_block):
-        for row in block:
-            for e in row:
-                if e:
-                    rels.append(e)
-    return rels, nvars, list(var_index)
+    """The nonzero degree-0 relations as packed F_p polynomials: ht0's
+    construction over abelianized entries, with the scalars at (lam0, mu0,
+    u0, v0) and Phi built without any symbolic intermediate."""
+    variables = a_variables(b.strands)
+    var_index = {g: i for i, g in enumerate(variables)}
+    nvars = len(variables)
+    scalars = (lam0, mu0, u0, v0)
+
+    def lift(e: NCPoly) -> _PackedPoly:
+        return _PackedPoly(_abelianize(e, var_index, prime, scalars),
+                           nvars, prime)
+
+    entries = cd_relations(b, flavor, lambda w: _packed_phi_matrices(w, prime),
+                           lift, lam_override, split)
+    return [e.terms for e in entries if e.terms], nvars, variables
 
 
 def augmentation_number(b: BraidWord, flavor: str, prime: int, lam0: int,
@@ -792,8 +717,6 @@ def augmentation_number(b: BraidWord, flavor: str, prime: int, lam0: int,
         raise ValueError(f"prime must be one of {PRIMES}")
     if lam0 % prime == 0 or mu0 % prime == 0:
         raise ValueError("lam0 and mu0 must be nonzero in the field")
-    if split is not None and not 0 <= split <= len(b.letters):
-        raise ValueError(f"split position {split} out of range")
     start = time.monotonic()
     rels, nvars, _ = packed_relations(b, flavor, prime, lam0, mu0, u0, v0,
                                       split=split, lam_override=lam_override)

@@ -13,20 +13,15 @@ import argparse
 import json
 import sys
 
-from .augment import (PRIMES, BudgetError, augmentation_number,
-                      augmentation_polynomial_index2)
+from .augment import (PRIMES, BudgetError, EliminationError,
+                      augmentation_number, augmentation_polynomial_index2)
 from .braid import BraidError, BraidWord, braid_stats, parse_braid
-from .dga import (build_dga, differential, verify_d_squared,
+from .dga import (DgaError, build_dga, verify_d_squared,
                   verify_phi_factorization)
-from .ht0 import ht0_relations, ht0_relations_split, reduced_relations
-from .phi import phi_matrices
+from .ht0 import ht0_relations, reduced_relations
 from .verify import CHECKS, CheckSpec, reproduce_table, run_check
 
 JSON_SCHEMA_VERSION = 1
-
-
-def _fail_usage(parser, msg: str) -> int:
-    parser.error(msg)  # exits with status 2
 
 
 def _parse_braid_arg(parser, args) -> BraidWord:
@@ -34,6 +29,16 @@ def _parse_braid_arg(parser, args) -> BraidWord:
         return parse_braid(args.braid, strands=args.strands)
     except BraidError as e:
         parser.error(str(e))
+
+
+def _int_at_least(low: int):
+    """argparse type for an integer flag with a lower bound."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
 def _parse_grid(text: str, prime: int):
@@ -68,9 +73,8 @@ def _cmd_dga(parser, args) -> int:
     b = _parse_braid_arg(parser, args)
     try:
         dga = build_dga(b, args.flavor)
-    except Exception as e:
+    except DgaError as e:
         parser.error(str(e))
-    phi_l, phi_r = phi_matrices(b) if b.strands >= 1 else (None, None)
     lines = [f"flavor: {args.flavor}", f"sl: {dga.sl}",
              "generators: " + " ".join(str(g) for g in dga.generators)]
     for g in dga.generators:
@@ -80,9 +84,9 @@ def _cmd_dga(parser, args) -> int:
         "sl": dga.sl,
         "generators": [str(g) for g in dga.generators],
         "differentials": {str(g): str(dga.diff[g]) for g in dga.generators},
-        "phi_l": [[str(phi_l.at(i, j)) for j in range(1, b.strands + 1)]
+        "phi_l": [[str(dga.phi_l.at(i, j)) for j in range(1, b.strands + 1)]
                   for i in range(1, b.strands + 1)],
-        "phi_r": [[str(phi_r.at(i, j)) for j in range(1, b.strands + 1)]
+        "phi_r": [[str(dga.phi_r.at(i, j)) for j in range(1, b.strands + 1)]
                   for i in range(1, b.strands + 1)],
     }
     _emit(payload, args.json, lines)
@@ -92,15 +96,8 @@ def _cmd_dga(parser, args) -> int:
 def _cmd_ht0(parser, args) -> int:
     b = _parse_braid_arg(parser, args)
     try:
-        if args.split is not None:
-            if not 0 <= args.split <= len(b.letters):
-                parser.error(f"--split {args.split} out of range")
-            b1 = BraidWord(b.strands, b.letters[:args.split])
-            b2 = BraidWord(b.strands, b.letters[args.split:])
-            pres = ht0_relations_split(b1, b2, args.flavor)
-        else:
-            pres = ht0_relations(b, args.flavor)
-    except Exception as e:
+        pres = ht0_relations(b, args.flavor, split=args.split)
+    except DgaError as e:
         parser.error(str(e))
     rels = reduced_relations(pres) if args.reduced else pres.relations
     lines = [f"flavor: {args.flavor}", f"sl: {pres.sl}",
@@ -121,9 +118,6 @@ def _cmd_aug_count(parser, args) -> int:
             b, args.flavor, args.prime, args.lam, args.mu,
             u0=args.u0, v0=args.v0, split=args.split,
             no_elim=args.no_elim, budget=args.budget, threads=args.threads)
-    except BudgetError as e:
-        print(f"budget exceeded: {e}", file=sys.stderr)
-        return 3
     except (ValueError, BraidError) as e:
         parser.error(str(e))
     payload = {"count": res.count, "flavor": args.flavor,
@@ -137,10 +131,7 @@ def _cmd_aug_poly(parser, args) -> int:
     b = _parse_braid_arg(parser, args)
     try:
         res = augmentation_polynomial_index2(b, budget=args.budget)
-    except BudgetError as e:
-        print(f"budget exceeded: {e}", file=sys.stderr)
-        return 3
-    except Exception as e:
+    except EliminationError as e:
         parser.error(str(e))
     payload = {"poly": str(res.poly),
                "may_have_repeated_factors": res.may_have_repeated_factors}
@@ -171,9 +162,8 @@ def _cmd_aug_compare(parser, args) -> int:
             cases.append({"lam": l0, "mu": m0, "count_a": ca, "count_b": cb})
             if ca != cb:
                 distinct = True
-    except BudgetError as e:
-        print(f"budget exceeded: {e}", file=sys.stderr)
-        return 3
+    except ValueError as e:
+        parser.error(str(e))
     verdict = ("distinct transverse knots" if distinct
                else "indistinguishable on tested grid")
     lines = [f"({c['lam']},{c['mu']}): {c['count_a']} vs {c['count_b']}"
@@ -195,9 +185,8 @@ def _cmd_verify(parser, args) -> int:
                      grid=grid, samples=args.samples, seed=args.seed)
     try:
         report = run_check(spec, budget=args.budget, threads=args.threads)
-    except BudgetError as e:
-        print(f"budget exceeded: {e}", file=sys.stderr)
-        return 3
+    except ValueError as e:
+        parser.error(str(e))
     lines = [f"{desc}: {l} vs {r}" for desc, l, r in report.cases]
     lines.append("pass" if report.passed else "fail")
     payload = {"check": args.check, "passed": report.passed,
@@ -236,7 +225,7 @@ def _cmd_check(parser, args) -> int:
     if args.what == "d2":
         try:
             dga = build_dga(b, args.flavor)
-        except Exception as e:
+        except DgaError as e:
             parser.error(str(e))
         failures = verify_d_squared(dga)
         payload = {"check": "d2", "passed": not failures,
@@ -298,12 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", type=int, default=None)
     p.add_argument("--no-elim", action="store_true",
                    help="disable the linear pre-elimination pass")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--threads", type=_int_at_least(1), default=1)
+    p.add_argument("--budget", type=_int_at_least(0), default=None)
 
     p = augsub.add_parser("poly", help="two-strand augmentation polynomial")
     _add_common(p)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_int_at_least(0), default=None)
 
     p = augsub.add_parser("compare", help="compare counts of two braids")
     p.add_argument("--braid-a", required=True)
@@ -315,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=int, default=1)
     p.add_argument("--grid", action="store_true",
                    help="sweep all nonzero (lam, mu) pairs")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--threads", type=_int_at_least(1), default=1)
+    p.add_argument("--budget", type=_int_at_least(0), default=None)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="invariance checks on counts")
@@ -327,15 +316,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--grid", default=None,
                    help="semicolon-separated points 'l,m' or 'l,m,u,v'")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--threads", type=_int_at_least(1), default=1)
+    p.add_argument("--budget", type=_int_at_least(0), default=None)
 
     p = sub.add_parser("table", help="reproduce the reference count table")
     p.add_argument("--prime", type=int, default=3, choices=PRIMES)
     p.add_argument("--rows", default=None,
                    help="comma-separated row names, e.g. m72,9_48")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--threads", type=_int_at_least(1), default=1)
+    p.add_argument("--budget", type=_int_at_least(0), default=None)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("check", help="symbolic identity checks")
@@ -349,6 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        return _dispatch(parser, args)
+    except BudgetError as e:
+        print(e, file=sys.stderr)
+        return 3
+
+
+def _dispatch(parser, args) -> int:
     if args.cmd == "braid":
         return _cmd_braid(parser, args)
     if args.cmd == "dga":

@@ -6,10 +6,13 @@ HT0 of a braid closure is the quotient of the degree-0 subalgebra
     Ahat - Lam . PhiL . Acheck      (the C-block, row-major)
     Acheck - Ahat . PhiR . Lam^-1   (the D-block, row-major)
 
-flavor-specialized.  The relations are kept raw; a bounded substitution
-pass (eliminate a variable occurring linearly with unit coefficient and
-nowhere else in that relation) is available for display and for the
-index-2 polynomial pipeline.
+flavor-specialized, or by their split form at a cut of the word.  One
+construction, `cd_relations`, builds both blocks over any matrix-entry
+type: `ht0_relations` runs it over symbolic `NCPoly` entries, and
+`augment.packed_relations` over abelianized F_p entries.  The relations
+are kept raw; a bounded substitution pass (eliminate a variable occurring
+linearly with unit coefficient and nowhere else in that relation) is
+available for display and for the index-2 polynomial pipeline.
 """
 
 from __future__ import annotations
@@ -31,55 +34,58 @@ class Ht0Presentation:
     relations: list[NCPoly]
 
 
-def _a_variables(n: int) -> list[Generator]:
+def a_variables(n: int) -> list[Generator]:
+    """The off-diagonal a-generators in row-major order: the variable order
+    of every presentation, symbolic or packed."""
     return [gen("a", i, j) for i in range(1, n + 1)
             for j in range(1, n + 1) if i != j]
 
 
-def ht0_relations(b: BraidWord, flavor: str = "minus",
-                  lam_override=None) -> Ht0Presentation:
-    stats = braid_stats(b)
-    if not stats.is_knot:
-        raise DgaError("links unsupported")
-    m = structured_matrices(b, lam_override)
-    phi_l, phi_r = phi_matrices(b)
-    c_block = m.Ahat - m.Lam @ phi_l @ m.Acheck
-    d_block = m.Acheck - m.Ahat @ phi_r @ m.LamInv
-    relations = [e.specialize(flavor, stats.self_linking)
-                 for _, _, e in c_block.entries()]
-    relations += [e.specialize(flavor, stats.self_linking)
-                  for _, _, e in d_block.entries()]
-    return Ht0Presentation(braid=b, flavor=flavor, sl=stats.self_linking,
-                           variables=_a_variables(b.strands), relations=relations)
-
-
-def ht0_relations_split(b1: BraidWord, b2: BraidWord,
-                        flavor: str = "minus") -> Ht0Presentation:
-    """Presentation of HT0(b1 b2) from the two factors:
+def cd_relations(b: BraidWord, flavor: str, phi, lift,
+                 lam_override=None, split: int | None = None) -> list:
+    """The C-block then the D-block entries, row-major, over any entry type
+    with +, -, * and is_zero.  Ahat, Acheck, Lam and Lam^-1 are specialized
+    to the flavor and mapped into that type by `lift`; `phi(word)` returns
+    (PhiL, PhiR) of a word in that type.  Cut at letter k, b = b1 b2:
 
         PhiL_{b1^-1} . Ahat - Lam . PhiL_{b2} . Acheck
         Acheck . PhiR_{b1^-1} - Ahat . PhiR_{b2} . Lam^-1
 
-    with Lam built from the writhe of the product.  The factor matrices
-    stay much smaller than those of the product word.
+    with Lam built from the writhe of the product; the factor matrices stay
+    much smaller than those of the product word.  Without a cut (or at cut
+    0) PhiL_{b1^-1} and PhiR_{b1^-1} are the identity.
     """
-    if b1.strands != b2.strands:
-        raise DgaError("strand count mismatch")
-    b = b1 * b2
     stats = braid_stats(b)
     if not stats.is_knot:
         raise DgaError("links unsupported")
-    m = structured_matrices(b)
-    l1inv, r1inv = phi_matrices(braid_transform(b1, "inverse"))
-    l2, r2 = phi_matrices(b2)
-    c_block = l1inv @ m.Ahat - m.Lam @ l2 @ m.Acheck
-    d_block = m.Acheck @ r1inv - m.Ahat @ r2 @ m.LamInv
-    relations = [e.specialize(flavor, stats.self_linking)
-                 for _, _, e in c_block.entries()]
-    relations += [e.specialize(flavor, stats.self_linking)
-                  for _, _, e in d_block.entries()]
-    return Ht0Presentation(braid=b, flavor=flavor, sl=stats.self_linking,
-                           variables=_a_variables(b.strands), relations=relations)
+    cut = 0 if split is None else split
+    if not 0 <= cut <= len(b.letters):
+        raise DgaError(f"split position {split} out of range")
+    m = structured_matrices(b, lam_override)
+    ahat, acheck, lam, lam_inv = (
+        M.map(lambda e: lift(e.specialize(flavor, stats.self_linking)))
+        for M in (m.Ahat, m.Acheck, m.Lam, m.LamInv))
+    n = b.strands
+    phi_l, phi_r = phi(BraidWord(n, b.letters[cut:]))
+    c_left, d_left = ahat, acheck
+    if cut:
+        l1inv, r1inv = phi(braid_transform(BraidWord(n, b.letters[:cut]),
+                                           "inverse"))
+        c_left, d_left = l1inv @ ahat, acheck @ r1inv
+    c_block = c_left - lam @ phi_l @ acheck
+    d_block = d_left - ahat @ phi_r @ lam_inv
+    return [e for block in (c_block, d_block) for _, _, e in block.entries()]
+
+
+def ht0_relations(b: BraidWord, flavor: str = "minus", lam_override=None,
+                  split: int | None = None) -> Ht0Presentation:
+    """The symbolic presentation of HT0(b), whole or cut at `split`."""
+    relations = cd_relations(b, flavor, phi_matrices, lambda e: e,
+                             lam_override, split)
+    return Ht0Presentation(braid=b, flavor=flavor,
+                           sl=braid_stats(b).self_linking,
+                           variables=a_variables(b.strands),
+                           relations=relations)
 
 
 def _unit_base_ok(base, flavor: str) -> bool:

@@ -390,7 +390,9 @@ def evaluate_abelian(p: NCPoly, assign: Mapping[Generator, int], prime: int,
 
 
 class GenMatrix:
-    """A square matrix of NCPoly entries, 1-indexed via .at(i, j)."""
+    """A square matrix, 1-indexed via .at(i, j).  The constructors fill in
+    NCPoly entries; the arithmetic works for any entry type with +, -, *
+    and is_zero."""
 
     __slots__ = ("n", "rows")
 
@@ -447,19 +449,21 @@ class GenMatrix:
     def __matmul__(self, other: "GenMatrix") -> "GenMatrix":
         if self.n != other.n:
             raise ValueError("size mismatch")
+        # entries may be any type with +, * and is_zero: the first product
+        # seeds each sum, so no zero of a fixed type is needed
         n = self.n
-        out = GenMatrix(n)
+        rows = []
         for i in range(n):
-            for k in range(n):
-                x = self.rows[i][k]
-                if x.is_zero():
-                    continue
-                for j in range(n):
-                    y = other.rows[k][j]
-                    if y.is_zero():
-                        continue
-                    out.rows[i][j] = out.rows[i][j] + x * y
-        return out
+            row = []
+            for j in range(n):
+                acc = self.rows[i][0] * other.rows[0][j]
+                for k in range(1, n):
+                    x, y = self.rows[i][k], other.rows[k][j]
+                    if not (x.is_zero() or y.is_zero()):
+                        acc = acc + x * y
+                row.append(acc)
+            rows.append(row)
+        return GenMatrix(n, rows)
 
     def map(self, f: Callable[[NCPoly], NCPoly]) -> "GenMatrix":
         return GenMatrix(self.n, [[f(a) for a in r] for r in self.rows])

@@ -244,6 +244,10 @@ def reproduce_table(prime: int = 3, rows: list[str] | None = None,
     """Recompute the reference counts.  Only Z/3 has pinned expectations."""
     if prime != 3:
         raise ValueError("the reference table is pinned at prime 3")
+    known = {_row_key(name) for name, _, _ in TABLE_ROWS}
+    for r in rows or ():
+        if _row_key(r) not in known:
+            raise ValueError(f"unknown table row {r!r}")
     wanted = None if rows is None else {_row_key(r) for r in rows}
     out = []
     for name, point, entries in TABLE_ROWS:

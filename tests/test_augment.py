@@ -1,14 +1,18 @@
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from xverse.augment import (AugQuery, BudgetError, CommPoly, EliminationError,
+from xverse.augment import (PRIMES, AugQuery, BudgetError, CommPoly,
+                            EliminationError, _abelianize,
                             augmentation_number,
                             augmentation_polynomial_index2,
                             count_augmentations,
                             count_augmentations_exhaustive, packed_relations,
                             sylvester_resultant)
-from xverse.braid import braid_stats, parse_braid
+from xverse.braid import BraidWord, braid_stats, parse_braid
 from xverse.ht0 import ht0_relations
 
 TREFOIL = parse_braid("1 1 1")
@@ -74,6 +78,54 @@ def test_split_matches_unsplit():
     whole = augmentation_number(b, "hat", 3, 2, 1).count
     for cut in (0, 4, len(b.letters)):
         assert augmentation_number(b, "hat", 3, 2, 1, split=cut).count == whole
+
+
+@st.composite
+def knots_with_override(draw):
+    """A 2- or 3-strand knot of at most 6 letters, and a Lam override of
+    the right determinant."""
+    n = draw(st.sampled_from((2, 3)))
+    letters = draw(st.lists(st.integers(1, n - 1).flatmap(
+        lambda k: st.sampled_from((k, -k))), max_size=6))
+    b = BraidWord(n, tuple(letters))
+    assume(braid_stats(b).is_knot)
+    entries = [draw(st.tuples(st.sampled_from((1, -1)), st.integers(-2, 2),
+                              st.integers(-2, 2))) for _ in range(n - 1)]
+    entries.append((math.prod(c for c, _, _ in entries),
+                    1 - sum(le for _, le, _ in entries),
+                    -braid_stats(b).writhe - sum(me for _, _, me in entries)))
+    return b, entries
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(knot=knots_with_override(), data=st.data())
+def test_packed_construction_matches_symbolic_everywhere(knot, data):
+    """Packed relations are the abelianized symbolic ones for every prime,
+    flavor and cut, and every cut counts like the whole word."""
+    b, override = knot
+    cuts = [None] + list(range(len(b.letters) + 1))
+    cases = [(None, k) for k in cuts]
+    cases.append((override, data.draw(st.sampled_from(cuts))))
+    var_index = {g: i for i, g in enumerate(ht0_relations(b).variables)}
+    units = {p: [data.draw(st.integers(1, p - 1)) for _ in range(4)]
+             for p in PRIMES}
+    for flavor in ("minus", "hat", "doublehat", "infinity"):
+        counts = {p: set() for p in PRIMES}
+        for lam_override, cut in cases:
+            pres = ht0_relations(b, flavor, lam_override, split=cut)
+            for p, (lam0, mu0, u, v) in units.items():
+                u0, v0 = {"hat": (0, 1), "doublehat": (0, 0)}.get(flavor, (u, v))
+                scalars = (lam0, mu0, u0, v0)
+                abel = [_abelianize(r, var_index, p, scalars)
+                        for r in pres.relations]
+                packed, _, _ = packed_relations(b, flavor, p, *scalars,
+                                                split=cut,
+                                                lam_override=lam_override)
+                assert packed == [r for r in abel if r]
+                if lam_override is None:
+                    counts[p].add(count_augmentations(
+                        AugQuery(pres, p, *scalars)).count)
+        assert all(len(c) == 1 for c in counts.values())
 
 
 def test_lam_override_only_det_matters():

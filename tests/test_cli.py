@@ -71,7 +71,7 @@ def test_aug_count_budget_exit_code(capsys):
                          "--lam", "2", "--mu", "1", "--no-elim",
                          "--budget", "50")
     assert code == 3
-    assert "budget exceeded" in err
+    assert err.count("budget exceeded") == 1
     assert out == ""
 
 
@@ -141,9 +141,47 @@ def test_usage_errors_exit_2(capsys):
                  ["braid", "--braid", "1 0"],
                  ["aug", "count", "--braid", "1", "--prime", "9",
                   "--lam", "1", "--mu", "1"],
+                 ["aug", "count", "--braid", "1", "--prime", "3",
+                  "--lam", "1", "--mu", "1", "--budget", "-1"],
+                 ["aug", "count", "--braid", "1", "--prime", "3",
+                  "--lam", "1", "--mu", "1", "--threads", "0"],
                  ["ht0", "--braid", "1 1 1", "--split", "7"],
-                 ["table", "--prime", "5"]):
+                 ["table", "--prime", "5"],
+                 ["table", "--rows", "m72,nosuchrow"],
+                 ["verify", "--braid", "1 1 1", "--check", "mirror",
+                  "--seed", "0", "--grid", "3,1"],
+                 ["verify", "--braid", "1 1", "--check", "mirror",
+                  "--seed", "0"],
+                 ["verify", "--braid", "1 1 1", "--check", "mirror",
+                  "--seed", "0", "--samples", "0"],
+                 ["verify", "--braid", "1 1 1", "--check", "mirror",
+                  "--seed", "0", "--threads", "0"],
+                 ["aug", "compare", "--braid-a", "1 1", "--braid-b", "1",
+                  "--prime", "3"],
+                 ["aug", "compare", "--braid-a", "1", "--braid-b", "1",
+                  "--prime", "3", "--lam", "3"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
-        assert exc.value.code == 2
+        assert exc.value.code == 2, argv
         capsys.readouterr()
+
+
+def test_unknown_table_row_named(capsys):
+    with pytest.raises(SystemExit):
+        main(["table", "--rows", "m72,nosuchrow"])
+    assert "'nosuchrow'" in capsys.readouterr().err
+
+
+def test_internal_errors_propagate(monkeypatch, capsys):
+    """Only input errors become exit 2; a fault inside the program
+    surfaces as its own exception."""
+    def broken(*args, **kwargs):
+        raise RuntimeError("internal fault")
+
+    for name, argv in (("build_dga", ["dga", "--braid", "1 1 1"]),
+                       ("ht0_relations", ["ht0", "--braid", "1 1 1"]),
+                       ("augmentation_polynomial_index2",
+                        ["aug", "poly", "--braid", "1 1 1"])):
+        monkeypatch.setattr(f"xverse.cli.{name}", broken)
+        with pytest.raises(RuntimeError, match="internal fault"):
+            main(argv)

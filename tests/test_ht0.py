@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from xverse.braid import BraidWord, braid_stats, parse_braid
+from xverse.braid import braid_stats, parse_braid
 from xverse.dga import DgaError
 from xverse.ht0 import (b_consequences, eliminate_linear, ht0_relations,
-                        ht0_relations_split, normalize_unit, reduced_relations)
+                        normalize_unit, reduced_relations)
 from xverse.ncpoly import NCPoly, evaluate_abelian, gen
 
 
@@ -21,12 +21,7 @@ def test_links_rejected():
     with pytest.raises(DgaError):
         ht0_relations(parse_braid("1 -1"))
     with pytest.raises(DgaError):
-        ht0_relations_split(parse_braid("1"), parse_braid("-1"))
-
-
-def test_split_strand_mismatch():
-    with pytest.raises(DgaError):
-        ht0_relations_split(parse_braid("1"), parse_braid("2"))
+        ht0_relations(parse_braid("1 -1"), split=1)
 
 
 def test_stabilized_unknot_reduction():
@@ -62,8 +57,7 @@ def test_split_matches_unsplit_on_counts():
     from xverse.augment import AugQuery, count_augmentations
     b = parse_braid("1 -2 1 -2")
     whole = ht0_relations(b, "hat")
-    split = ht0_relations_split(BraidWord(3, b.letters[:2]),
-                                BraidWord(3, b.letters[2:]), "hat")
+    split = ht0_relations(b, "hat", split=2)
     for lam0, mu0 in ((1, 1), (2, 1)):
         cw = count_augmentations(AugQuery(whole, 3, lam0, mu0, 0, 1)).count
         cs = count_augmentations(AugQuery(split, 3, lam0, mu0, 0, 1)).count
