@@ -9,8 +9,10 @@ Fermat (x^e = x^((e-1) mod (p-1) + 1) for e >= 1).  They come from one
 construction, `ht0.cd_relations`, run over two entry types: symbolic
 `NCPoly` entries abelianized afterwards (`count_augmentations`), or packed
 entries throughout (`packed_relations`), where only the Phi matrices are
-built by a packed extractor of their own.  The count runs a linear
-pre-elimination pass followed by depth-first enumeration with
+built by a packed extractor of their own, `_packed_phi_matrices`.  Phi
+does not depend on the scalars, so it is cached per (braid word, prime)
+and shared, read only, by every build on that word.  The count runs a
+linear pre-elimination pass followed by depth-first enumeration with
 forced-value propagation and early abort.
 
 Polynomial: for a 2-braid knot the infinity-flavor presentation reduces
@@ -41,6 +43,8 @@ DEFAULT_BUDGET = 10 ** 8
 
 _BITS = 3
 _EMASK = 7
+# packed Phi pairs kept, one per (word, prime); a check needs at most 9
+_PHI_CACHE_SIZE = 64
 
 
 def _budget_from_env(budget: int | None) -> int:
@@ -614,8 +618,14 @@ def _packed_apply_phi(b: BraidWord, poly, maps, nvars, p):
     return poly
 
 
+@functools.lru_cache(maxsize=_PHI_CACHE_SIZE)
 def _packed_phi_matrices(b: BraidWord, p: int) -> tuple[GenMatrix, GenMatrix]:
-    """PhiL, PhiR over the base variable universe, entries packed."""
+    """PhiL, PhiR over the base variable universe, entries packed.
+
+    Phi depends only on the word and the prime (the scalars enter later,
+    through `lift`), so it is cached per (word, prime).  The matrices are
+    shared and read only: `cd_relations` only combines them with `@` and
+    `-`, which build new entries and new dicts."""
     n = b.strands
     ext_index = {g: i for i, g in enumerate(a_variables(n + 1))}
     base_index = {g: i for i, g in enumerate(a_variables(n))}

@@ -42,12 +42,15 @@ def _int_at_least(low: int):
 
 
 def _parse_grid(text: str, prime: int):
-    """Grid syntax: semicolon-separated points, each 'l,m' or 'l,m,u,v'."""
+    """Grid syntax: semicolon-separated points, each 'l,m' or 'l,m,u,v',
+    with l and m nonzero mod the prime."""
     points = []
     for chunk in text.split(";"):
         parts = [int(x) for x in chunk.split(",")]
         if len(parts) not in (2, 4):
             raise ValueError(f"grid point needs 2 or 4 entries: {chunk!r}")
+        if parts[0] % prime == 0 or parts[1] % prime == 0:
+            raise ValueError("lam0 and mu0 must be nonzero in the field")
         points.append(tuple(parts))
     return tuple(points)
 

@@ -9,10 +9,16 @@ of the two deformation scalars matches inverting lambda and mu, the
 infinity count is invariant under the alpha-rescaling of all four
 scalars, and the count depends on the diagonal scaling matrix only
 through its determinant.
+
+`run_check` counts each distinct query of a check once and reuses the
+count for every pair that asks it; the memo lives for one call only.
+The packed Phi matrices behind the counts are cached per (braid word,
+prime) in `augment`.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -49,8 +55,9 @@ def _auto_split(b: BraidWord) -> int | None:
     return None
 
 
-def _count(b: BraidWord, flavor: str, prime: int, lam0: int, mu0: int,
-           u0=None, v0=None, lam_override=None, budget=None) -> int:
+def _count(query: tuple, budget: int | None) -> int:
+    """Count one query (b, flavor, prime, lam0, mu0, u0, v0, lam_override)."""
+    b, flavor, prime, lam0, mu0, u0, v0, lam_override = query
     return augmentation_number(b, flavor, prime, lam0, mu0, u0=u0, v0=v0,
                                split=_auto_split(b), lam_override=lam_override,
                                budget=budget).count
@@ -73,8 +80,10 @@ def _random_conjugation(b: BraidWord, rng: random.Random) -> tuple[BraidWord, st
     return markov_move(b, "conjugate", k=k, sign=sign), f"conj(k={k},s={sign:+d})"
 
 
-def run_check(spec: CheckSpec, budget: int | None = None,
-              threads: int = 1) -> CheckReport:
+def _check_jobs(spec: CheckSpec) -> list[tuple]:
+    """The check's (desc, left, right) pairs, in sample and grid order.
+    Each side is a count query (b, flavor, p, l0, m0, u0, v0,
+    lam_override); right is None when the left count must be 0."""
     if spec.check not in CHECKS:
         raise ValueError(f"unknown check {spec.check!r}; choose from {CHECKS}")
     if spec.samples < 1:
@@ -82,7 +91,7 @@ def run_check(spec: CheckSpec, budget: int | None = None,
     rng = random.Random(spec.seed)
     b = spec.braid
     p = spec.prime
-    jobs: list[tuple[str, ...]] = []  # (desc, fn args) resolved below
+    jobs: list[tuple] = []
 
     def pair(desc, left_args, right_args):
         jobs.append((desc, left_args, right_args))
@@ -161,21 +170,38 @@ def run_check(spec: CheckSpec, budget: int | None = None,
                      (b, "hat", p, l0, m0, None, None, None),
                      (b, "hat", p, l0, m0, None, None, entries))
 
-    def run_one(job):
-        desc, left, right = job
-        lc = _count(left[0], left[1], left[2], left[3], left[4],
-                    u0=left[5], v0=left[6], lam_override=left[7], budget=budget)
-        if right is None:
-            return desc, lc, 0
-        rc = _count(right[0], right[1], right[2], right[3], right[4],
-                    u0=right[5], v0=right[6], lam_override=right[7], budget=budget)
-        return desc, lc, rc
+    return jobs
 
+
+def _query_key(query: tuple) -> tuple:
+    """A hashable key for a count query; equal keys give equal counts."""
+    b, flavor, p, l0, m0, u0, v0, override = query
+    return (b.letters, b.strands, flavor, p, l0, m0, u0, v0,
+            None if override is None else tuple(map(tuple, override)))
+
+
+def run_check(spec: CheckSpec, budget: int | None = None,
+              threads: int = 1) -> CheckReport:
+    """Run one check.  Pairs often repeat a count (the unchanged braid is
+    counted against every sample), so each distinct query is counted once,
+    in order of first appearance: the first count over `budget` is the
+    one a pair-by-pair run would reach first."""
+    jobs = _check_jobs(spec)
+    queries: dict[tuple, tuple] = {}
+    for _, left, right in jobs:
+        for query in filter(None, (left, right)):
+            queries.setdefault(_query_key(query), query)
+
+    count = functools.partial(_count, budget=budget)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            cases = list(pool.map(run_one, jobs))
+            counts = list(pool.map(count, queries.values()))
     else:
-        cases = [run_one(j) for j in jobs]
+        counts = list(map(count, queries.values()))
+    found = dict(zip(queries, counts))
+    cases = [(desc, found[_query_key(left)],
+              0 if right is None else found[_query_key(right)])
+             for desc, left, right in jobs]
     cases.sort(key=lambda c: c[0])
     return CheckReport(passed=all(l == r for _, l, r in cases), cases=cases)
 

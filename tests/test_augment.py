@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from xverse.augment import (PRIMES, AugQuery, BudgetError, CommPoly,
                             EliminationError, _abelianize,
+                            _packed_phi_matrices,
                             augmentation_number,
                             augmentation_polynomial_index2,
                             count_augmentations,
                             count_augmentations_exhaustive, packed_relations,
                             sylvester_resultant)
-from xverse.braid import BraidWord, braid_stats, parse_braid
+from xverse.braid import BraidWord, braid_stats, braid_transform, parse_braid
 from xverse.ht0 import ht0_relations
 
 TREFOIL = parse_braid("1 1 1")
@@ -126,6 +127,63 @@ def test_packed_construction_matches_symbolic_everywhere(knot, data):
                     counts[p].add(count_augmentations(
                         AugQuery(pres, p, *scalars)).count)
         assert all(len(c) == 1 for c in counts.values())
+
+
+def _override_for(b):
+    """A Lam override of the right determinant, away from the identity."""
+    n = b.strands
+    entries = [(-1, 1, -1)] + [(1, 0, 1)] * (n - 2)
+    return entries + [(-1, 0, -braid_stats(b).writhe - (n - 3))]
+
+
+def _in_order(terms):
+    return list(terms.items())
+
+
+def _matrix_terms(m):
+    return [_in_order(e.terms) for _, _, e in m.entries()]
+
+
+def test_phi_cache_exact_and_read_only():
+    """A cached packed Phi gives the relations a fresh one gives, in the
+    same list and key order, and stays equal to a fresh build after
+    every use."""
+    words = [parse_braid(w) for w in ("1 1 1", "-1 -1 -1 -1 -1", "1 -2 1 -2",
+                                      "1 2 -1 2", "-1 2 -1 3 2", "1 2 -1 2 3")]
+    for b in words:
+        assert braid_stats(b).is_knot
+        n, letters = b.strands, b.letters
+        cuts = sorted({None, 0, len(letters) // 2, len(letters)},
+                      key=lambda k: -1 if k is None else k)
+        cases = [(flavor, cut, None)
+                 for flavor in ("minus", "hat", "doublehat", "infinity")
+                 for cut in cuts]
+        cases.append(("hat", len(letters) // 2, _override_for(b)))
+        for p in PRIMES:
+            scalars = (1, p - 1, 1, p - 1)
+            for flavor, cut, override in cases:
+                _packed_phi_matrices.cache_clear()
+                miss = packed_relations(b, flavor, p, *scalars, split=cut,
+                                        lam_override=override)
+                info = _packed_phi_matrices.cache_info()
+                assert info.misses >= 1 and info.hits == 0
+                hit = packed_relations(b, flavor, p, *scalars, split=cut,
+                                       lam_override=override)
+                after = _packed_phi_matrices.cache_info()
+                assert after.misses == info.misses and after.hits >= 1
+                assert [_in_order(r) for r in hit[0]] == \
+                    [_in_order(r) for r in miss[0]]
+                assert hit[1:] == miss[1:]
+                factors = [BraidWord(n, letters[cut or 0:])]
+                if cut:
+                    factors.append(braid_transform(
+                        BraidWord(n, letters[:cut]), "inverse"))
+                for w in factors:
+                    cached = _packed_phi_matrices(w, p)
+                    assert _packed_phi_matrices(w, p) is cached
+                    fresh = _packed_phi_matrices.__wrapped__(w, p)
+                    for mc, mf in zip(cached, fresh):
+                        assert _matrix_terms(mc) == _matrix_terms(mf)
 
 
 def test_lam_override_only_det_matters():

@@ -150,6 +150,8 @@ def test_usage_errors_exit_2(capsys):
                  ["table", "--rows", "m72,nosuchrow"],
                  ["verify", "--braid", "1 1 1", "--check", "mirror",
                   "--seed", "0", "--grid", "3,1"],
+                 ["verify", "--braid", "1 1 1", "--check", "mirror",
+                  "--seed", "0", "--grid", "1,1;3,1"],
                  ["verify", "--braid", "1 1", "--check", "mirror",
                   "--seed", "0"],
                  ["verify", "--braid", "1 1 1", "--check", "mirror",
@@ -164,6 +166,31 @@ def test_usage_errors_exit_2(capsys):
             main(argv)
         assert exc.value.code == 2, argv
         capsys.readouterr()
+
+
+def test_zero_grid_point_rejected_before_counting(monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("counted before the grid was checked")
+
+    monkeypatch.setattr("xverse.verify.augmentation_number", never)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--braid", "1 1 1", "--check", "mirror", "--seed",
+              "0", "--grid", "1,1;3,1"])
+    assert exc.value.code == 2
+    assert "lam0 and mu0 must be nonzero in the field" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_verify_budget_exit_code(capsys, threads):
+    """The first count over the budget stops the check with exit 3 and
+    one message, serially and with threads."""
+    code, out, err = run(capsys, "verify", "--braid", "1 -2 1 -2",
+                         "--check", "conjugation", "--seed", "0",
+                         "--budget", "1", "--threads", threads)
+    assert code == 3
+    assert out == ""
+    assert err == "budget exceeded: 8 > 1 incremental evaluations\n"
 
 
 def test_unknown_table_row_named(capsys):

@@ -1,10 +1,13 @@
 import pytest
 
+import xverse.verify
+from xverse.augment import augmentation_number
 from xverse.braid import parse_braid
-from xverse.verify import (CHECKS, CheckSpec, reproduce_table, run_check,
-                           TABLE_ROWS)
+from xverse.verify import (CHECKS, CheckSpec, _auto_split, _check_jobs,
+                           reproduce_table, run_check, TABLE_ROWS)
 
 TREFOIL = parse_braid("1 1 1")
+FIG8 = parse_braid("1 -2 1 -2")
 M76 = parse_braid("1 -2 1 -2 -3 2 3 3 3")
 
 
@@ -34,6 +37,44 @@ def test_threads_match_serial():
     spec = CheckSpec(TREFOIL, "conjugation", samples=3, seed=2,
                      grid=((1, 1), (2, 1)))
     assert run_check(spec).cases == run_check(spec, threads=2).cases
+
+
+def _direct(args):
+    b, flavor, p, l0, m0, u0, v0, override = args
+    return augmentation_number(b, flavor, p, l0, m0, u0=u0, v0=v0,
+                               split=_auto_split(b),
+                               lam_override=override).count
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_each_distinct_query_counted_once(check, monkeypatch):
+    """run_check counts every distinct query once and reports what
+    counting each pair directly reports."""
+    calls = []
+
+    def recording(b, flavor, prime, lam0, mu0, u0=None, v0=None,
+                  lam_override=None, **kwargs):
+        calls.append((b.letters, b.strands, flavor, prime, lam0, mu0, u0,
+                      v0, repr(lam_override)))
+        return augmentation_number(b, flavor, prime, lam0, mu0, u0=u0, v0=v0,
+                                   lam_override=lam_override, **kwargs)
+
+    monkeypatch.setattr(xverse.verify, "augmentation_number", recording)
+    for b in (TREFOIL, FIG8):
+        spec = CheckSpec(b, check, samples=3, seed=1, grid=((1, 1), (2, 1)))
+        calls.clear()
+        report = run_check(spec)
+        jobs = _check_jobs(spec)
+        sides = [(a[0].letters, a[0].strands, *a[1:7], repr(a[7]))
+                 for _, left, right in jobs for a in (left, right)
+                 if a is not None]
+        assert len(calls) == len(set(sides))
+        assert set(calls) == set(sides)
+        if check not in ("mirror", "op_swap", "doublehat_stab"):
+            assert len(sides) > len(calls)  # the memo saved counts
+        direct = [(desc, _direct(left), 0 if right is None else _direct(right))
+                  for desc, left, right in jobs]
+        assert report.cases == sorted(direct, key=lambda c: c[0])
 
 
 def test_unknown_check_rejected():
