@@ -27,7 +27,6 @@ import itertools
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import sympy
@@ -48,10 +47,20 @@ _PHI_CACHE_SIZE = 64
 
 
 def _budget_from_env(budget: int | None) -> int:
+    """The explicit budget, else XVERSE_BUDGET (an integer >= 0), else the
+    default; a malformed variable is a usage error, not a tiny budget."""
     if budget is not None:
         return budget
     env = os.environ.get("XVERSE_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        value = int(env)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"XVERSE_BUDGET must be an integer >= 0, got {env!r}")
+    return value
 
 
 class BudgetError(RuntimeError):
@@ -75,7 +84,6 @@ class AugQuery:
     v0: int
     no_elim: bool = False
     budget: int | None = None
-    threads: int = 1
 
 
 @dataclass
@@ -190,11 +198,10 @@ def _single_linear_var(key: int, nvars: int) -> int | None:
 
 
 class _Counter:
-    """Shared DFS state: relations are lists of packed dicts."""
+    """DFS state: relations are lists of packed dicts."""
 
-    def __init__(self, p: int, nvars: int, order: list[int], budget: int):
+    def __init__(self, p: int, order: list[int], budget: int):
         self.p = p
-        self.nvars = nvars
         self.order = order
         self.budget = budget
         self.tested = 0
@@ -341,7 +348,7 @@ def _variable_order(rels: list[dict[int, int]], nvars: int) -> list[int]:
     return order
 
 
-def _prepare(q: AugQuery) -> tuple[list[dict[int, int]], int, list[Generator]]:
+def _prepare(q: AugQuery) -> tuple[list[dict[int, int]] | None, int]:
     if q.prime not in PRIMES:
         raise ValueError(f"prime must be one of {PRIMES}")
     if q.lam0 % q.prime == 0 or q.mu0 % q.prime == 0:
@@ -354,9 +361,9 @@ def _prepare(q: AugQuery) -> tuple[list[dict[int, int]], int, list[Generator]]:
         packed = _abelianize(r, var_index, q.prime, scalars)
         if packed:
             if len(packed) == 1 and 0 in packed:
-                return None, len(variables), variables  # unsatisfiable
+                return None, len(variables)  # unsatisfiable
             rels.append(packed)
-    return rels, len(variables), variables
+    return rels, len(variables)
 
 
 def _pre_eliminate(rels: list[dict[int, int]], nvars: int, p: int
@@ -401,8 +408,9 @@ def _pre_eliminate(rels: list[dict[int, int]], nvars: int, p: int
 
 
 def _count_packed(rels: list[dict[int, int]] | None, nvars: int, prime: int,
-                  no_elim: bool, budget: int | None, threads: int,
+                  no_elim: bool, budget: int | None,
                   start: float) -> AugResult:
+    budget = _budget_from_env(budget)
     if rels is None:
         return AugResult(0, 0, time.monotonic() - start)
     eliminated: set[int] = set()
@@ -411,68 +419,23 @@ def _count_packed(rels: list[dict[int, int]] | None, nvars: int, prime: int,
         if out is None:
             return AugResult(0, 0, time.monotonic() - start)
         rels, eliminated = out
-    budget = _budget_from_env(budget)
     order = _variable_order(rels, nvars)
-    counter = _Counter(prime, nvars, order, budget)
+    counter = _Counter(prime, order, budget)
     remaining = frozenset(v for v in range(nvars) if v not in eliminated)
-    if threads > 1 and rels:
-        count, tested = _parallel_count(rels, remaining, counter, threads)
-    else:
-        count = counter.count(rels, remaining)
-        tested = counter.tested
-    return AugResult(count, tested, time.monotonic() - start)
+    count = counter.count(rels, remaining)
+    return AugResult(count, counter.tested, time.monotonic() - start)
 
 
 def count_augmentations(q: AugQuery) -> AugResult:
     start = time.monotonic()
-    rels, nvars, variables = _prepare(q)
-    return _count_packed(rels, nvars, q.prime, q.no_elim, q.budget,
-                         q.threads, start)
-
-
-def _branch_jobs(rels, remaining, counter):
-    support = 0
-    for rel in rels:
-        for k in rel:
-            support |= k
-    branch = None
-    for v in counter.order:
-        if v in remaining and (support >> (_BITS * v)) & _EMASK:
-            branch = v
-            break
-    return branch
-
-
-def _worker(args):
-    rels, remaining, p, nvars, order, budget, branch, a = args
-    counter = _Counter(p, nvars, order, budget)
-    new_rels = []
-    for rel in rels:
-        nr = counter._subst_value(rel, branch, a)
-        if nr:
-            if len(nr) == 1 and 0 in nr:
-                return 0, counter.tested
-            new_rels.append(nr)
-    rem = frozenset(v for v in remaining if v != branch)
-    return counter.count(new_rels, rem), counter.tested
-
-
-def _parallel_count(rels, remaining, counter, threads):
-    branch = _branch_jobs(rels, remaining, counter)
-    if branch is None:
-        return counter.count(rels, remaining), counter.tested
-    args = [(rels, remaining, counter.p, counter.nvars, counter.order,
-             counter.budget, branch, a) for a in range(counter.p)]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(_worker, args))
-    return sum(c for c, _ in results), sum(t for _, t in results)
+    rels, nvars = _prepare(q)
+    return _count_packed(rels, nvars, q.prime, q.no_elim, q.budget, start)
 
 
 def count_augmentations_exhaustive(q: AugQuery) -> AugResult:
     """Plain enumeration of every assignment; the oracle for small cases."""
     start = time.monotonic()
-    prep = _prepare(q)
-    rels, nvars, variables = prep
+    rels, nvars = _prepare(q)
     if rels is None:
         return AugResult(0, 0, time.monotonic() - start)
     p = q.prime
@@ -706,8 +669,8 @@ def packed_relations(b: BraidWord, flavor: str, prime: int, lam0: int,
 def augmentation_number(b: BraidWord, flavor: str, prime: int, lam0: int,
                         mu0: int, u0: int | None = None, v0: int | None = None,
                         split: int | None = None, lam_override=None,
-                        no_elim: bool = False, budget: int | None = None,
-                        threads: int = 1) -> AugResult:
+                        no_elim: bool = False,
+                        budget: int | None = None) -> AugResult:
     """Count augmentations of the braid's degree-0 presentation.
 
     Builds the relations directly over F_p (abelianized, scalars
@@ -730,7 +693,7 @@ def augmentation_number(b: BraidWord, flavor: str, prime: int, lam0: int,
     start = time.monotonic()
     rels, nvars, _ = packed_relations(b, flavor, prime, lam0, mu0, u0, v0,
                                       split=split, lam_override=lam_override)
-    return _count_packed(rels, nvars, prime, no_elim, budget, threads, start)
+    return _count_packed(rels, nvars, prime, no_elim, budget, start)
 
 
 # ---------------------------------------------------------------------------
@@ -1024,8 +987,7 @@ def _nc_to_comm(p: NCPoly, x: Generator | None) -> CommPoly:
     return out
 
 
-def augmentation_polynomial_index2(b: BraidWord, budget: int | None = None
-                                   ) -> AugPolyResult:
+def augmentation_polynomial_index2(b: BraidWord) -> AugPolyResult:
     """The three-variable augmentation polynomial of a 2-braid knot
     closure, from the infinity-flavor degree-0 presentation with V=1."""
     if b.strands != 2:

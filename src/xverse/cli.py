@@ -4,7 +4,9 @@ Subcommands: braid, dga, ht0, aug (count|poly|compare), verify, table,
 check.  Output is deterministic for fixed arguments and seed; scalars are
 printed as L, m, U, V.  Exit codes: 0 for any completed computation
 (including failing verdicts), 2 for usage errors, 3 when the evaluation
-budget is exceeded.
+budget is exceeded.  Counts run serially in one process; `--budget` (or
+XVERSE_BUDGET) bounds the incremental evaluations of each count, and
+`aug poly` takes no budget.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def _cmd_aug_count(parser, args) -> int:
         res = augmentation_number(
             b, args.flavor, args.prime, args.lam, args.mu,
             u0=args.u0, v0=args.v0, split=args.split,
-            no_elim=args.no_elim, budget=args.budget, threads=args.threads)
+            no_elim=args.no_elim, budget=args.budget)
     except (ValueError, BraidError) as e:
         parser.error(str(e))
     payload = {"count": res.count, "flavor": args.flavor,
@@ -133,7 +135,7 @@ def _cmd_aug_count(parser, args) -> int:
 def _cmd_aug_poly(parser, args) -> int:
     b = _parse_braid_arg(parser, args)
     try:
-        res = augmentation_polynomial_index2(b, budget=args.budget)
+        res = augmentation_polynomial_index2(b)
     except EliminationError as e:
         parser.error(str(e))
     payload = {"poly": str(res.poly),
@@ -157,11 +159,9 @@ def _cmd_aug_compare(parser, args) -> int:
     try:
         for l0, m0 in points:
             ca = augmentation_number(ba, args.flavor, p, l0, m0,
-                                     budget=args.budget,
-                                     threads=args.threads).count
+                                     budget=args.budget).count
             cb = augmentation_number(bb, args.flavor, p, l0, m0,
-                                     budget=args.budget,
-                                     threads=args.threads).count
+                                     budget=args.budget).count
             cases.append({"lam": l0, "mu": m0, "count_a": ca, "count_b": cb})
             if ca != cb:
                 distinct = True
@@ -187,7 +187,7 @@ def _cmd_verify(parser, args) -> int:
     spec = CheckSpec(braid=b, check=args.check, prime=args.prime,
                      grid=grid, samples=args.samples, seed=args.seed)
     try:
-        report = run_check(spec, budget=args.budget, threads=args.threads)
+        report = run_check(spec, budget=args.budget)
     except ValueError as e:
         parser.error(str(e))
     lines = [f"{desc}: {l} vs {r}" for desc, l, r in report.cases]
@@ -203,7 +203,7 @@ def _cmd_table(parser, args) -> int:
     rows = args.rows.split(",") if args.rows else None
     try:
         report = reproduce_table(prime=args.prime, rows=rows,
-                                 budget=args.budget, threads=args.threads)
+                                 budget=args.budget)
     except ValueError as e:
         parser.error(str(e))
     lines = []
@@ -290,12 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", type=int, default=None)
     p.add_argument("--no-elim", action="store_true",
                    help="disable the linear pre-elimination pass")
-    p.add_argument("--threads", type=_int_at_least(1), default=1)
     p.add_argument("--budget", type=_int_at_least(0), default=None)
 
     p = augsub.add_parser("poly", help="two-strand augmentation polynomial")
     _add_common(p)
-    p.add_argument("--budget", type=_int_at_least(0), default=None)
 
     p = augsub.add_parser("compare", help="compare counts of two braids")
     p.add_argument("--braid-a", required=True)
@@ -307,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=int, default=1)
     p.add_argument("--grid", action="store_true",
                    help="sweep all nonzero (lam, mu) pairs")
-    p.add_argument("--threads", type=_int_at_least(1), default=1)
     p.add_argument("--budget", type=_int_at_least(0), default=None)
     p.add_argument("--json", action="store_true")
 
@@ -319,14 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--grid", default=None,
                    help="semicolon-separated points 'l,m' or 'l,m,u,v'")
-    p.add_argument("--threads", type=_int_at_least(1), default=1)
     p.add_argument("--budget", type=_int_at_least(0), default=None)
 
     p = sub.add_parser("table", help="reproduce the reference count table")
     p.add_argument("--prime", type=int, default=3, choices=PRIMES)
     p.add_argument("--rows", default=None,
                    help="comma-separated row names, e.g. m72,9_48")
-    p.add_argument("--threads", type=_int_at_least(1), default=1)
     p.add_argument("--budget", type=_int_at_least(0), default=None)
     p.add_argument("--json", action="store_true")
 

@@ -10,17 +10,17 @@ infinity count is invariant under the alpha-rescaling of all four
 scalars, and the count depends on the diagonal scaling matrix only
 through its determinant.
 
-`run_check` counts each distinct query of a check once and reuses the
-count for every pair that asks it; the memo lives for one call only.
-The packed Phi matrices behind the counts are cached per (braid word,
-prime) in `augment`.
+`run_check` counts each distinct query of a check once, serially in
+order of first appearance, and reuses the count for every pair that asks
+it; the memo lives for one call only.  The budget bounds each count on
+its own, so the first count over it stops the check.  The packed Phi
+matrices behind the counts are cached per (braid word, prime) in
+`augment`.
 """
 
 from __future__ import annotations
 
-import functools
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .augment import BudgetError, augmentation_number
@@ -180,25 +180,18 @@ def _query_key(query: tuple) -> tuple:
             None if override is None else tuple(map(tuple, override)))
 
 
-def run_check(spec: CheckSpec, budget: int | None = None,
-              threads: int = 1) -> CheckReport:
+def run_check(spec: CheckSpec, budget: int | None = None) -> CheckReport:
     """Run one check.  Pairs often repeat a count (the unchanged braid is
     counted against every sample), so each distinct query is counted once,
     in order of first appearance: the first count over `budget` is the
     one a pair-by-pair run would reach first."""
     jobs = _check_jobs(spec)
-    queries: dict[tuple, tuple] = {}
+    found: dict[tuple, int] = {}
     for _, left, right in jobs:
         for query in filter(None, (left, right)):
-            queries.setdefault(_query_key(query), query)
-
-    count = functools.partial(_count, budget=budget)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(pool.map(count, queries.values()))
-    else:
-        counts = list(map(count, queries.values()))
-    found = dict(zip(queries, counts))
+            key = _query_key(query)
+            if key not in found:
+                found[key] = _count(query, budget)
     cases = [(desc, found[_query_key(left)],
               0 if right is None else found[_query_key(right)])
              for desc, left, right in jobs]
@@ -266,7 +259,7 @@ def _table_braid(text: str) -> BraidWord:
 
 
 def reproduce_table(prime: int = 3, rows: list[str] | None = None,
-                    budget: int | None = None, threads: int = 1) -> TableReport:
+                    budget: int | None = None) -> TableReport:
     """Recompute the reference counts.  Only Z/3 has pinned expectations."""
     if prime != 3:
         raise ValueError("the reference table is pinned at prime 3")
@@ -286,8 +279,7 @@ def reproduce_table(prime: int = 3, rows: list[str] | None = None,
             try:
                 computed.append(augmentation_number(
                     b, "hat", prime, point[0], point[1],
-                    split=_auto_split(b), budget=budget,
-                    threads=threads).count)
+                    split=_auto_split(b), budget=budget).count)
             except BudgetError as e:
                 computed.append(None)
                 errors.append(f"{text}: {e}")

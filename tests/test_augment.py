@@ -55,11 +55,10 @@ def test_pruned_equals_exhaustive_small():
                     count_augmentations_exhaustive(q).count
 
 
-def test_no_elim_and_threads_do_not_change_counts():
+def test_no_elim_does_not_change_counts():
     for b in (TREFOIL, FIG8):
         base = augmentation_number(b, "hat", 3, 2, 1).count
         assert augmentation_number(b, "hat", 3, 2, 1, no_elim=True).count == base
-        assert augmentation_number(b, "hat", 3, 2, 1, threads=2).count == base
 
 
 def test_fast_construction_matches_symbolic():
@@ -102,7 +101,8 @@ def knots_with_override(draw):
 @given(knot=knots_with_override(), data=st.data())
 def test_packed_construction_matches_symbolic_everywhere(knot, data):
     """Packed relations are the abelianized symbolic ones for every prime,
-    flavor and cut, and every cut counts like the whole word."""
+    flavor and cut, every cut counts like the whole word, and the whole
+    word counts like exhaustive enumeration where that is small."""
     b, override = knot
     cuts = [None] + list(range(len(b.letters) + 1))
     cases = [(None, k) for k in cuts]
@@ -124,8 +124,10 @@ def test_packed_construction_matches_symbolic_everywhere(knot, data):
                                                 lam_override=lam_override)
                 assert packed == [r for r in abel if r]
                 if lam_override is None:
-                    counts[p].add(count_augmentations(
-                        AugQuery(pres, p, *scalars)).count)
+                    q = AugQuery(pres, p, *scalars)
+                    counts[p].add(count_augmentations(q).count)
+                    if cut is None and p ** len(pres.variables) <= 20000:
+                        counts[p].add(count_augmentations_exhaustive(q).count)
         assert all(len(c) == 1 for c in counts.values())
 
 
@@ -211,6 +213,19 @@ def test_budget_error():
         augmentation_number(b, "hat", 3, 2, 1, no_elim=True, budget=50)
     assert exc.value.budget == 50
     assert exc.value.tested > 50
+
+
+def test_budget_bounds_the_count_exactly():
+    """A count of T evaluations passes at budget T and fails at T - 1,
+    having tested exactly T."""
+    b = parse_braid("3 3 -2 3 2 -1 2 1 1")
+    free = augmentation_number(b, "hat", 3, 2, 1)
+    tested = free.assignments_tested
+    at = augmentation_number(b, "hat", 3, 2, 1, budget=tested)
+    assert (at.count, at.assignments_tested) == (free.count, tested)
+    with pytest.raises(BudgetError) as exc:
+        augmentation_number(b, "hat", 3, 2, 1, budget=tested - 1)
+    assert exc.value.tested == tested
 
 
 def test_budget_env_override(monkeypatch):

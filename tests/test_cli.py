@@ -144,7 +144,8 @@ def test_usage_errors_exit_2(capsys):
                  ["aug", "count", "--braid", "1", "--prime", "3",
                   "--lam", "1", "--mu", "1", "--budget", "-1"],
                  ["aug", "count", "--braid", "1", "--prime", "3",
-                  "--lam", "1", "--mu", "1", "--threads", "0"],
+                  "--lam", "1", "--mu", "1", "--threads", "2"],
+                 ["aug", "poly", "--braid", "1 1 1", "--budget", "5"],
                  ["ht0", "--braid", "1 1 1", "--split", "7"],
                  ["table", "--prime", "5"],
                  ["table", "--rows", "m72,nosuchrow"],
@@ -157,7 +158,7 @@ def test_usage_errors_exit_2(capsys):
                  ["verify", "--braid", "1 1 1", "--check", "mirror",
                   "--seed", "0", "--samples", "0"],
                  ["verify", "--braid", "1 1 1", "--check", "mirror",
-                  "--seed", "0", "--threads", "0"],
+                  "--seed", "0", "--threads", "2"],
                  ["aug", "compare", "--braid-a", "1 1", "--braid-b", "1",
                   "--prime", "3"],
                  ["aug", "compare", "--braid-a", "1", "--braid-b", "1",
@@ -181,16 +182,28 @@ def test_zero_grid_point_rejected_before_counting(monkeypatch, capsys):
         capsys.readouterr().err
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_verify_budget_exit_code(capsys, threads):
+def test_verify_budget_exit_code(capsys):
     """The first count over the budget stops the check with exit 3 and
-    one message, serially and with threads."""
+    one message."""
     code, out, err = run(capsys, "verify", "--braid", "1 -2 1 -2",
                          "--check", "conjugation", "--seed", "0",
-                         "--budget", "1", "--threads", threads)
+                         "--budget", "1")
     assert code == 3
     assert out == ""
     assert err == "budget exceeded: 8 > 1 incremental evaluations\n"
+
+
+@pytest.mark.parametrize("value", ["-1", "abc"])
+def test_bad_budget_env_exit_2(monkeypatch, capsys, value):
+    """A negative or non-integer XVERSE_BUDGET is a usage error, as
+    --budget -1 is, not a budget that fails every count."""
+    monkeypatch.setenv("XVERSE_BUDGET", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--rows", "m72"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"XVERSE_BUDGET must be an integer >= 0, got {value!r}" in out.err
 
 
 def test_unknown_table_row_named(capsys):

@@ -33,12 +33,6 @@ def test_seed_determinism():
     assert [d for d, _, _ in a.cases] != [d for d, _, _ in c.cases]
 
 
-def test_threads_match_serial():
-    spec = CheckSpec(TREFOIL, "conjugation", samples=3, seed=2,
-                     grid=((1, 1), (2, 1)))
-    assert run_check(spec).cases == run_check(spec, threads=2).cases
-
-
 def _direct(args):
     b, flavor, p, l0, m0, u0, v0, override = args
     return augmentation_number(b, flavor, p, l0, m0, u0=u0, v0=v0,
