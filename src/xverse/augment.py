@@ -17,19 +17,26 @@ forced-value propagation and early abort.
 
 Polynomial: for a 2-braid knot the infinity-flavor presentation reduces
 to polynomials in the single variable x = a12 over the Laurent scalars;
-after setting V=1 the one-variable elimination is a Sylvester resultant.
+after setting V=1 and clearing negative exponents they are elements of
+sympy's sparse ring `POLY_RING` = ZZ[L, m, U, x].  The one-variable
+elimination is a Sylvester resultant, computed here by Bareiss
+elimination over ring entries (sympy's own resultant is far slower on
+these inputs); the gcd, content and exact division are the ring's.
+`CommPoly` only holds the result, for printing and degree queries.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import os
 import time
 from dataclasses import dataclass
 
-import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.rings import PolyElement, ring
+from sympy.printing.precedence import PRECEDENCE
+from sympy.printing.str import StrPrinter
 
 from .braid import BraidWord, braid_stats
 from .ht0 import (Ht0Presentation, a_variables, cd_relations, ht0_relations,
@@ -47,9 +54,13 @@ _PHI_CACHE_SIZE = 64
 
 
 def _budget_from_env(budget: int | None) -> int:
-    """The explicit budget, else XVERSE_BUDGET (an integer >= 0), else the
-    default; a malformed variable is a usage error, not a tiny budget."""
+    """The explicit budget, else XVERSE_BUDGET, else the default.  Either
+    must be an integer >= 0; anything else is a usage error, not a tiny
+    budget."""
     if budget is not None:
+        if isinstance(budget, bool) or not isinstance(budget, int) \
+                or budget < 0:
+            raise ValueError(f"budget must be an integer >= 0, got {budget!r}")
         return budget
     env = os.environ.get("XVERSE_BUDGET")
     if not env:
@@ -690,6 +701,7 @@ def augmentation_number(b: BraidWord, flavor: str, prime: int, lam0: int,
         raise ValueError(f"prime must be one of {PRIMES}")
     if lam0 % prime == 0 or mu0 % prime == 0:
         raise ValueError("lam0 and mu0 must be nonzero in the field")
+    budget = _budget_from_env(budget)
     start = time.monotonic()
     rels, nvars, _ = packed_relations(b, flavor, prime, lam0, mu0, u0, v0,
                                       split=split, lam_override=lam_override)
@@ -697,276 +709,93 @@ def augmentation_number(b: BraidWord, flavor: str, prime: int, lam0: int,
 
 
 # ---------------------------------------------------------------------------
-# Commutative polynomials, resultants, and the index-2 augmentation polynomial
+# Resultants and the index-2 augmentation polynomial, in ZZ[L, m, U, x]
 # ---------------------------------------------------------------------------
 
+_POLY_VARS = ("L", "m", "U", "x")
+POLY_RING = ring(",".join(_POLY_VARS), ZZ)[0]
+_X = _POLY_VARS.index("x")
+_PRINTER = StrPrinter()
 
+
+def _poly_str(p: PolyElement) -> str:
+    """Terms lex-descending on (L, m, U, x), as in `L^2*m - 2*U*x + 1`."""
+    return p.str(_PRINTER, PRECEDENCE, "%s^%d", "*")
+
+
+@dataclass(frozen=True)
 class CommPoly:
-    """Sparse integer polynomial in a fixed tuple of commuting variables.
+    """The augmentation polynomial: a `POLY_RING` element that prints
+    itself and reports its degree in a named variable."""
 
-    Exponents may be negative (Laurent); operations that need honest
-    polynomials (division, resultants) expect inputs cleared first.
-    """
-
-    __slots__ = ("vars", "terms")
-
-    def __init__(self, vars: tuple[str, ...], terms=None):
-        self.vars = tuple(vars)
-        self.terms: dict[tuple[int, ...], int] = {}
-        if terms:
-            for k, c in terms.items():
-                if c:
-                    self.terms[tuple(k)] = c
-
-    @staticmethod
-    def const(vars, c: int) -> "CommPoly":
-        z = (0,) * len(vars)
-        return CommPoly(vars, {z: c} if c else {})
-
-    @staticmethod
-    def var(vars, name: str, exp: int = 1) -> "CommPoly":
-        i = vars.index(name)
-        key = tuple(exp if j == i else 0 for j in range(len(vars)))
-        return CommPoly(vars, {key: 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other):
-        if self.vars != other.vars:
-            raise ValueError("variable universe mismatch")
-
-    def __add__(self, other: "CommPoly") -> "CommPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        p = CommPoly(self.vars)
-        p.terms = out
-        return p
-
-    def __neg__(self) -> "CommPoly":
-        p = CommPoly(self.vars)
-        p.terms = {k: -c for k, c in self.terms.items()}
-        return p
-
-    def __sub__(self, other: "CommPoly") -> "CommPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "CommPoly":
-        if isinstance(other, int):
-            p = CommPoly(self.vars)
-            if other:
-                p.terms = {k: c * other for k, c in self.terms.items()}
-            return p
-        self._check(other)
-        out: dict[tuple[int, ...], int] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
-        p = CommPoly(self.vars)
-        p.terms = out
-        return p
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "CommPoly":
-        out = CommPoly.const(self.vars, 1)
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CommPoly):
-            return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
-
-    def degree(self, name: str) -> int:
-        i = self.vars.index(name)
-        return max((k[i] for k in self.terms), default=0)
-
-    def coeffs_in(self, name: str) -> dict[int, "CommPoly"]:
-        i = self.vars.index(name)
-        out: dict[int, CommPoly] = {}
-        for k, c in self.terms.items():
-            d = k[i]
-            k0 = tuple(0 if j == i else e for j, e in enumerate(k))
-            poly = out.setdefault(d, CommPoly(self.vars))
-            poly.terms[k0] = poly.terms.get(k0, 0) + c
-        for d in list(out):
-            out[d].terms = {k: c for k, c in out[d].terms.items() if c}
-            if not out[d].terms:
-                del out[d]
-        return out
-
-    def leading(self) -> tuple[tuple[int, ...], int]:
-        """Leading (monomial, coeff) under lex order on the vars tuple."""
-        k = max(self.terms)
-        return k, self.terms[k]
-
-    def content(self) -> int:
-        return math.gcd(*self.terms.values()) if self.terms else 0
-
-    def min_exponents(self) -> tuple[int, ...]:
-        if not self.terms:
-            return (0,) * len(self.vars)
-        return tuple(min(k[i] for k in self.terms) for i in range(len(self.vars)))
-
-    def shift(self, delta: tuple[int, ...]) -> "CommPoly":
-        p = CommPoly(self.vars)
-        p.terms = {tuple(a + d for a, d in zip(k, delta)): c
-                   for k, c in self.terms.items()}
-        return p
-
-    def cleared(self) -> "CommPoly":
-        """Multiply by the minimal monomial making all exponents >= 0."""
-        mins = self.min_exponents()
-        return self.shift(tuple(-m if m < 0 else 0 for m in mins))
-
-    def divide_exact(self, d: "CommPoly") -> "CommPoly":
-        """Exact multivariate division; raises ValueError on any remainder."""
-        self._check(d)
-        if d.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        r = CommPoly(self.vars, dict(self.terms))
-        q = CommPoly(self.vars)
-        dk, dc = d.leading()
-        while not r.is_zero():
-            rk, rc = r.leading()
-            key = tuple(a - b for a, b in zip(rk, dk))
-            if any(e < 0 for e in key) or rc % dc:
-                raise ValueError("inexact division")
-            t = CommPoly(self.vars, {key: rc // dc})
-            q = q + t
-            r = r - t * d
-        return q
-
-    def normalized(self, strip: tuple[str, ...] = ()) -> "CommPoly":
-        """Integer-primitive form with monomial factors in `strip` removed
-        and positive leading coefficient."""
-        if self.is_zero():
-            return self
-        c = self.content()
-        idxs = [self.vars.index(name) for name in strip]
-        mins = self.min_exponents()
-        delta = tuple(-mins[i] if i in idxs else 0 for i in range(len(self.vars)))
-        p = self.shift(delta)
-        p.terms = {k: cc // c for k, cc in p.terms.items()}
-        if p.leading()[1] < 0:
-            p = -p
-        return p
-
-    def to_sympy(self):
-        syms = sympy.symbols(" ".join(self.vars)) if len(self.vars) > 1 \
-            else (sympy.Symbol(self.vars[0]),)
-        if not isinstance(syms, tuple):
-            syms = (syms,)
-        expr = sympy.Integer(0)
-        for k, c in self.terms.items():
-            term = sympy.Integer(c)
-            for s, e in zip(syms, k):
-                term *= s ** e
-            expr += term
-        return expr, syms
-
-    @staticmethod
-    def from_sympy(expr, vars: tuple[str, ...]) -> "CommPoly":
-        syms = [sympy.Symbol(v) for v in vars]
-        poly = sympy.Poly(sympy.expand(expr), *syms)
-        out = CommPoly(vars)
-        for monom, coeff in poly.terms():
-            out.terms[tuple(int(e) for e in monom)] = int(coeff)
-        return out
+    element: PolyElement
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for k in sorted(self.terms, reverse=True):
-            c = self.terms[k]
-            factors = []
-            for name, e in zip(self.vars, k):
-                if e == 1:
-                    factors.append(name)
-                elif e != 0:
-                    factors.append(f"{name}^{e}")
-            if abs(c) != 1 or not factors:
-                factors.insert(0, str(abs(c)))
-            body = "*".join(factors)
-            if not pieces:
-                pieces.append(body if c > 0 else "-" + body)
-            else:
-                pieces.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(pieces)
+        return _poly_str(self.element)
 
-    def __repr__(self):
-        return f"CommPoly({self})"
+    def degree(self, name: str) -> int:
+        return self.element.degree(_POLY_VARS.index(name))
 
 
-def sylvester_resultant(f: CommPoly, g: CommPoly, var: str) -> CommPoly:
+def _shifted(terms: dict[tuple[int, ...], int], low) -> PolyElement:
+    """The polynomial with these terms divided by the monomial with
+    exponents `low` (which may be negative)."""
+    return POLY_RING.from_dict({tuple(e - d for e, d in zip(k, low)): c
+                                for k, c in terms.items()})
+
+
+def _normalized(p: PolyElement,
+                strip: tuple[str, ...] = ()) -> PolyElement:
+    """Integer-primitive form with positive leading coefficient and the
+    monomial factor in the variables named in `strip` removed."""
+    if not p:
+        return p
+    p = p.primitive()[1]
+    if p.LC < 0:
+        p = -p
+    low = [min(k[i] for k in p) if name in strip else 0
+           for i, name in enumerate(_POLY_VARS)]
+    return _shifted(p, low)
+
+
+def sylvester_resultant(f: PolyElement, g: PolyElement,
+                        var: str) -> PolyElement:
     """Resultant in `var` as the Sylvester determinant, computed by
     fraction-free (Bareiss) elimination with exact division."""
-    f._check(g)
-    m, n = f.degree(var), g.degree(var)
+    i = _POLY_VARS.index(var)
+    m, n = max(f.degree(i), 0), max(g.degree(i), 0)
     if m == 0 and n == 0:
         raise ValueError("both inputs constant in " + var)
     if m == 0:
         return f ** n
     if n == 0:
         return g ** m
-    fc = f.coeffs_in(var)
-    gc = g.coeffs_in(var)
-    zero = CommPoly(f.vars)
+    zero = POLY_RING.zero
     size = m + n
     rows = []
-    for i in range(n):
-        rows.append([zero] * i + [fc.get(m - j, zero) for j in range(m + 1)]
-                    + [zero] * (size - i - m - 1))
-    for i in range(m):
-        rows.append([zero] * i + [gc.get(n - j, zero) for j in range(n + 1)]
-                    + [zero] * (size - i - n - 1))
+    for k in range(n):
+        rows.append([zero] * k + [f.coeff_wrt(i, m - j) for j in range(m + 1)]
+                    + [zero] * (size - k - m - 1))
+    for k in range(m):
+        rows.append([zero] * k + [g.coeff_wrt(i, n - j) for j in range(n + 1)]
+                    + [zero] * (size - k - n - 1))
     sign = 1
-    prev = CommPoly.const(f.vars, 1)
+    prev = POLY_RING.one
     for k in range(size - 1):
-        if rows[k][k].is_zero():
-            swap = next((i for i in range(k + 1, size)
-                         if not rows[i][k].is_zero()), None)
+        if not rows[k][k]:
+            swap = next((r for r in range(k + 1, size) if rows[r][k]), None)
             if swap is None:
                 return zero
             rows[k], rows[swap] = rows[swap], rows[k]
             sign = -sign
-        for i in range(k + 1, size):
+        for r in range(k + 1, size):
             for j in range(k + 1, size):
-                rows[i][j] = (rows[i][j] * rows[k][k]
-                              - rows[i][k] * rows[k][j]).divide_exact(prev)
-            rows[i][k] = zero
+                rows[r][j] = (rows[r][j] * rows[k][k]
+                              - rows[r][k] * rows[k][j]).exquo(prev)
+            rows[r][k] = zero
         prev = rows[k][k]
     det = rows[size - 1][size - 1]
     return det if sign > 0 else -det
-
-
-def _gcd_all(polys: list[CommPoly]) -> CommPoly:
-    vars = polys[0].vars
-    exprs = [p.cleared().to_sympy()[0] for p in polys]
-    g = exprs[0]
-    for e in exprs[1:]:
-        g = sympy.gcd(g, e)
-    return CommPoly.from_sympy(g, vars)
-
-
-_POLY_VARS = ("L", "m", "U", "x")
 
 
 @dataclass
@@ -975,16 +804,18 @@ class AugPolyResult:
     may_have_repeated_factors: bool = True
 
 
-def _nc_to_comm(p: NCPoly, x: Generator | None) -> CommPoly:
-    """Infinity-flavor relation in at most one generator, with V set to 1."""
-    out = CommPoly(_POLY_VARS)
+def _nc_to_comm(p: NCPoly, x: Generator | None) -> PolyElement:
+    """Infinity-flavor relation in at most one generator, with V set to 1,
+    times the least monomial that clears its negative exponents."""
+    terms: dict[tuple[int, ...], int] = {}
     for (word, base), coeff in p.terms.items():
         if any(g != x for g in word):
             raise EliminationError("relation involves more than one variable")
         key = (base[0], base[1], base[2], len(word))
-        out.terms[key] = out.terms.get(key, 0) + coeff
-    out.terms = {k: c for k, c in out.terms.items() if c}
-    return out
+        terms[key] = terms.get(key, 0) + coeff
+    terms = {k: c for k, c in terms.items() if c}
+    low = [min([0] + [k[i] for k in terms]) for i in range(len(_POLY_VARS))]
+    return _shifted(terms, low)
 
 
 def augmentation_polynomial_index2(b: BraidWord) -> AugPolyResult:
@@ -1002,13 +833,13 @@ def augmentation_polynomial_index2(b: BraidWord) -> AugPolyResult:
     if len(xs) > 1:
         raise EliminationError("elimination failed: two variables survive")
     x = xs.pop() if xs else None
-    polys = [_nc_to_comm(r, x).cleared().normalized() for r in rels]
-    polys = sorted({p for p in polys if not p.is_zero()},
-                   key=lambda p: (p.degree("x"), len(p.terms), str(p)))
+    polys = [_normalized(_nc_to_comm(r, x)) for r in rels]
+    polys = sorted({p for p in polys if p},
+                   key=lambda p: (p.degree(_X), len(p), _poly_str(p)))
     if not polys:
         raise EliminationError("elimination failed: empty relation set")
-    with_x = [p for p in polys if p.degree("x") > 0]
-    consts = [p for p in polys if p.degree("x") == 0]
+    with_x = [p for p in polys if p.degree(_X) > 0]
+    consts = [p for p in polys if p.degree(_X) == 0]
     if len(with_x) == 1 and not consts:
         raise EliminationError("elimination failed: no constraints survive")
     # every pairwise resultant lies in the elimination ideal; the
@@ -1016,12 +847,12 @@ def augmentation_polynomial_index2(b: BraidWord) -> AugPolyResult:
     results = list(consts)
     for f, g in itertools.combinations(with_x, 2):
         r = sylvester_resultant(f, g, "x")
-        if not r.is_zero():
+        if r:
             results.append(r)
     if not results:
         raise EliminationError("elimination failed: no constraints survive")
-    result = _gcd_all(results)
-    if result.degree("x") != 0:
+    result = functools.reduce(PolyElement.gcd, results)
+    if result.degree(_X) != 0:
         raise EliminationError("elimination failed: x not eliminated")
-    result = result.normalized(strip=("L", "m", "U"))
-    return AugPolyResult(poly=result)
+    result = _normalized(result, strip=("L", "m", "U"))
+    return AugPolyResult(poly=CommPoly(result))

@@ -18,7 +18,7 @@ import sys
 from .augment import (PRIMES, BudgetError, EliminationError,
                       augmentation_number, augmentation_polynomial_index2)
 from .braid import BraidError, BraidWord, braid_stats, parse_braid
-from .dga import (DgaError, build_dga, verify_d_squared,
+from .dga import (FLAVORS, DgaError, build_dga, verify_d_squared,
                   verify_phi_factorization)
 from .ht0 import ht0_relations, reduced_relations
 from .verify import CHECKS, CheckSpec, reproduce_table, run_check
@@ -263,13 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dga", help="generators and differentials")
     _add_common(p)
-    p.add_argument("--flavor", default="minus",
-                   choices=("minus", "hat", "doublehat", "infinity"))
+    p.add_argument("--flavor", default="minus", choices=FLAVORS)
 
     p = sub.add_parser("ht0", help="degree-0 relations")
     _add_common(p)
-    p.add_argument("--flavor", default="minus",
-                   choices=("minus", "hat", "doublehat", "infinity"))
+    p.add_argument("--flavor", default="minus", choices=FLAVORS)
     p.add_argument("--split", type=int, default=None,
                    help="cut position in the letter sequence")
     p.add_argument("--reduced", action="store_true",
@@ -280,8 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = augsub.add_parser("count", help="count augmentations over Z/p")
     _add_common(p)
-    p.add_argument("--flavor", default="hat",
-                   choices=("minus", "hat", "doublehat", "infinity"))
+    p.add_argument("--flavor", default="hat", choices=FLAVORS)
     p.add_argument("--prime", type=int, required=True, choices=PRIMES)
     p.add_argument("--lam", type=int, required=True)
     p.add_argument("--mu", type=int, required=True)
@@ -298,8 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = augsub.add_parser("compare", help="compare counts of two braids")
     p.add_argument("--braid-a", required=True)
     p.add_argument("--braid-b", required=True)
-    p.add_argument("--flavor", default="hat",
-                   choices=("minus", "hat", "doublehat", "infinity"))
+    p.add_argument("--flavor", default="hat", choices=FLAVORS)
     p.add_argument("--prime", type=int, required=True, choices=PRIMES)
     p.add_argument("--lam", type=int, default=1)
     p.add_argument("--mu", type=int, default=1)
@@ -328,8 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="symbolic identity checks")
     p.add_argument("what", choices=("d2", "lemma29"))
     _add_common(p)
-    p.add_argument("--flavor", default="minus",
-                   choices=("minus", "hat", "doublehat", "infinity"))
+    p.add_argument("--flavor", default="minus", choices=FLAVORS)
     return parser
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .augment import BudgetError, augmentation_number
+from .augment import BudgetError, _budget_from_env, augmentation_number
 from .braid import BraidWord, braid_stats, braid_transform, markov_move
 from .ncpoly import pow_mod
 
@@ -186,6 +186,7 @@ def run_check(spec: CheckSpec, budget: int | None = None) -> CheckReport:
     in order of first appearance: the first count over `budget` is the
     one a pair-by-pair run would reach first."""
     jobs = _check_jobs(spec)
+    budget = _budget_from_env(budget)
     found: dict[tuple, int] = {}
     for _, left, right in jobs:
         for query in filter(None, (left, right)):
@@ -267,6 +268,7 @@ def reproduce_table(prime: int = 3, rows: list[str] | None = None,
     for r in rows or ():
         if _row_key(r) not in known:
             raise ValueError(f"unknown table row {r!r}")
+    budget = _budget_from_env(budget)
     wanted = None if rows is None else {_row_key(r) for r in rows}
     out = []
     for name, point, entries in TABLE_ROWS:

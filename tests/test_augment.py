@@ -2,11 +2,13 @@ import math
 import random
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from xverse.augment import (PRIMES, AugQuery, BudgetError, CommPoly,
-                            EliminationError, _abelianize,
+from xverse.augment import (POLY_RING, PRIMES, AugQuery, BudgetError,
+                            CommPoly, EliminationError, _abelianize,
+                            _normalized,
                             _packed_phi_matrices,
                             augmentation_number,
                             augmentation_polynomial_index2,
@@ -29,6 +31,26 @@ CINQUEFOIL_POLY = (
     " + L*m^10*U^7 - 2*L*m^9*U^7 + 2*L*m^9*U^6 - 2*L*m^8*U^6 + 2*L*m^8*U^5"
     " + L*m^7*U^6 - 4*L*m^7*U^5 + 3*L*m^7*U^4 + L*m^6*U^5 + L*m^6*U^4"
     " + 2*L*m^5*U^4 - m^11*U^7 - m^10*U^6")
+
+T27_POLY = (
+    "L^4*m + L^4 - 3*L^3*m^8*U^5 - 2*L^3*m^7*U^5 - L^3*m^7*U^4"
+    " - 2*L^3*m^6*U^5 + 6*L^3*m^6*U^4 - 4*L^3*m^6*U^3 - L^3*m^5*U^5"
+    " + 4*L^3*m^5*U^4 - 3*L^3*m^5*U^3 - L^3*m^4*U^5 + 4*L^3*m^4*U^4"
+    " - 3*L^3*m^4*U^3 + 2*L^3*m^3*U^4 - 2*L^3*m^3*U^3"
+    " + 2*L^3*m^2*U^4 - 2*L^3*m^2*U^3 - L^3*m*U^3 - L^3*U^3"
+    " + 3*L^2*m^15*U^10 + L^2*m^14*U^10 + 2*L^2*m^14*U^9"
+    " + 2*L^2*m^13*U^10 - 8*L^2*m^13*U^9 + 6*L^2*m^13*U^8"
+    " - L^2*m^12*U^9 - 2*L^2*m^12*U^8 + 3*L^2*m^12*U^7"
+    " - 4*L^2*m^11*U^9 + 10*L^2*m^11*U^8 - 12*L^2*m^11*U^7"
+    " + 6*L^2*m^11*U^6 - L^2*m^10*U^8 - 2*L^2*m^10*U^7"
+    " + 3*L^2*m^10*U^6 + 2*L^2*m^9*U^8 - 8*L^2*m^9*U^7"
+    " + 6*L^2*m^9*U^6 + L^2*m^8*U^7 + 2*L^2*m^8*U^6 + 3*L^2*m^7*U^6"
+    " - L*m^22*U^15 - L*m^21*U^14 + 2*L*m^20*U^14 - 2*L*m^20*U^13"
+    " + 2*L*m^19*U^13 - 2*L*m^19*U^12 - L*m^18*U^13 + 4*L*m^18*U^12"
+    " - 3*L*m^18*U^11 - L*m^17*U^12 + 4*L*m^17*U^11 - 3*L*m^17*U^10"
+    " - 2*L*m^16*U^11 + 6*L*m^16*U^10 - 4*L*m^16*U^9"
+    " - 2*L*m^15*U^10 - L*m^15*U^9 - 3*L*m^14*U^9 + m^22*U^13"
+    " + m^21*U^12")
 
 
 def hat_query(b, prime, lam0, mu0, **kw):
@@ -228,6 +250,16 @@ def test_budget_bounds_the_count_exactly():
     assert exc.value.tested == tested
 
 
+@pytest.mark.parametrize("budget", [-1, 2.5, "5", True])
+def test_bad_budget_rejected_before_building(monkeypatch, budget):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("relations built")
+    monkeypatch.setattr("xverse.augment.packed_relations", unreachable)
+    b = parse_braid("3 3 -2 3 2 -1 2 1 1")
+    with pytest.raises(ValueError, match=f"got {budget!r}"):
+        augmentation_number(b, "hat", 3, 2, 1, budget=budget)
+
+
 def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("XVERSE_BUDGET", "40")
     b = parse_braid("3 3 -2 3 2 -1 2 1 1")
@@ -243,88 +275,104 @@ def test_packed_relations_shape():
 
 
 # ---------------------------------------------------------------------------
-# commutative polynomials and resultants
+# resultants and normalization in ZZ[L, m, U, x]
 # ---------------------------------------------------------------------------
 
-V = ("L", "m", "U", "x")
+L, M, U, X = POLY_RING.gens
 
 
-def test_commpoly_arithmetic():
-    x = CommPoly.var(V, "x")
-    one = CommPoly.const(V, 1)
-    p = (x + one) * (x - one)
-    assert p == x * x - one
-    assert p.degree("x") == 2
-    assert (p - p).is_zero()
-    assert str(x * x - one) == "x^2 - 1"
-
-
-def test_commpoly_divide_exact():
-    x = CommPoly.var(V, "x")
-    L = CommPoly.var(V, "L")
-    p = (x + L) * (x - L)
-    assert p.divide_exact(x + L) == x - L
-    with pytest.raises(ValueError):
-        (p + CommPoly.const(V, 1)).divide_exact(x + L)
+def test_commpoly_str_and_degree():
+    p = (X + 1) * (X - 1)
+    assert p == X ** 2 - 1
+    assert not p - p
+    poly = CommPoly(p)
+    assert str(poly) == "x^2 - 1"
+    assert poly.degree("x") == 2 and poly.degree("L") == 0
+    assert str(CommPoly(-L * M + 3 * U * X ** 2)) == "-L*m + 3*U*x^2"
 
 
 def test_commpoly_normalized():
-    L = CommPoly.var(V, "L")
-    m = CommPoly.var(V, "m")
-    p = -2 * L * m - 2 * L * m * m
-    q = p.normalized(strip=("L", "m"))
-    assert str(q) == "m + 1"
+    """Content, then sign of the lex-leading term, then the monomial."""
+    p = -2 * L * M - 2 * L * M * M
+    assert str(CommPoly(_normalized(p, strip=("L", "m")))) == "m + 1"
+    assert _normalized(p) == L * M ** 2 + L * M
+    assert _normalized(6 * U * X - 4 * L, strip=("U",)) == 2 * L - 3 * U * X
+    assert not _normalized(POLY_RING.zero)
 
 
 def test_resultant_difference_of_roots():
-    x = CommPoly.var(V, "x")
-    L = CommPoly.var(V, "L")
-    m = CommPoly.var(V, "m")
-    r = sylvester_resultant(x - L, x - m, "x")
-    assert r == L - m or r == m - L
+    r = sylvester_resultant(X - L, X - M, "x")
+    assert r in (L - M, M - L)
 
 
 def test_resultant_common_root():
-    x = CommPoly.var(V, "x")
-    one = CommPoly.const(V, 1)
-    assert sylvester_resultant(x * x - one, x - one, "x").is_zero()
+    assert not sylvester_resultant(X * X - 1, X - 1, "x")
 
 
 def test_resultant_constant_inputs():
-    one = CommPoly.const(V, 1)
     with pytest.raises(ValueError):
-        sylvester_resultant(one, one + one, "x")
+        sylvester_resultant(POLY_RING.one, POLY_RING(2), "x")
 
 
 def test_resultant_matches_random_specialization():
     # Res_x(f, g) = 0 iff f, g share a root; cross-check numerically by
     # specializing L, m to integers and comparing against a gcd test
-    import sympy
     rng = random.Random(5)
     xs = sympy.Symbol("x")
+
+    def draw():
+        p = POLY_RING.zero
+        for k in range(rng.randrange(2, 4)):
+            a, b = rng.randrange(2), rng.randrange(2)
+            p += rng.randrange(-3, 4) * L ** a * M ** b * X ** k
+        return p
+
     for _ in range(10):
-        fx = CommPoly(V)
-        gx = CommPoly(V)
-        for k in range(rng.randrange(2, 4)):
-            fx = fx + CommPoly(V, {(rng.randrange(2), rng.randrange(2), 0, k):
-                                   rng.randrange(-3, 4)})
-        for k in range(rng.randrange(2, 4)):
-            gx = gx + CommPoly(V, {(rng.randrange(2), rng.randrange(2), 0, k):
-                                   rng.randrange(-3, 4)})
-        if fx.degree("x") == 0 and gx.degree("x") == 0:
+        fx, gx = draw(), draw()
+        if fx.degree(X) <= 0 and gx.degree(X) <= 0:
             continue
         res = sylvester_resultant(fx, gx, "x")
         l0, m0 = rng.randrange(1, 5), rng.randrange(1, 5)
         subs = {sympy.Symbol("L"): l0, sympy.Symbol("m"): m0,
                 sympy.Symbol("U"): 1}
-        f_num = fx.to_sympy()[0].subs(subs)
-        g_num = gx.to_sympy()[0].subs(subs)
-        r_num = res.to_sympy()[0].subs(subs)
-        if sympy.degree(f_num, xs) == fx.degree("x") and \
-                sympy.degree(g_num, xs) == gx.degree("x"):
+        f_num = fx.as_expr().subs(subs)
+        g_num = gx.as_expr().subs(subs)
+        r_num = res.as_expr().subs(subs)
+        if sympy.degree(f_num, xs) == fx.degree(X) and \
+                sympy.degree(g_num, xs) == gx.degree(X):
             shared = sympy.degree(sympy.gcd(f_num, g_num), xs) > 0
             if shared:
                 assert r_num == 0
+
+
+@st.composite
+def polys_in_x(draw):
+    """A polynomial in ZZ[L, m, U][x] of x-degree 1 to 3 with small
+    coefficients; each power of x gets up to two terms."""
+    deg = draw(st.integers(1, 3))
+    terms = {}
+    for k in range(deg + 1):
+        for _ in range(draw(st.integers(1 if k == deg else 0, 2))):
+            mono = (draw(st.integers(0, 2)), draw(st.integers(0, 2)),
+                    draw(st.integers(0, 1)), k)
+            terms[mono] = draw(st.integers(-3, 3).filter(bool))
+    return POLY_RING.from_dict(terms)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(f=polys_in_x(), g=polys_in_x())
+def test_resultant_matches_sympy(f, g):
+    """Bareiss on the Sylvester matrix equals sympy's own resultant.
+    sympy 1.14 gets the sign wrong when deg f < deg g and deg f * deg g is
+    odd (it gives -3 for Res(x - 1, x^3 + x + 1), not 3), so there sympy
+    is asked for Res(g, f) and Res(f, g) = (-1)^(deg f deg g) Res(g, f)."""
+    xs = sympy.Symbol("x")
+    m, n = f.degree(X), g.degree(X)
+    if m >= n:
+        want = sympy.resultant(f.as_expr(), g.as_expr(), xs)
+    else:
+        want = (-1) ** (m * n) * sympy.resultant(g.as_expr(), f.as_expr(), xs)
+    assert sylvester_resultant(f, g, "x") == POLY_RING.from_expr(want)
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +381,8 @@ def test_resultant_matches_random_specialization():
 
 
 def unit_equivalent(p: CommPoly, q: CommPoly) -> bool:
-    return p.normalized(strip=("L", "m", "U")) in (
-        q.normalized(strip=("L", "m", "U")),
-        (-q).normalized(strip=("L", "m", "U")))
+    strip = ("L", "m", "U")
+    return _normalized(p.element, strip) == _normalized(q.element, strip)
 
 
 def test_trefoil_polynomial():
@@ -356,6 +403,12 @@ def test_cinquefoil_polynomial_regression():
     r = augmentation_polynomial_index2(parse_braid("1 1 1 1 1"))
     assert str(r.poly) == CINQUEFOIL_POLY
     assert r.poly.degree("U") >= 3
+
+
+def test_t27_polynomial_regression():
+    r = augmentation_polynomial_index2(parse_braid("1 1 1 1 1 1 1"))
+    assert str(r.poly) == T27_POLY
+    assert [r.poly.degree(v) for v in "LmUx"] == [4, 22, 15, 0]
 
 
 def test_polynomial_input_validation():

@@ -115,6 +115,17 @@ def test_table_budget_recorded_not_fatal():
     assert row.errors
 
 
+@pytest.mark.parametrize("budget", [-1, 2.5])
+def test_bad_budget_rejected_before_counting(monkeypatch, budget):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("counted")
+    monkeypatch.setattr(xverse.verify, "augmentation_number", unreachable)
+    with pytest.raises(ValueError, match=f"got {budget!r}"):
+        run_check(CheckSpec(TREFOIL, "mirror"), budget=budget)
+    with pytest.raises(ValueError, match=f"got {budget!r}"):
+        reproduce_table(rows=["m72"], budget=budget)
+
+
 def test_table_rows_cover_reference():
     assert len(TABLE_ROWS) == 10
     assert sum(len(entries) for _, _, entries in TABLE_ROWS) == 21
