@@ -4,16 +4,30 @@ augmentation polynomial.
 Counting: an augmentation of a degree-0 presentation is an assignment of
 field values to the a-variables killing every abelianized relation, with
 the scalars sent to fixed (lam0, mu0, u0, v0).  Relations are packed as
-dicts from bit-packed monomials to coefficients mod p; exponents fold by
-Fermat (x^e = x^((e-1) mod (p-1) + 1) for e >= 1).  They come from one
-construction, `ht0.cd_relations`, run over two entry types: symbolic
-`NCPoly` entries abelianized afterwards (`count_augmentations`), or packed
-entries throughout (`packed_relations`), where only the Phi matrices are
-built by a packed extractor of their own, `_packed_phi_matrices`.  Phi
-does not depend on the scalars, so it is cached per (braid word, prime)
-and shared, read only, by every build on that word.  The count runs a
-linear pre-elimination pass followed by depth-first enumeration with
-forced-value propagation and early abort.
+dicts from packed monomials to coefficients mod p; exponents fold by
+Fermat (x^e = x^((e-1) mod (p-1) + 1) for e >= 1).
+
+Key layout: variable i owns the 4-bit field at bit 4i of an int key and
+holds its folded exponent, at most p - 1 <= 6.  A product of monomials is
+the sum of their keys, whose fields are at most 2p - 2 <= 12 < 16, so no
+field carries into the next.  Folding the sum subtracts p - 1 from every
+field that reached p, all fields at once ("SIMD within a register"), with
+ONES the key holding 1 in every field:
+
+    s = k1 + k2;  s - (((s + ONES*(8-p)) & ONES*8) >> 3) * (p-1)
+
+A field of s + ONES*(8-p) stays below 16 and reaches 8 exactly when the
+field of s reached p.  The nonzero fields of a key k are the 1s of
+(k | k>>1 | k>>2 | k>>3) & ONES.
+
+The relations come from one construction, `ht0.cd_relations`, run over
+two entry types: symbolic `NCPoly` entries abelianized afterwards
+(`count_augmentations`), or packed entries throughout (`packed_relations`),
+where only the Phi matrices are built by a packed extractor of their own,
+`_packed_phi_matrices`.  Phi does not depend on the scalars, so it is
+cached per (braid word, prime) and shared, read only, by every build on
+that word.  The count runs a linear pre-elimination pass followed by
+depth-first enumeration with forced-value propagation and early abort.
 
 Polynomial: for a 2-braid knot the infinity-flavor presentation reduces
 to polynomials in the single variable x = a12 over the Laurent scalars;
@@ -47,8 +61,8 @@ from .phi import sigma_images
 PRIMES = (2, 3, 5, 7)
 DEFAULT_BUDGET = 10 ** 8
 
-_BITS = 3
-_EMASK = 7
+_BITS = 4
+_EMASK = 15
 # packed Phi pairs kept, one per (word, prime); a check needs at most 9
 _PHI_CACHE_SIZE = 64
 
@@ -135,25 +149,47 @@ def _abelianize(rel: NCPoly, var_index: dict[Generator, int], prime: int,
     return out
 
 
+def _ones(nvars: int) -> int:
+    """ONES: the key with a 1 in each of nvars fields."""
+    return ((1 << (_BITS * nvars)) - 1) // _EMASK
+
+
+def _fields(key: int, ones: int) -> int:
+    """The key's nonzero fields, as a 1 in each."""
+    return (key | key >> 1 | key >> 2 | key >> 3) & ones
+
+
+@functools.lru_cache(maxsize=None)
+def _fold_masks(nvars: int, p: int) -> tuple[int, int]:
+    """(ONES*(8-p), ONES*8) for the SWAR fold of the module docstring."""
+    return _ones(nvars) * (8 - p), _ones(nvars) * 8
+
+
 def _mono_mul(k1: int, k2: int, nvars: int, p: int) -> int:
-    key = 0
-    for i in range(nvars):
-        sh = _BITS * i
-        e = ((k1 >> sh) & _EMASK) + ((k2 >> sh) & _EMASK)
-        key |= _fold(e, p) << sh
-    return key
+    bias, guard = _fold_masks(nvars, p)
+    s = k1 + k2
+    return s - (((s + bias) & guard) >> 3) * (p - 1)
+
+
+def _mul_add(out: dict[int, int], k1: int, c1: int, b: dict[int, int],
+             nvars: int, p: int) -> None:
+    """out += c1 * x^k1 * b, with `_mono_mul` inlined."""
+    bias, guard = _fold_masks(nvars, p)
+    q = p - 1
+    for k2, c2 in b.items():
+        s = k1 + k2
+        k = s - (((s + bias) & guard) >> 3) * q
+        c = (out.get(k, 0) + c1 * c2) % p
+        if c:
+            out[k] = c
+        elif k in out:
+            del out[k]
 
 
 def _poly_mul(a: dict[int, int], b: dict[int, int], nvars: int, p: int) -> dict[int, int]:
     out: dict[int, int] = {}
     for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            k = _mono_mul(k1, k2, nvars, p)
-            c = (out.get(k, 0) + c1 * c2) % p
-            if c:
-                out[k] = c
-            elif k in out:
-                del out[k]
+        _mul_add(out, k1, c1, b, nvars, p)
     return out
 
 
@@ -164,64 +200,60 @@ def _poly_pow(a: dict[int, int], e: int, nvars: int, p: int) -> dict[int, int]:
     return out
 
 
-def _subst_expr(rel: dict[int, int], v: int, expr: dict[int, int],
+def _subst_many(poly: dict[int, int], images: dict[int, dict[int, int]],
                 nvars: int, p: int) -> dict[int, int]:
-    """Replace variable v by the polynomial expr."""
-    sh = _BITS * v
-    clear = ~(_EMASK << sh)
+    """Replace each variable v by the polynomial images[v], all at once."""
     out: dict[int, int] = {}
-    powers: dict[int, dict[int, int]] = {}
-    for k, c in rel.items():
-        e = (k >> sh) & _EMASK
-        if e == 0:
-            c2 = (out.get(k, 0) + c) % p
+    powcache: dict[tuple[int, int], dict[int, int]] = {}
+    touched = 0
+    for v in images:
+        touched |= _EMASK << (_BITS * v)
+    for key, c in poly.items():
+        if not key & touched:
+            c2 = (out.get(key, 0) + c) % p
             if c2:
-                out[k] = c2
-            elif k in out:
-                del out[k]
+                out[key] = c2
+            elif key in out:
+                del out[key]
             continue
-        if e not in powers:
-            powers[e] = _poly_pow(expr, e, nvars, p)
-        k0 = k & clear
-        for km, cm in powers[e].items():
-            kk = _mono_mul(k0, km, nvars, p)
-            c2 = (out.get(kk, 0) + c * cm) % p
-            if c2:
-                out[kk] = c2
-            elif kk in out:
-                del out[kk]
+        prod = None
+        for v, img in images.items():
+            e = (key >> (_BITS * v)) & _EMASK
+            if not e:
+                continue
+            f = powcache.get((v, e))
+            if f is None:
+                f = _poly_pow(img, e, nvars, p)
+                powcache[(v, e)] = f
+            prod = f if prod is None else _poly_mul(prod, f, nvars, p)
+        _mul_add(out, key & ~touched, c, prod, nvars, p)
     return out
 
 
-def _single_linear_var(key: int, nvars: int) -> int | None:
-    """If key is x^1 for a single variable x, return its index."""
-    if key == 0:
-        return None
-    v = None
-    for i in range(nvars):
-        e = (key >> (_BITS * i)) & _EMASK
-        if e == 0:
-            continue
-        if e > 1 or v is not None:
-            return None
-        v = i
-    return v
+def _single_linear_var(key: int) -> int | None:
+    """The index of x if key is x^1 (a power of 16), else None."""
+    top = key.bit_length() - 1
+    if key and not key & (key - 1) and not top % _BITS:
+        return top // _BITS
+    return None
 
 
 class _Counter:
-    """DFS state: relations are lists of packed dicts."""
+    """DFS state: relations are lists of packed dicts; a set of variables
+    is a mask with bit 4v set for each variable v in it."""
 
     def __init__(self, p: int, order: list[int], budget: int):
         self.p = p
-        self.order = order
+        self.order = [1 << (_BITS * v) for v in order]
+        self.ones = sum(self.order)  # order holds every variable
         self.budget = budget
         self.tested = 0
         self.pows = {a: [pow(a, e, p) if e else 1 for e in range(7)]
                      for a in range(p)}
 
-    def _subst_value(self, rel: dict[int, int], v: int, a: int) -> dict[int, int]:
+    def _subst_value(self, rel: dict[int, int], sh: int, a: int) -> dict[int, int]:
+        """Set the variable of the field at bit sh to a."""
         p = self.p
-        sh = _BITS * v
         clear = ~(_EMASK << sh)
         pa = self.pows[a]
         out: dict[int, int] = {}
@@ -242,9 +274,8 @@ class _Counter:
                 del out[k]
         return out
 
-    def _single_var_solutions(self, rel: dict[int, int], v: int) -> list[int]:
+    def _single_var_solutions(self, rel: dict[int, int], sh: int) -> list[int]:
         p = self.p
-        sh = _BITS * v
         sols = []
         for a in range(p):
             pa = self.pows[a]
@@ -255,70 +286,66 @@ class _Counter:
                 sols.append(a)
         return sols
 
-    def count(self, rels: list[dict[int, int]], remaining: frozenset[int]) -> int:
+    def count(self, rels: list[dict[int, int]], rem: int) -> int:
+        """Solutions of rels in the variables of the mask rem."""
         p = self.p
-        rem = set(remaining)
+        ones = self.ones
         # propagation loop
         while True:
             forced: tuple[int, int] | None = None
             for rel in rels:
-                if not rel:
-                    continue
                 if len(rel) == 1 and 0 in rel:
                     return 0  # nonzero constant
                 # single-variable relation?
                 support = 0
                 for k in rel:
                     support |= k
-                vs = [i for i in rem if (support >> (_BITS * i)) & _EMASK]
-                if not vs:
-                    if any(k != 0 for k in rel):
+                live = _fields(support, ones) & rem
+                if not live:
+                    if support:
                         # involves an already-removed var: impossible
                         raise AssertionError("stale variable in relation")
                     return 0
-                if len(vs) == 1:
-                    sols = self._single_var_solutions(rel, vs[0])
+                if not live & (live - 1):
+                    sols = self._single_var_solutions(rel, live.bit_length() - 1)
                     if not sols:
                         return 0
                     if len(sols) == 1:
-                        forced = (vs[0], sols[0])
+                        forced = (live, sols[0])
                         break
             if forced is None:
                 break
-            v, a = forced
-            rem.discard(v)
+            bit, a = forced
+            rem ^= bit
             new_rels = []
             for rel in rels:
-                nr = self._subst_value(rel, v, a)
+                nr = self._subst_value(rel, bit.bit_length() - 1, a)
                 if nr:
                     if len(nr) == 1 and 0 in nr:
                         return 0
                     new_rels.append(nr)
             rels = new_rels
         if not rels:
-            return p ** len(rem)
+            return p ** rem.bit_count()
         # choose branch variable: first in static order that appears
         support = 0
         for rel in rels:
             for k in rel:
                 support |= k
-        branch = None
-        for v in self.order:
-            if v in rem and (support >> (_BITS * v)) & _EMASK:
-                branch = v
-                break
+        live = _fields(support, ones) & rem
+        branch = next((bit for bit in self.order if live & bit), None)
         if branch is None:
             # relations reference no remaining variable but are nonconstant
             return 0
-        free = [v for v in rem if v != branch
-                and not (support >> (_BITS * v)) & _EMASK]
-        sub_rem = frozenset(v for v in rem if v != branch and v not in free)
+        free = (rem & ~live).bit_count()
+        sub_rem = live ^ branch
+        sh = branch.bit_length() - 1
         total = 0
         for a in range(p):
             new_rels = []
             dead = False
             for rel in rels:
-                nr = self._subst_value(rel, branch, a)
+                nr = self._subst_value(rel, sh, a)
                 if nr:
                     if len(nr) == 1 and 0 in nr:
                         dead = True
@@ -326,21 +353,29 @@ class _Counter:
                     new_rels.append(nr)
             if not dead:
                 total += self.count(new_rels, sub_rem)
-        return total * p ** len(free)
+        return total * p ** free
 
 
 def _variable_order(rels: list[dict[int, int]], nvars: int) -> list[int]:
     """Static branching order: repeatedly take the variables of the
     relation with the smallest remaining support, most frequent first."""
+    ones = _ones(nvars)
     freq = [0] * nvars
     supports = []
     for rel in rels:
-        s = set()
+        # keys per support, supports in order of first appearance
+        shapes: dict[int, int] = {}
         for k in rel:
-            for i in range(nvars):
-                if (k >> (_BITS * i)) & _EMASK:
-                    s.add(i)
-                    freq[i] += 1
+            nz = _fields(k, ones)
+            shapes[nz] = shapes.get(nz, 0) + 1
+        s = set()
+        for nz, n in shapes.items():
+            while nz:
+                low = nz & -nz
+                i = low.bit_length() // _BITS
+                s.add(i)
+                freq[i] += n
+                nz ^= low
         supports.append(s)
     order: list[int] = []
     placed: set[int] = set()
@@ -378,41 +413,42 @@ def _prepare(q: AugQuery) -> tuple[list[dict[int, int]] | None, int]:
 
 
 def _pre_eliminate(rels: list[dict[int, int]], nvars: int, p: int
-                   ) -> tuple[list[dict[int, int]], set[int]] | None:
+                   ) -> tuple[list[dict[int, int]], int] | None:
     """Substitute out variables appearing in some relation only as a bare
-    linear monomial with nonzero coefficient.  Returns None when a
-    relation becomes a nonzero constant (no solutions)."""
-    eliminated: set[int] = set()
+    linear monomial with nonzero coefficient.  Returns the relations left
+    and the mask of the eliminated variables, or None when a relation
+    becomes a nonzero constant (no solutions)."""
+    ones = _ones(nvars)
+    eliminated = 0
     changed = True
     while changed:
         changed = False
         for ri, rel in enumerate(rels):
-            pick = None
+            # variables in more than one term of rel
+            seen = repeated = 0
+            for k in rel:
+                nz = _fields(k, ones)
+                repeated |= seen & nz
+                seen |= nz
             for k, c in rel.items():
-                v = _single_linear_var(k, nvars)
-                if v is None or v in eliminated:
-                    continue
-                sh = _BITS * v
-                if any((kk >> sh) & _EMASK for kk in rel if kk != k):
-                    continue
-                pick = (v, k, c)
-                break
-            if pick is None:
+                v = _single_linear_var(k)
+                if v is not None and not k & (eliminated | repeated):
+                    break
+            else:
                 continue
-            v, k, c = pick
             inv = pow(c, -1, p)
             expr = {kk: (-inv * cc) % p for kk, cc in rel.items() if kk != k}
             new_rels = []
             for rj, other in enumerate(rels):
                 if rj == ri:
                     continue
-                nr = _subst_expr(other, v, expr, nvars, p)
+                nr = _subst_many(other, {v: expr}, nvars, p)
                 if nr:
                     if len(nr) == 1 and 0 in nr:
                         return None
                     new_rels.append(nr)
             rels = new_rels
-            eliminated.add(v)
+            eliminated |= k
             changed = True
             break
     return rels, eliminated
@@ -424,23 +460,22 @@ def _count_packed(rels: list[dict[int, int]] | None, nvars: int, prime: int,
     budget = _budget_from_env(budget)
     if rels is None:
         return AugResult(0, 0, time.monotonic() - start)
-    eliminated: set[int] = set()
+    eliminated = 0
     if not no_elim:
         out = _pre_eliminate(rels, nvars, prime)
         if out is None:
             return AugResult(0, 0, time.monotonic() - start)
         rels, eliminated = out
-    order = _variable_order(rels, nvars)
-    counter = _Counter(prime, order, budget)
-    remaining = frozenset(v for v in range(nvars) if v not in eliminated)
-    count = counter.count(rels, remaining)
+    counter = _Counter(prime, _variable_order(rels, nvars), budget)
+    count = counter.count(rels, counter.ones & ~eliminated)
     return AugResult(count, counter.tested, time.monotonic() - start)
 
 
 def count_augmentations(q: AugQuery) -> AugResult:
+    budget = _budget_from_env(q.budget)
     start = time.monotonic()
     rels, nvars = _prepare(q)
-    return _count_packed(rels, nvars, q.prime, q.no_elim, q.budget, start)
+    return _count_packed(rels, nvars, q.prime, q.no_elim, budget, start)
 
 
 def count_augmentations_exhaustive(q: AugQuery) -> AugResult:
@@ -535,40 +570,6 @@ class _PackedPoly:
         else:
             out = _poly_mul(a, b, self.nvars, p)
         return _PackedPoly(out, self.nvars, p)
-
-
-def _subst_many(poly: dict[int, int], images: dict[int, dict[int, int]],
-                nvars: int, p: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    powcache: dict[tuple[int, int], dict[int, int]] = {}
-    for key, c in poly.items():
-        prod = None
-        base_key = key
-        for v, img in images.items():
-            e = (key >> (_BITS * v)) & _EMASK
-            if not e:
-                continue
-            base_key &= ~(_EMASK << (_BITS * v))
-            f = powcache.get((v, e))
-            if f is None:
-                f = _poly_pow(img, e, nvars, p)
-                powcache[(v, e)] = f
-            prod = f if prod is None else _poly_mul(prod, f, nvars, p)
-        if prod is None:
-            c2 = (out.get(key, 0) + c) % p
-            if c2:
-                out[key] = c2
-            elif key in out:
-                del out[key]
-        else:
-            for km, cm in prod.items():
-                kk = _mono_mul(base_key, km, nvars, p)
-                c2 = (out.get(kk, 0) + c * cm) % p
-                if c2:
-                    out[kk] = c2
-                elif kk in out:
-                    del out[kk]
-    return out
 
 
 @functools.lru_cache(maxsize=None)

@@ -52,19 +52,24 @@ def _gen_entry(family: str, diag: NCPoly | None):
 
 
 @dataclass
-class StructuredMatrices:
+class Degree0Matrices:
+    """The matrices the degree-0 relations (dC, dD) read."""
     n: int
     writhe: int
-    A: GenMatrix
-    B: GenMatrix
     A_lower: GenMatrix
     A_upper: GenMatrix
     Ahat: GenMatrix
     Acheck: GenMatrix
-    Bhat: GenMatrix
-    Bcheck: GenMatrix
     Lam: GenMatrix
     LamInv: GenMatrix
+
+
+@dataclass
+class StructuredMatrices(Degree0Matrices):
+    A: GenMatrix
+    B: GenMatrix
+    Bhat: GenMatrix
+    Bcheck: GenMatrix
 
 
 def _diag_override(entries, n: int, writhe: int) -> tuple[GenMatrix, GenMatrix]:
@@ -98,47 +103,48 @@ def _diag_override(entries, n: int, writhe: int) -> tuple[GenMatrix, GenMatrix]:
     return lam, GenMatrix.diagonal(inv)
 
 
-def structured_matrices(b: BraidWord, lam_override=None) -> StructuredMatrices:
+def _triangles(n: int, family: str, diag: NCPoly) -> tuple[GenMatrix, GenMatrix]:
+    """The family's generators below and above the diagonal, as two
+    matrices with `diag` on the diagonal and zero elsewhere."""
+    def part(below: bool) -> GenMatrix:
+        return GenMatrix.build(n, lambda i, j: diag if i == j else (
+            NCPoly.generator(family, i, j) if (i > j) == below
+            else NCPoly.zero()))
+    return part(True), part(False)
+
+
+def _hat_check(lower: GenMatrix, upper: GenMatrix) -> tuple[GenMatrix, GenMatrix]:
+    """The hatted and checked matrices of a lower and upper part."""
+    return (lower + upper.map(lambda p: p.scale_base(mu=1, u=1)),
+            lower.map(lambda p: p.scale_base(v=1))
+            + upper.map(lambda p: p.scale_base(mu=1)))
+
+
+def degree0_matrices(b: BraidWord, lam_override=None) -> Degree0Matrices:
+    """A_lower, A_upper, Ahat, Acheck, Lam and Lam^-1 of the braid, and
+    nothing else: all the degree-0 relations read."""
     n = b.strands
     w = braid_stats(b).writhe
-    A = GenMatrix.build(n, _gen_entry("a", NCPoly.scalar(-2)))
-    Bm = GenMatrix.build(n, _gen_entry("b", NCPoly.zero()))
-
-    def lower(i, j):
-        if i > j:
-            return NCPoly.generator("a", i, j)
-        if i == j:
-            return NCPoly.scalar(-1)
-        return NCPoly.zero()
-
-    def upper(i, j):
-        if i < j:
-            return NCPoly.generator("a", i, j)
-        if i == j:
-            return NCPoly.scalar(-1)
-        return NCPoly.zero()
-
-    A_lower = GenMatrix.build(n, lower)
-    A_upper = GenMatrix.build(n, upper)
-    mu_u = lambda p: p.scale_base(mu=1, u=1)
-    Ahat = A_lower + A_upper.map(mu_u)
-    Acheck = A_lower.map(lambda p: p.scale_base(v=1)) + A_upper.map(lambda p: p.scale_base(mu=1))
-    Bhat = GenMatrix.build(n, lambda i, j: NCPoly.zero() if i == j else (
-        NCPoly.generator("b", i, j) if i > j else mu_u(NCPoly.generator("b", i, j))))
-    Bcheck = GenMatrix.build(n, lambda i, j: NCPoly.zero() if i == j else (
-        NCPoly.generator("b", i, j).scale_base(v=1) if i > j
-        else NCPoly.generator("b", i, j).scale_base(mu=1)))
-
+    A_lower, A_upper = _triangles(n, "a", NCPoly.scalar(-1))
     if lam_override is None:
         lam_entries = [NCPoly.scalar(1, lam=1, mu=-w)] + [NCPoly.one()] * (n - 1)
         inv_entries = [NCPoly.scalar(1, lam=-1, mu=w)] + [NCPoly.one()] * (n - 1)
         Lam, LamInv = GenMatrix.diagonal(lam_entries), GenMatrix.diagonal(inv_entries)
     else:
         Lam, LamInv = _diag_override(lam_override, n, w)
+    Ahat, Acheck = _hat_check(A_lower, A_upper)
+    return Degree0Matrices(n=n, writhe=w, A_lower=A_lower, A_upper=A_upper,
+                           Ahat=Ahat, Acheck=Acheck, Lam=Lam, LamInv=LamInv)
 
-    return StructuredMatrices(n=n, writhe=w, A=A, B=Bm, A_lower=A_lower,
-                              A_upper=A_upper, Ahat=Ahat, Acheck=Acheck,
-                              Bhat=Bhat, Bcheck=Bcheck, Lam=Lam, LamInv=LamInv)
+
+def structured_matrices(b: BraidWord, lam_override=None) -> StructuredMatrices:
+    """The degree-0 matrices plus A, B, Bhat and Bcheck."""
+    m = degree0_matrices(b, lam_override)
+    Bhat, Bcheck = _hat_check(*_triangles(m.n, "b", NCPoly.zero()))
+    return StructuredMatrices(
+        **vars(m), A=GenMatrix.build(m.n, _gen_entry("a", NCPoly.scalar(-2))),
+        B=GenMatrix.build(m.n, _gen_entry("b", NCPoly.zero())),
+        Bhat=Bhat, Bcheck=Bcheck)
 
 
 @dataclass
@@ -228,7 +234,7 @@ def build_modified_dga(b: BraidWord, flavor: str = "minus",
     _require_knot(b)
     n = b.strands
     stats = braid_stats(b)
-    m = structured_matrices(b, lam_override)
+    m = degree0_matrices(b, lam_override)
     phi_l, phi_r = phi_matrices(b)
 
     Cg = GenMatrix.build(n, lambda i, j: NCPoly.generator("c", i, j))
@@ -315,7 +321,7 @@ def verify_d_squared(dga: DgaPresentation) -> list[tuple[Generator, NCPoly]]:
 def verify_phi_factorization(b: BraidWord) -> list[str]:
     """Check phi_B(M) = PhiL . M . PhiR for M in {A_lower, A_upper, Ahat,
     Acheck}; returns the names of failing identities."""
-    m = structured_matrices(b)
+    m = degree0_matrices(b)
     phi_l, phi_r = phi_matrices(b)
     failures = []
     for name, M in (("A_lower", m.A_lower), ("A_upper", m.A_upper),
@@ -548,7 +554,7 @@ def verify_phi_factorization_sampled(b: BraidWord, seed: int = 0,
     import numpy as np
     prime = _SAMPLE_PRIME
     n = b.strands
-    m = structured_matrices(b)
+    m = degree0_matrices(b)
     phi_l, phi_r = phi_matrices(b)
     span_l = max(_word_span(e) for _, _, e in phi_l.entries())
     span_r = max(_word_span(e) for _, _, e in phi_r.entries())

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braid import BraidWord, braid_stats, braid_transform
-from .dga import DgaError, structured_matrices
+from .dga import DgaError, degree0_matrices, structured_matrices
 from .ncpoly import Generator, NCPoly, gen
 from .phi import apply_phi, phi_matrices
 
@@ -61,7 +61,7 @@ def cd_relations(b: BraidWord, flavor: str, phi, lift,
     cut = 0 if split is None else split
     if not 0 <= cut <= len(b.letters):
         raise DgaError(f"split position {split} out of range")
-    m = structured_matrices(b, lam_override)
+    m = degree0_matrices(b, lam_override)
     ahat, acheck, lam, lam_inv = (
         M.map(lambda e: lift(e.specialize(flavor, stats.self_linking)))
         for M in (m.Ahat, m.Acheck, m.Lam, m.LamInv))

@@ -6,10 +6,11 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from xverse.augment import (POLY_RING, PRIMES, AugQuery, BudgetError,
-                            CommPoly, EliminationError, _abelianize,
-                            _normalized,
-                            _packed_phi_matrices,
+from xverse.augment import (_BITS, _EMASK, POLY_RING, PRIMES, AugQuery,
+                            BudgetError, CommPoly, EliminationError,
+                            _abelianize, _fold, _mono_mul, _normalized,
+                            _packed_phi_matrices, _poly_mul,
+                            _single_linear_var,
                             augmentation_number,
                             augmentation_polynomial_index2,
                             count_augmentations,
@@ -153,6 +154,67 @@ def test_packed_construction_matches_symbolic_everywhere(knot, data):
         assert all(len(c) == 1 for c in counts.values())
 
 
+def _pack(fields):
+    return sum(e << (_BITS * i) for i, e in enumerate(fields))
+
+
+def _unpack(key, nvars):
+    return [(key >> (_BITS * i)) & _EMASK for i in range(nvars)]
+
+
+@st.composite
+def folded_pairs(draw):
+    """A prime and two monomials on 1 to 20 variables with folded
+    exponents, field by field: any pair, a pair summing to p, or the
+    largest pair, p - 1 twice."""
+    p = draw(st.sampled_from(PRIMES))
+    nvars = draw(st.integers(1, 20))
+    exps = st.integers(0, p - 1)
+    pair = st.one_of(st.tuples(exps, exps),
+                     st.integers(1, p - 1).map(lambda a: (a, p - a)),
+                     st.just((p - 1, p - 1)))
+    pairs = draw(st.lists(pair, min_size=nvars, max_size=nvars))
+    return p, nvars, [a for a, _ in pairs], [b for _, b in pairs]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(folded_pairs())
+def test_swar_product_matches_per_field_fold(case):
+    """The one-add product with its branch-free fold, alone and inlined in
+    _poly_mul, equals folding each field's sum on its own."""
+    p, nvars, e1, e2 = case
+    expected = _pack([_fold(a + b, p) for a, b in zip(e1, e2)])
+    assert max(_unpack(expected, nvars)) <= p - 1
+    k1, k2 = _pack(e1), _pack(e2)
+    assert _mono_mul(k1, k2, nvars, p) == expected
+    assert _poly_mul({k1: 1}, {k2: 1}, nvars, p) == {expected: 1}
+
+
+@st.composite
+def packed_keys(draw):
+    """A key on 1 to 20 variables: zero, one variable to a power, or any
+    folded exponents."""
+    nvars = draw(st.integers(1, 20))
+    fields = [0] * nvars
+    kind = draw(st.sampled_from(("zero", "single", "any")))
+    if kind == "single":
+        fields[draw(st.integers(0, nvars - 1))] = draw(st.integers(1, 6))
+    elif kind == "any":
+        fields = draw(st.lists(st.integers(0, 6), min_size=nvars,
+                               max_size=nvars))
+    return nvars, fields
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(packed_keys())
+def test_single_linear_var_matches_per_field_rule(case):
+    nvars, fields = case
+    nonzero = [i for i, e in enumerate(fields) if e]
+    expected = nonzero[0] if len(nonzero) == 1 and \
+        fields[nonzero[0]] == 1 else None
+    assert _single_linear_var(_pack(fields)) == expected
+
+
 def _override_for(b):
     """A Lam override of the right determinant, away from the identity."""
     n = b.strands
@@ -258,6 +320,15 @@ def test_bad_budget_rejected_before_building(monkeypatch, budget):
     b = parse_braid("3 3 -2 3 2 -1 2 1 1")
     with pytest.raises(ValueError, match=f"got {budget!r}"):
         augmentation_number(b, "hat", 3, 2, 1, budget=budget)
+
+
+def test_count_augmentations_rejects_bad_budget_before_building(monkeypatch):
+    def unreachable(q):
+        raise AssertionError("relations built")
+    query = hat_query(TREFOIL, 3, 2, 1, budget=-1)
+    monkeypatch.setattr("xverse.augment._prepare", unreachable)
+    with pytest.raises(ValueError, match="got -1"):
+        count_augmentations(query)
 
 
 def test_budget_env_override(monkeypatch):

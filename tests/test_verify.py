@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import xverse.verify
-from xverse.augment import augmentation_number
-from xverse.braid import parse_braid
+from xverse.augment import PRIMES, augmentation_number
+from xverse.braid import BraidWord, braid_stats, parse_braid
 from xverse.verify import (CHECKS, CheckSpec, _auto_split, _check_jobs,
                            reproduce_table, run_check, TABLE_ROWS)
 
@@ -69,6 +71,33 @@ def test_each_distinct_query_counted_once(check, monkeypatch):
         direct = [(desc, _direct(left), 0 if right is None else _direct(right))
                   for desc, left, right in jobs]
         assert report.cases == sorted(direct, key=lambda c: c[0])
+
+
+@st.composite
+def knots_and_points(draw):
+    """A knot on 2 or 3 strands of at most 6 letters, a prime and a grid
+    point (lam0, mu0) with both entries nonzero mod p."""
+    n = draw(st.sampled_from((2, 3)))
+    letters = draw(st.lists(st.integers(1, n - 1).flatmap(
+        lambda k: st.sampled_from((k, -k))), max_size=6))
+    b = BraidWord(n, tuple(letters))
+    assume(braid_stats(b).is_knot)
+    p = draw(st.sampled_from(PRIMES))
+    point = (draw(st.integers(1, p - 1)), draw(st.integers(1, p - 1)))
+    return b, p, point, draw(st.integers(0, 2 ** 16))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(knots_and_points())
+def test_markov_and_mirror_invariance_at_random_points(case):
+    """Conjugation, positive stabilization and the transverse mirror keep
+    every hat count, at any prime and nonzero grid point."""
+    b, p, point, seed = case
+    for check in ("conjugation", "stab_pos", "mirror"):
+        report = run_check(CheckSpec(b, check, prime=p, grid=(point,),
+                                     samples=2, seed=seed))
+        assert report.passed, (check, report.cases)
+        assert report.cases
 
 
 def test_unknown_check_rejected():
