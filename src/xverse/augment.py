@@ -394,11 +394,15 @@ def _variable_order(rels: list[dict[int, int]], nvars: int) -> list[int]:
     return order
 
 
-def _prepare(q: AugQuery) -> tuple[list[dict[int, int]] | None, int]:
-    if q.prime not in PRIMES:
+def _check_point(prime: int, lam0: int, mu0: int) -> None:
+    if prime not in PRIMES:
         raise ValueError(f"prime must be one of {PRIMES}")
-    if q.lam0 % q.prime == 0 or q.mu0 % q.prime == 0:
+    if lam0 % prime == 0 or mu0 % prime == 0:
         raise ValueError("lam0 and mu0 must be nonzero in the field")
+
+
+def _prepare(q: AugQuery) -> tuple[list[dict[int, int]] | None, int]:
+    _check_point(q.prime, q.lam0, q.mu0)
     variables = list(q.presentation.variables)
     var_index = {g: i for i, g in enumerate(variables)}
     scalars = (q.lam0, q.mu0, q.u0, q.v0)
@@ -455,9 +459,8 @@ def _pre_eliminate(rels: list[dict[int, int]], nvars: int, p: int
 
 
 def _count_packed(rels: list[dict[int, int]] | None, nvars: int, prime: int,
-                  no_elim: bool, budget: int | None,
-                  start: float) -> AugResult:
-    budget = _budget_from_env(budget)
+                  no_elim: bool, budget: int, start: float) -> AugResult:
+    """Count the solutions of rels within the resolved budget."""
     if rels is None:
         return AugResult(0, 0, time.monotonic() - start)
     eliminated = 0
@@ -698,10 +701,7 @@ def augmentation_number(b: BraidWord, flavor: str, prime: int, lam0: int,
         v0 = 1 if v0 is None else v0
         if flavor == "infinity" and (u0 % prime == 0 or v0 % prime == 0):
             raise ValueError("infinity flavor needs invertible u0, v0")
-    if prime not in PRIMES:
-        raise ValueError(f"prime must be one of {PRIMES}")
-    if lam0 % prime == 0 or mu0 % prime == 0:
-        raise ValueError("lam0 and mu0 must be nonzero in the field")
+    _check_point(prime, lam0, mu0)
     budget = _budget_from_env(budget)
     start = time.monotonic()
     rels, nvars, _ = packed_relations(b, flavor, prime, lam0, mu0, u0, v0,

@@ -23,6 +23,13 @@ which turns Lam into the primed diagonal automatically).
 
 The differential extends to products by the Koszul rule
 d(xy) = (dx)y + (-1)^|x| x(dy).
+
+Each formula is written once, here: `cd_blocks` forms the products
+Lam . PhiL . X and Y . PhiR . Lam^-1 (dC, dD, dE, dF, the modified DGA and
+ht0's degree-0 relations, cut or whole), `db_block` forms dB (the DGA and
+`ht0.b_consequences`), and `_assemble` turns blocks into a specialized
+presentation for both `build_dga` and `build_modified_dga`.  The
+a-variable order is `phi.a_variables`.
 """
 
 from __future__ import annotations
@@ -32,23 +39,13 @@ from dataclasses import dataclass
 
 from .braid import BraidWord, braid_stats
 from .ncpoly import GenMatrix, Generator, NCPoly, gen, pow_mod
-from .phi import apply_phi, phi_matrices, sigma_images
+from .phi import a_variables, apply_phi, phi_matrices, sigma_images
 
 FLAVORS = ("minus", "hat", "doublehat", "infinity")
 
 
 class DgaError(ValueError):
     pass
-
-
-def _gen_entry(family: str, diag: NCPoly | None):
-    """Matrix with family generators off-diagonal; diag None means the
-    family exists on the diagonal too."""
-    def entry(i: int, j: int) -> NCPoly:
-        if i == j and diag is not None:
-            return diag
-        return NCPoly.generator(family, i, j)
-    return entry
 
 
 @dataclass
@@ -140,11 +137,10 @@ def degree0_matrices(b: BraidWord, lam_override=None) -> Degree0Matrices:
 def structured_matrices(b: BraidWord, lam_override=None) -> StructuredMatrices:
     """The degree-0 matrices plus A, B, Bhat and Bcheck."""
     m = degree0_matrices(b, lam_override)
-    Bhat, Bcheck = _hat_check(*_triangles(m.n, "b", NCPoly.zero()))
-    return StructuredMatrices(
-        **vars(m), A=GenMatrix.build(m.n, _gen_entry("a", NCPoly.scalar(-2))),
-        B=GenMatrix.build(m.n, _gen_entry("b", NCPoly.zero())),
-        Bhat=Bhat, Bcheck=Bcheck)
+    B_lower, B_upper = _triangles(m.n, "b", NCPoly.zero())
+    Bhat, Bcheck = _hat_check(B_lower, B_upper)
+    return StructuredMatrices(**vars(m), A=m.A_lower + m.A_upper,
+                              B=B_lower + B_upper, Bhat=Bhat, Bcheck=Bcheck)
 
 
 @dataclass
@@ -154,129 +150,115 @@ class DgaPresentation:
     sl: int
     generators: list[Generator]
     diff: dict[Generator, NCPoly]
-    lam_matrix: GenMatrix
     phi_l: GenMatrix
     phi_r: GenMatrix
 
-    def degree(self, g: Generator) -> int:
-        return g.degree
+
+def cd_blocks(c_left, d_left, ahat, acheck, lam, lam_inv, phi_l, phi_r):
+    """The C- and D-blocks
+
+        c_left - Lam . PhiL . Acheck
+        d_left - Ahat . PhiR . Lam^-1
+
+    over any entry type with +, -, * and is_zero.  With c_left = Ahat and
+    d_left = Acheck they are dC and dD; every other use of these two
+    products (the cut relations of ht0, dE, dF and the modified DGA) goes
+    through here as well."""
+    return (c_left - lam @ phi_l @ acheck,
+            d_left - ahat @ phi_r @ lam_inv)
+
+
+def db_block(b: BraidWord, A: GenMatrix, lam: GenMatrix,
+             lam_inv: GenMatrix) -> GenMatrix:
+    """dB = A - Lam . phi_B(A) . Lam^-1."""
+    return A - lam @ A.map(lambda p: apply_phi(b, p)) @ lam_inv
+
+
+def _offdiag(n):
+    return [(a.row, a.col) for a in a_variables(n)]
 
 
 def _all_indices(n):
     return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
 
 
-def _offdiag(n):
-    return [(i, j) for i, j in _all_indices(n) if i != j]
-
-
-def _require_knot(b: BraidWord):
-    if not braid_stats(b).is_knot:
+def _assemble(b: BraidWord, flavor: str, lam_override, matrices,
+              blocks) -> DgaPresentation:
+    """Check the flavor and that b closes to a knot, build its matrices
+    (`matrices(b, lam_override)`) and Phi, and list the generators and
+    differentials that `blocks(m, phi_l, phi_r)` yields as (family,
+    differential matrix, positions), specialized to the flavor."""
+    if flavor not in FLAVORS:
+        raise DgaError(f"unknown flavor {flavor!r}")
+    stats = braid_stats(b)
+    if not stats.is_knot:
         raise DgaError("links unsupported")
+    m = matrices(b, lam_override)
+    phi_l, phi_r = phi_matrices(b)
+    generators: list[Generator] = []
+    diff: dict[Generator, NCPoly] = {}
+    for family, mat, positions in blocks(m, phi_l, phi_r):
+        for i, j in positions:
+            g = gen(family, i, j)
+            generators.append(g)
+            diff[g] = mat.at(i, j).specialize(flavor, stats.self_linking)
+    return DgaPresentation(braid=b, flavor=flavor, sl=stats.self_linking,
+                           generators=generators, diff=diff,
+                           phi_l=phi_l, phi_r=phi_r)
 
 
-def _specialize_all(diff, flavor, sl):
-    return {g: p.specialize(flavor, sl) for g, p in diff.items()}
+def _gen_matrix(n: int, family: str) -> GenMatrix:
+    return GenMatrix.build(n, lambda i, j: NCPoly.generator(family, i, j))
 
 
 def build_dga(b: BraidWord, flavor: str = "minus", lam_override=None) -> DgaPresentation:
-    if flavor not in FLAVORS:
-        raise DgaError(f"unknown flavor {flavor!r}")
-    _require_knot(b)
-    n = b.strands
-    stats = braid_stats(b)
-    m = structured_matrices(b, lam_override)
-    phi_l, phi_r = phi_matrices(b)
-
-    phiA = m.A.map(lambda p: apply_phi(b, p))
-    Cg = GenMatrix.build(n, lambda i, j: NCPoly.generator("c", i, j))
-    Dg = GenMatrix.build(n, lambda i, j: NCPoly.generator("d", i, j))
-
-    dB = m.A - m.Lam @ phiA @ m.LamInv
-    dC = m.Ahat - m.Lam @ phi_l @ m.Acheck
-    dD = m.Acheck - m.Ahat @ phi_r @ m.LamInv
-    dE = m.Bhat - Cg - m.Lam @ phi_l @ Dg
-    dF = m.Bcheck - Dg - Cg @ phi_r @ m.LamInv
-
-    for i in range(1, n + 1):
-        if not dB.at(i, i).is_zero():
-            raise DgaError(f"nonzero diagonal in dB at {i}")
-
-    diff: dict[Generator, NCPoly] = {}
-    generators: list[Generator] = []
-    for i, j in _offdiag(n):
-        g = gen("a", i, j)
-        generators.append(g)
-        diff[g] = NCPoly.zero()
-    for i, j in _offdiag(n):
-        g = gen("b", i, j)
-        generators.append(g)
-        diff[g] = dB.at(i, j)
-    for fam, mat in (("c", dC), ("d", dD), ("e", dE), ("f", dF)):
-        for i, j in _all_indices(n):
-            g = gen(fam, i, j)
-            generators.append(g)
-            diff[g] = mat.at(i, j)
-
-    diff = _specialize_all(diff, flavor, stats.self_linking)
-    lam = m.Lam.map(lambda p: p.specialize(flavor, stats.self_linking))
-    return DgaPresentation(braid=b, flavor=flavor, sl=stats.self_linking,
-                           generators=generators, diff=diff,
-                           lam_matrix=lam, phi_l=phi_l, phi_r=phi_r)
+    def blocks(m, phi_l, phi_r):
+        n = m.n
+        dB = db_block(b, m.A, m.Lam, m.LamInv)
+        for i in range(1, n + 1):
+            if not dB.at(i, i).is_zero():
+                raise DgaError(f"nonzero diagonal in dB at {i}")
+        Cg, Dg = _gen_matrix(n, "c"), _gen_matrix(n, "d")
+        dC, dD = cd_blocks(m.Ahat, m.Acheck, m.Ahat, m.Acheck,
+                           m.Lam, m.LamInv, phi_l, phi_r)
+        dE, dF = cd_blocks(m.Bhat - Cg, m.Bcheck - Dg, Cg, Dg,
+                           m.Lam, m.LamInv, phi_l, phi_r)
+        full = _all_indices(n)
+        return [("a", GenMatrix(n), _offdiag(n)), ("b", dB, _offdiag(n)),
+                ("c", dC, full), ("d", dD, full), ("e", dE, full),
+                ("f", dF, full)]
+    return _assemble(b, flavor, lam_override, structured_matrices, blocks)
 
 
 def build_modified_dga(b: BraidWord, flavor: str = "minus",
                        lam_override=None) -> DgaPresentation:
     """The smaller presentation without b-generators: a, c, d plus
     e_{ij} for i <= j and f_{ij} for j <= i."""
-    if flavor not in FLAVORS:
-        raise DgaError(f"unknown flavor {flavor!r}")
-    _require_knot(b)
-    n = b.strands
-    stats = braid_stats(b)
-    m = degree0_matrices(b, lam_override)
-    phi_l, phi_r = phi_matrices(b)
-
-    Cg = GenMatrix.build(n, lambda i, j: NCPoly.generator("c", i, j))
-    Dg = GenMatrix.build(n, lambda i, j: NCPoly.generator("d", i, j))
-    dC = m.Ahat - m.Lam @ phi_l @ m.Acheck
-    dD = m.Acheck - m.Ahat @ phi_r @ m.LamInv
-    LPD = m.Lam @ phi_l @ Dg
-    CRL = Cg @ phi_r @ m.LamInv
-    scale_u = lambda M: M.map(lambda p: p.scale_base(u=1))
-    scale_v = lambda M: M.map(lambda p: p.scale_base(v=1))
-    E_diag = Cg + LPD
-    E_off = Cg - scale_u(Dg) + LPD - scale_u(CRL)
-    F_diag = Dg + CRL
-    F_off = Dg - scale_v(Cg) + CRL - scale_v(LPD)
-
-    diff: dict[Generator, NCPoly] = {}
-    generators: list[Generator] = []
-    for i, j in _offdiag(n):
-        g = gen("a", i, j)
-        generators.append(g)
-        diff[g] = NCPoly.zero()
-    for fam, mat in (("c", dC), ("d", dD)):
-        for i, j in _all_indices(n):
-            g = gen(fam, i, j)
-            generators.append(g)
-            diff[g] = mat.at(i, j)
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            g = gen("e", i, j)
-            generators.append(g)
-            diff[g] = E_diag.at(i, i) if i == j else E_off.at(i, j)
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            g = gen("f", i, j)
-            generators.append(g)
-            diff[g] = F_diag.at(i, i) if i == j else F_off.at(i, j)
-
-    diff = _specialize_all(diff, flavor, stats.self_linking)
-    lam = m.Lam.map(lambda p: p.specialize(flavor, stats.self_linking))
-    return DgaPresentation(braid=b, flavor=flavor, sl=stats.self_linking,
-                           generators=generators, diff=diff,
-                           lam_matrix=lam, phi_l=phi_l, phi_r=phi_r)
+    def blocks(m, phi_l, phi_r):
+        n = m.n
+        Cg, Dg = _gen_matrix(n, "c"), _gen_matrix(n, "d")
+        dC, dD = cd_blocks(m.Ahat, m.Acheck, m.Ahat, m.Acheck,
+                           m.Lam, m.LamInv, phi_l, phi_r)
+        # Lam . PhiL . D and C . PhiR . Lam^-1, as 0 - Lam . PhiL . (-D)
+        # and 0 - (-C) . PhiR . Lam^-1 (negating twice keeps the term order)
+        LPD, CRL = cd_blocks(GenMatrix(n), GenMatrix(n), -Cg, -Dg,
+                             m.Lam, m.LamInv, phi_l, phi_r)
+        scale_u = lambda M: M.map(lambda p: p.scale_base(u=1))
+        scale_v = lambda M: M.map(lambda p: p.scale_base(v=1))
+        E_diag = Cg + LPD
+        E_off = Cg - scale_u(Dg) + LPD - scale_u(CRL)
+        F_diag = Dg + CRL
+        F_off = Dg - scale_v(Cg) + CRL - scale_v(LPD)
+        dE = GenMatrix.build(
+            n, lambda i, j: (E_diag if i == j else E_off).at(i, j))
+        dF = GenMatrix.build(
+            n, lambda i, j: (F_diag if i == j else F_off).at(i, j))
+        full = _all_indices(n)
+        return [("a", GenMatrix(n), _offdiag(n)), ("c", dC, full),
+                ("d", dD, full),
+                ("e", dE, [(i, j) for i, j in full if i <= j]),
+                ("f", dF, [(i, j) for i, j in full if j <= i])]
+    return _assemble(b, flavor, lam_override, degree0_matrices, blocks)
 
 
 def differential(dga: DgaPresentation, p: NCPoly) -> NCPoly:
@@ -463,8 +445,7 @@ def _phi_point(b: BraidWord, values, scalars, prime: int, dim: int):
 def _phi_degree_bound(b: BraidWord) -> int:
     """Max word length over all phi_B(a_ij), by folding degrees."""
     n = b.strands
-    degs = {gen("a", i, j): 1 for i in range(1, n + 1)
-            for j in range(1, n + 1) if i != j}
+    degs = {a: 1 for a in a_variables(n)}
     for letter in b.letters:
         cur = dict(degs)
         for g, img in sigma_images(abs(letter), n, inverse=letter < 0).items():
@@ -562,8 +543,7 @@ def verify_phi_factorization_sampled(b: BraidWord, seed: int = 0,
     rng = random.Random(seed)
     failures = []
     for _ in range(trials):
-        point = {gen("a", i, j): _rand_matrix(rng, dim, prime)
-                 for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
+        point = {a: _rand_matrix(rng, dim, prime) for a in a_variables(n)}
         scalars = tuple(rng.randrange(1, prime) for _ in range(4))
         phi_pt = _phi_point(b, point, scalars, prime, dim)
         l_val = [[_eval_matrix(phi_l.at(i, j), point, scalars, prime, dim)

@@ -9,7 +9,11 @@ HT0 of a braid closure is the quotient of the degree-0 subalgebra
 flavor-specialized, or by their split form at a cut of the word.  One
 construction, `cd_relations`, builds both blocks over any matrix-entry
 type: `ht0_relations` runs it over symbolic `NCPoly` entries, and
-`augment.packed_relations` over abelianized F_p entries.  The relations
+`augment.packed_relations` over abelianized F_p entries.  It owns the cut,
+the specialization and the lift into the entry type; the block formula
+itself is `dga.cd_blocks`, as the b-differentials of `b_consequences` are
+`dga.db_block`, so the DGA and its degree-0 quotient share one copy of
+each.  The variable order is `phi.a_variables`.  The relations
 are kept raw; a bounded substitution pass (eliminate a variable occurring
 linearly with unit coefficient and nowhere else in that relation) is
 available for display and for the index-2 polynomial pipeline.
@@ -20,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braid import BraidWord, braid_stats, braid_transform
-from .dga import DgaError, degree0_matrices, structured_matrices
-from .ncpoly import Generator, NCPoly, gen
-from .phi import apply_phi, phi_matrices
+from .dga import DgaError, cd_blocks, db_block, degree0_matrices
+from .ncpoly import Generator, NCPoly
+from .phi import a_variables, phi_matrices
 
 
 @dataclass
@@ -32,13 +36,6 @@ class Ht0Presentation:
     sl: int
     variables: list[Generator]
     relations: list[NCPoly]
-
-
-def a_variables(n: int) -> list[Generator]:
-    """The off-diagonal a-generators in row-major order: the variable order
-    of every presentation, symbolic or packed."""
-    return [gen("a", i, j) for i in range(1, n + 1)
-            for j in range(1, n + 1) if i != j]
 
 
 def cd_relations(b: BraidWord, flavor: str, phi, lift,
@@ -72,8 +69,8 @@ def cd_relations(b: BraidWord, flavor: str, phi, lift,
         l1inv, r1inv = phi(braid_transform(BraidWord(n, b.letters[:cut]),
                                            "inverse"))
         c_left, d_left = l1inv @ ahat, acheck @ r1inv
-    c_block = c_left - lam @ phi_l @ acheck
-    d_block = d_left - ahat @ phi_r @ lam_inv
+    c_block, d_block = cd_blocks(c_left, d_left, ahat, acheck, lam, lam_inv,
+                                 phi_l, phi_r)
     return [e for block in (c_block, d_block) for _, _, e in block.entries()]
 
 
@@ -153,12 +150,10 @@ def b_consequences(b: BraidWord, flavor: str = "minus",
     ideal and may be added freely when simplifying a presentation.
     """
     stats = braid_stats(b)
-    m = structured_matrices(b, lam_override)
-    phiA = m.A.map(lambda p: apply_phi(b, p))
-    block = m.A - m.Lam @ phiA @ m.LamInv
-    return [block.at(i, j).specialize(flavor, stats.self_linking)
-            for i in range(1, b.strands + 1)
-            for j in range(1, b.strands + 1) if i != j]
+    m = degree0_matrices(b, lam_override)
+    block = db_block(b, m.A_lower + m.A_upper, m.Lam, m.LamInv)
+    return [block.at(a.row, a.col).specialize(flavor, stats.self_linking)
+            for a in a_variables(b.strands)]
 
 
 def _term_divides(t1, t2, flavor: str) -> bool:

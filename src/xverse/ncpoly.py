@@ -24,7 +24,7 @@ polynomial equality.
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 FAMILY_DEGREE = {"a": 0, "b": 1, "c": 1, "d": 1, "e": 2, "f": 2}
 
@@ -104,20 +104,10 @@ class NCPoly:
     def generator(family: str, row: int, col: int) -> "NCPoly":
         return NCPoly({((gen(family, row, col),), _ZERO_BASE): 1})
 
-    @staticmethod
-    def from_word(word: Iterable[Generator], coeff: int = 1,
-                  base: Base = _ZERO_BASE) -> "NCPoly":
-        if coeff == 0:
-            return NCPoly()
-        return NCPoly({(tuple(word), base): coeff})
-
     # ---- structure ----
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_scalar(self) -> bool:
-        return all(not word for word, _ in self.terms)
 
     def generators(self) -> set[Generator]:
         out: set[Generator] = set()

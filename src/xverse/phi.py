@@ -36,6 +36,13 @@ def _a(i: int, j: int) -> NCPoly:
     return NCPoly.generator("a", i, j)
 
 
+def a_variables(n: int) -> list[Generator]:
+    """The off-diagonal a-generators in row-major order: the variable order
+    of every presentation, symbolic or packed."""
+    return [gen("a", i, j) for i in range(1, n + 1)
+            for j in range(1, n + 1) if i != j]
+
+
 def sigma_images(k: int, n: int, inverse: bool = False) -> dict[Generator, NCPoly]:
     """Images of the affected a-generators under phi_{sigma_k} (or its
     inverse) acting on n strands.  Unlisted generators are fixed."""
@@ -121,8 +128,7 @@ def verify_chain_rules(b: BraidWord, cut: int | None = None) -> list[str]:
     phi_l, phi_r = phi_matrices(b)
     l1, r1 = phi_matrices(b1)
     l2, r2 = phi_matrices(b2)
-    images = {gen("a", i, j): apply_phi(b1, _a(i, j))
-              for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
+    images = {a: apply_phi(b1, _a(a.row, a.col)) for a in a_variables(n)}
     failures = []
     if l2.substitute(images) @ l1 != phi_l:
         failures.append("left chain rule")
@@ -142,9 +148,5 @@ def phi_matrix_inverses(b: BraidWord) -> tuple[GenMatrix, GenMatrix]:
     every a_{ij} replaced by phi_B(a_{ij})."""
     n = b.strands
     linv, rinv = phi_matrices(braid_transform(b, "inverse"))
-    images: dict[Generator, NCPoly] = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                images[gen("a", i, j)] = apply_phi(b, _a(i, j))
+    images = {a: apply_phi(b, _a(a.row, a.col)) for a in a_variables(n)}
     return linv.substitute(images), rinv.substitute(images)

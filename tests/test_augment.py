@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -6,9 +7,10 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from xverse.augment import (_BITS, _EMASK, POLY_RING, PRIMES, AugQuery,
-                            BudgetError, CommPoly, EliminationError,
-                            _abelianize, _fold, _mono_mul, _normalized,
+from xverse.augment import (_BITS, _EMASK, DEFAULT_BUDGET, POLY_RING, PRIMES,
+                            AugQuery, BudgetError, CommPoly,
+                            EliminationError, _abelianize, _count_packed,
+                            _fold, _mono_mul, _normalized,
                             _packed_phi_matrices, _poly_mul,
                             _single_linear_var,
                             augmentation_number,
@@ -213,6 +215,50 @@ def test_single_linear_var_matches_per_field_rule(case):
     expected = nonzero[0] if len(nonzero) == 1 and \
         fields[nonzero[0]] == 1 else None
     assert _single_linear_var(_pack(fields)) == expected
+
+
+@st.composite
+def packed_systems(draw):
+    """A prime and 1 to 3 packed relations on 2 to 5 variables.  A term is
+    a product of up to three variables, so fixing one variable at 0 can
+    drop another from every relation; some variables occur nowhere."""
+    p = draw(st.sampled_from(PRIMES))
+    nvars = draw(st.integers(2, 5))
+    rels = []
+    for _ in range(draw(st.integers(1, 3))):
+        rel: dict[int, int] = {}
+        for _ in range(draw(st.integers(1, 4))):
+            fields = [0] * nvars
+            for v in draw(st.sets(st.integers(0, nvars - 1), max_size=3)):
+                fields[v] = draw(st.integers(1, p - 1))
+            k = _pack(fields)
+            rel[k] = (rel.get(k, 0) + draw(st.integers(1, p - 1))) % p
+        rel = {k: c for k, c in rel.items() if c}
+        if rel:
+            rels.append(rel)
+    return p, nvars, rels
+
+
+def _enumerate_solutions(rels, nvars, p):
+    def value(rel, point):
+        return sum(c * math.prod(pow(a, e, p) for a, e in
+                                 zip(point, _unpack(k, nvars)))
+                   for k, c in rel.items()) % p
+    return sum(all(value(rel, point) == 0 for rel in rels)
+               for point in itertools.product(range(p), repeat=nvars))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(packed_systems())
+def test_dfs_count_matches_enumeration(case):
+    """The DFS count, with and without pre-elimination, equals plain
+    enumeration, including the factor p per variable left in no relation."""
+    p, nvars, rels = case
+    expected = _enumerate_solutions(rels, nvars, p)
+    for no_elim in (False, True):
+        result = _count_packed([dict(r) for r in rels], nvars, p, no_elim,
+                               DEFAULT_BUDGET, 0.0)
+        assert result.count == expected
 
 
 def _override_for(b):
