@@ -26,8 +26,11 @@ two entry types: symbolic `NCPoly` entries abelianized afterwards
 where only the Phi matrices are built by a packed extractor of their own,
 `_packed_phi_matrices`.  Phi does not depend on the scalars, so it is
 cached per (braid word, prime) and shared, read only, by every build on
-that word.  The count runs a linear pre-elimination pass followed by
-depth-first enumeration with forced-value propagation and early abort.
+that word.  `augmentation_number` picks the cut of the word itself
+(`_auto_split`) unless told one.  The count runs a linear pre-elimination
+pass, then one depth-first search: a variable forced by a single-variable
+relation is a branch with one value, and a branch dies as soon as a
+relation becomes a nonzero constant.
 
 Polynomial: for a 2-braid knot the infinity-flavor presentation reduces
 to polynomials in the single variable x = a12 over the Laurent scalars;
@@ -287,73 +290,52 @@ class _Counter:
         return sols
 
     def count(self, rels: list[dict[int, int]], rem: int) -> int:
-        """Solutions of rels in the variables of the mask rem."""
+        """Solutions of rels in the variables of the mask rem.
+
+        Branches on the first variable that a single-variable relation
+        forces to one root, with that one value, else on the first live
+        variable of the static order, with every value; variables of rem
+        that no relation uses are free."""
         p = self.p
-        ones = self.ones
-        # propagation loop
-        while True:
-            forced: tuple[int, int] | None = None
-            for rel in rels:
-                if len(rel) == 1 and 0 in rel:
-                    return 0  # nonzero constant
-                # single-variable relation?
-                support = 0
-                for k in rel:
-                    support |= k
-                live = _fields(support, ones) & rem
-                if not live:
-                    if support:
-                        # involves an already-removed var: impossible
-                        raise AssertionError("stale variable in relation")
-                    return 0
-                if not live & (live - 1):
-                    sols = self._single_var_solutions(rel, live.bit_length() - 1)
-                    if not sols:
-                        return 0
-                    if len(sols) == 1:
-                        forced = (live, sols[0])
-                        break
-            if forced is None:
-                break
-            bit, a = forced
-            rem ^= bit
-            new_rels = []
-            for rel in rels:
-                nr = self._subst_value(rel, bit.bit_length() - 1, a)
-                if nr:
-                    if len(nr) == 1 and 0 in nr:
-                        return 0
-                    new_rels.append(nr)
-            rels = new_rels
-        if not rels:
-            return p ** rem.bit_count()
-        # choose branch variable: first in static order that appears
-        support = 0
+        support = branch = 0
         for rel in rels:
+            keys = 0
             for k in rel:
-                support |= k
-        live = _fields(support, ones) & rem
-        branch = next((bit for bit in self.order if live & bit), None)
-        if branch is None:
-            # relations reference no remaining variable but are nonconstant
-            return 0
-        free = (rem & ~live).bit_count()
-        sub_rem = live ^ branch
+                keys |= k
+            live = _fields(keys, self.ones) & rem
+            if not live:
+                if keys:
+                    raise AssertionError("stale variable in relation")
+                return 0  # nonzero constant
+            if not live & (live - 1):
+                sols = self._single_var_solutions(rel, live.bit_length() - 1)
+                if not sols:
+                    return 0
+                if len(sols) == 1:
+                    branch, values = live, sols
+                    break
+            support |= keys
+        if branch:
+            live = rem  # forcing splits off no free variables
+        elif not rels:
+            return p ** rem.bit_count()
+        else:
+            live = _fields(support, self.ones) & rem
+            branch = next(bit for bit in self.order if live & bit)
+            values = range(p)
         sh = branch.bit_length() - 1
         total = 0
-        for a in range(p):
+        for a in values:
             new_rels = []
-            dead = False
             for rel in rels:
                 nr = self._subst_value(rel, sh, a)
                 if nr:
                     if len(nr) == 1 and 0 in nr:
-                        dead = True
-                        break
+                        break  # nonzero constant
                     new_rels.append(nr)
-            if not dead:
-                total += self.count(new_rels, sub_rem)
-        return total * p ** free
+            else:
+                total += self.count(new_rels, live ^ branch)
+        return total * p ** (rem & ~live).bit_count()
 
 
 def _variable_order(rels: list[dict[int, int]], nvars: int) -> list[int]:
@@ -577,88 +559,56 @@ class _PackedPoly:
 
 @functools.lru_cache(maxsize=None)
 def _packed_sigma_images(n: int, p: int):
-    """images[(k, inverse)] as packed substitution maps on n strands, read
-    only; cached because they cost as much as the rest of a small build."""
-    var_index = {g: i for i, g in enumerate(a_variables(n))}
+    """images[(k, inverse)] as packed substitution maps on n + 1 strands,
+    read only; cached because they cost as much as the rest of a small
+    build.  The n-strand variables come first, in `a_variables(n)` order,
+    then the marked a_{l,n+1} and then the marked a_{n+1,l}, l = 1..n."""
+    marked = ([gen("a", ell, n + 1) for ell in range(1, n + 1)]
+              + [gen("a", n + 1, ell) for ell in range(1, n + 1)])
+    var_index = {g: i for i, g in enumerate(a_variables(n) + marked)}
     maps = {}
-    for k in range(1, n):
+    for k in range(1, n + 1):
         for inverse in (False, True):
-            imgs = sigma_images(k, n, inverse)
+            imgs = sigma_images(k, n + 1, inverse)
             maps[(k, inverse)] = {
                 var_index[g]: _abelianize(img, var_index, p, (1, 1, 1, 1))
                 for g, img in imgs.items()}
     return maps
 
 
-def _packed_apply_phi(b: BraidWord, poly, maps, nvars, p):
-    for letter in reversed(b.letters):
-        poly = _subst_many(poly, maps[(abs(letter), letter < 0)], nvars, p)
-    return poly
-
-
 @functools.lru_cache(maxsize=_PHI_CACHE_SIZE)
 def _packed_phi_matrices(b: BraidWord, p: int) -> tuple[GenMatrix, GenMatrix]:
     """PhiL, PhiR over the base variable universe, entries packed.
+
+    Phi_b(a_{i,n+1}) = sum_l (PhiL)_{il} a_{l,n+1} and Phi_b(a_{n+1,i}) =
+    sum_l a_{n+1,l} (PhiR)_{li} on n + 1 strands.  In the variable order of
+    `_packed_sigma_images` a term's marked variable is the key above the
+    base fields and its entry key is the base fields themselves.
 
     Phi depends only on the word and the prime (the scalars enter later,
     through `lift`), so it is cached per (word, prime).  The matrices are
     shared and read only: `cd_relations` only combines them with `@` and
     `-`, which build new entries and new dicts."""
     n = b.strands
-    ext_index = {g: i for i, g in enumerate(a_variables(n + 1))}
-    base_index = {g: i for i, g in enumerate(a_variables(n))}
-    nvars = len(base_index)
-    nvars_ext = len(ext_index)
-    maps = _packed_sigma_images(n + 1, p)
-    ext = BraidWord(n + 1, b.letters)
-    # remap table ext idx -> base idx (marked vars map to None)
-    remap: list[int | None] = [None] * nvars_ext
-    for g, i in ext_index.items():
-        if g.row <= n and g.col <= n:
-            remap[i] = base_index[g]
-    marked_l = {ext_index[g]: g.row for g in ext_index if g.col == n + 1}
-    marked_r = {ext_index[g]: g.col for g in ext_index if g.row == n + 1}
-
-    def translate(key: int) -> int:
-        out = 0
-        i = 0
-        kk = key
-        while kk:
-            e = kk & _EMASK
-            if e:
-                out |= e << (_BITS * remap[i])
-            kk >>= _BITS
-            i += 1
-        return out
-
-    def extract(img, marked):
-        row = [dict() for _ in range(n)]
-        for key, c in img.items():
-            hits = [(v, ell) for v, ell in marked.items()
-                    if (key >> (_BITS * v)) & _EMASK]
-            if len(hits) != 1 or (key >> (_BITS * hits[0][0])) & _EMASK != 1:
-                raise RuntimeError("malformed extra-strand image")
-            v, ell = hits[0]
-            k2 = translate(key & ~(_EMASK << (_BITS * v)))
-            row[ell - 1][k2] = (row[ell - 1].get(k2, 0) + c) % p
-        return row
-
-    phi_l = [[None] * n for _ in range(n)]
-    phi_r = [[None] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        start = {1 << (_BITS * ext_index[gen("a", i, n + 1)]): 1}
-        img = _packed_apply_phi(ext, start, maps, nvars_ext, p)
-        row = extract(img, marked_l)
-        for ell in range(n):
-            phi_l[i - 1][ell] = _PackedPoly(
-                {k: c for k, c in row[ell].items() if c}, nvars, p)
-        start = {1 << (_BITS * ext_index[gen("a", n + 1, i)]): 1}
-        img = _packed_apply_phi(ext, start, maps, nvars_ext, p)
-        row = extract(img, marked_r)
-        for ell in range(n):
-            phi_r[ell][i - 1] = _PackedPoly(
-                {k: c for k, c in row[ell].items() if c}, nvars, p)
-    return GenMatrix(n, phi_l), GenMatrix(n, phi_r)
+    nvars = n * (n - 1)
+    base = (1 << (_BITS * nvars)) - 1
+    maps = _packed_sigma_images(n, p)
+    phi = ([[{} for _ in range(n)] for _ in range(n)],
+           [[{} for _ in range(n)] for _ in range(n)])
+    for side in (0, 1):
+        for i in range(n):
+            img = {1 << (_BITS * (nvars + side * n + i)): 1}
+            for letter in reversed(b.letters):
+                img = _subst_many(img, maps[(abs(letter), letter < 0)],
+                                  nvars + 2 * n, p)
+            for key, c in img.items():
+                j = _single_linear_var(key >> (_BITS * nvars))
+                if j is None or j // n != side:
+                    raise RuntimeError("malformed extra-strand image")
+                row, col = (i, j % n) if side == 0 else (j % n, i)
+                phi[side][row][col][key & base] = c
+    return tuple(GenMatrix(n, [[_PackedPoly(e, nvars, p) for e in row]
+                               for row in rows]) for rows in phi)
 
 
 def packed_relations(b: BraidWord, flavor: str, prime: int, lam0: int,
@@ -681,6 +631,15 @@ def packed_relations(b: BraidWord, flavor: str, prime: int, lam0: int,
     return [e.terms for e in entries if e.terms], nvars, variables
 
 
+def _auto_split(b: BraidWord) -> int:
+    """The cut `augmentation_number` takes by default: the middle of long
+    words, where the factor matrices stay small and the relations sparse
+    enough for pre-elimination to bite; 0 (the whole word) otherwise."""
+    if len(b.letters) >= 9 or b.strands >= 5:
+        return len(b.letters) // 2
+    return 0
+
+
 def augmentation_number(b: BraidWord, flavor: str, prime: int, lam0: int,
                         mu0: int, u0: int | None = None, v0: int | None = None,
                         split: int | None = None, lam_override=None,
@@ -690,7 +649,9 @@ def augmentation_number(b: BraidWord, flavor: str, prime: int, lam0: int,
 
     Builds the relations directly over F_p (abelianized, scalars
     evaluated), which keeps long words tractable; the result agrees with
-    counting from the symbolic presentation.
+    counting from the symbolic presentation.  The word is cut at `split`;
+    by default at `_auto_split(b)`, and `split=0` is the whole word.  The
+    budget bounds the evaluations of the count at that cut.
     """
     if flavor == "hat":
         u0, v0 = 0, 1
@@ -704,6 +665,8 @@ def augmentation_number(b: BraidWord, flavor: str, prime: int, lam0: int,
     _check_point(prime, lam0, mu0)
     budget = _budget_from_env(budget)
     start = time.monotonic()
+    if split is None:
+        split = _auto_split(b)
     rels, nvars, _ = packed_relations(b, flavor, prime, lam0, mu0, u0, v0,
                                       split=split, lam_override=lam_override)
     return _count_packed(rels, nvars, prime, no_elim, budget, start)

@@ -5,8 +5,8 @@ check.  Output is deterministic for fixed arguments and seed; scalars are
 printed as L, m, U, V.  Exit codes: 0 for any completed computation
 (including failing verdicts), 2 for usage errors, 3 when the evaluation
 budget is exceeded.  Counts run serially in one process; `--budget` (or
-XVERSE_BUDGET) bounds the incremental evaluations of each count, and
-`aug poly` takes no budget.
+XVERSE_BUDGET) bounds the incremental evaluations of each count at the
+cut `augmentation_number` picks, and `aug poly` takes no budget.
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ def _cmd_check(parser, args) -> int:
     b = _parse_braid_arg(parser, args)
     if args.what == "d2":
         try:
-            dga = build_dga(b, args.flavor)
+            dga = build_dga(b, args.flavor or "minus")
         except DgaError as e:
             parser.error(str(e))
         failures = verify_d_squared(dga)
@@ -235,6 +235,8 @@ def _cmd_check(parser, args) -> int:
                    "failures": [str(g) for g, _ in failures]}
         lines = [f"d2 residual at {g}" for g, _ in failures]
     else:
+        if args.flavor is not None:
+            parser.error("check lemma29 takes no --flavor")
         failures = verify_phi_factorization(b)
         payload = {"check": "lemma29", "passed": not failures,
                    "failures": failures}
@@ -284,7 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=int, required=True)
     p.add_argument("--u0", type=int, default=None)
     p.add_argument("--v0", type=int, default=None)
-    p.add_argument("--split", type=int, default=None)
+    p.add_argument("--split", type=int, default=None,
+                   help="cut position in the letter sequence; by default "
+                        "the program picks it, and 0 counts the whole word")
     p.add_argument("--no-elim", action="store_true",
                    help="disable the linear pre-elimination pass")
     p.add_argument("--budget", type=_int_at_least(0), default=None)
@@ -324,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="symbolic identity checks")
     p.add_argument("what", choices=("d2", "lemma29"))
     _add_common(p)
-    p.add_argument("--flavor", default="minus", choices=FLAVORS)
+    p.add_argument("--flavor", default=None, choices=FLAVORS,
+                   help="flavor of the d2 check (default minus)")
     return parser
 
 

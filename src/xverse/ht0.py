@@ -188,14 +188,6 @@ def _interreduce_univariate(relations: list[NCPoly], flavor: str) -> list[NCPoly
             out.setdefault(len(word), {})[base] = coeff
         return out
 
-    def from_coeffs(coeffs) -> NCPoly:
-        terms = {}
-        for deg, sc in coeffs.items():
-            for base, coeff in sc.items():
-                if coeff:
-                    terms[((x,) * deg, base)] = coeff
-        return NCPoly(terms)
-
     rels = [r for r in relations if not r.is_zero()]
     for _ in range(200):
         rels = sorted({normalize_unit(r, flavor) for r in rels if not r.is_zero()},

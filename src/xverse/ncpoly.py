@@ -23,7 +23,6 @@ polynomial equality.
 
 from __future__ import annotations
 
-import json
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 FAMILY_DEGREE = {"a": 0, "b": 1, "c": 1, "d": 1, "e": 2, "f": 2}
@@ -315,37 +314,6 @@ class NCPoly:
 
     def __repr__(self) -> str:
         return f"NCPoly({self})"
-
-    # ---- serialization ----
-
-    def to_obj(self) -> list[dict]:
-        out = []
-        for (word, base), coeff in self.sorted_terms():
-            out.append({
-                "coeff": str(coeff),
-                "lam": base[0],
-                "mu": base[1],
-                "u": base[2],
-                "v": base[3],
-                "word": [[g.family, g.row, g.col] for g in word],
-            })
-        return out
-
-    @staticmethod
-    def from_obj(obj: list[dict]) -> "NCPoly":
-        terms: dict[Term, int] = {}
-        for t in obj:
-            word = tuple(Generator(f, r, c) for f, r, c in t["word"])
-            base = (t["lam"], t["mu"], t["u"], t["v"])
-            terms[(word, base)] = terms.get((word, base), 0) + int(t["coeff"])
-        return NCPoly(terms)
-
-    def to_json(self) -> str:
-        return json.dumps({"terms": self.to_obj()})
-
-    @staticmethod
-    def from_json(text: str) -> "NCPoly":
-        return NCPoly.from_obj(json.loads(text)["terms"])
 
 
 def pow_mod(base: int, exp: int, prime: int) -> int:

@@ -13,9 +13,10 @@ through its determinant.
 `run_check` counts each distinct query of a check once, serially in
 order of first appearance, and reuses the count for every pair that asks
 it; the memo lives for one call only.  The budget bounds each count on
-its own, so the first count over it stops the check.  The packed Phi
-matrices behind the counts are cached per (braid word, prime) in
-`augment`.
+its own, so the first count over it stops the check.  Every count, here
+and in the table, is cut where `augment.augmentation_number` cuts it by
+default.  The packed Phi matrices behind the counts are cached per (braid
+word, prime) in `augment`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import random
 from dataclasses import dataclass, field
 
 from .augment import BudgetError, _budget_from_env, augmentation_number
+# re-exported only for the pinned acceptance tests, which import it from here
+from .augment import _auto_split  # noqa: F401
 from .braid import BraidWord, braid_stats, braid_transform, markov_move
 from .ncpoly import pow_mod
 
@@ -47,23 +50,14 @@ class CheckReport:
     cases: list[tuple[str, int, int]] = field(default_factory=list)
 
 
-def _auto_split(b: BraidWord) -> int | None:
-    """Split long words; the factor matrices stay small and the relations
-    stay sparse enough for pre-elimination to bite."""
-    if len(b.letters) >= 9 or b.strands >= 5:
-        return len(b.letters) // 2
-    return None
-
-
 def _count(query: tuple, budget: int | None) -> int:
     """Count one query (b, flavor, prime, lam0, mu0, u0, v0, lam_override)."""
     b, flavor, prime, lam0, mu0, u0, v0, lam_override = query
     return augmentation_number(b, flavor, prime, lam0, mu0, u0=u0, v0=v0,
-                               split=_auto_split(b), lam_override=lam_override,
-                               budget=budget).count
+                               lam_override=lam_override, budget=budget).count
 
 
-def _point4(point, prime):
+def _point4(point):
     """Fill a grid point up to (lam0, mu0, u0, v0) for the infinity flavor."""
     if len(point) == 2:
         return (point[0], point[1], 1, 1)
@@ -112,7 +106,7 @@ def _check_jobs(spec: CheckSpec) -> list[tuple]:
             moved = markov_move(moved, "stab_neg")
             desc += "+stab_neg"
             for g in spec.grid:
-                l0, m0, u0, v0 = _point4(g, p)
+                l0, m0, u0, v0 = _point4(g)
                 pair(f"{desc} @({l0},{m0},{u0},{v0})",
                      (b, "infinity", p, l0, m0, u0, v0, None),
                      (moved, "infinity", p, l0, m0, u0, v0, None))
@@ -124,7 +118,7 @@ def _check_jobs(spec: CheckSpec) -> list[tuple]:
                  (rev, "hat", p, l0, m0, None, None, None))
     elif spec.check == "op_swap":
         for g in spec.grid:
-            l0, m0, u0, v0 = _point4(g, p)
+            l0, m0, u0, v0 = _point4(g)
             li, mi = pow_mod(l0, -1, p), pow_mod(m0, -1, p)
             pair(f"swap @({l0},{m0},{u0},{v0})",
                  (b, "infinity", p, l0, m0, u0, v0, None),
@@ -134,7 +128,7 @@ def _check_jobs(spec: CheckSpec) -> list[tuple]:
         for s in range(spec.samples):
             alpha = rng.randrange(1, p)
             for g in spec.grid:
-                l0, m0, u0, v0 = _point4(g, p)
+                l0, m0, u0, v0 = _point4(g)
                 ai = pow_mod(alpha, -1, p)
                 l1 = l0 * pow_mod(alpha, -sl, p) % p
                 pair(f"alpha={alpha} @({l0},{m0},{u0},{v0})",
@@ -280,8 +274,7 @@ def reproduce_table(prime: int = 3, rows: list[str] | None = None,
             b = _table_braid(text)
             try:
                 computed.append(augmentation_number(
-                    b, "hat", prime, point[0], point[1],
-                    split=_auto_split(b), budget=budget).count)
+                    b, "hat", prime, point[0], point[1], budget=budget).count)
             except BudgetError as e:
                 computed.append(None)
                 errors.append(f"{text}: {e}")

@@ -7,6 +7,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import xverse.augment
 from xverse.augment import (_BITS, _EMASK, DEFAULT_BUDGET, POLY_RING, PRIMES,
                             AugQuery, BudgetError, CommPoly,
                             EliminationError, _abelianize, _count_packed,
@@ -100,9 +101,70 @@ def test_fast_construction_matches_symbolic():
 
 def test_split_matches_unsplit():
     b = parse_braid("3 3 -2 3 2 -1 2 1 1")
-    whole = augmentation_number(b, "hat", 3, 2, 1).count
+    whole = augmentation_number(b, "hat", 3, 2, 1, split=0).count
     for cut in (0, 4, len(b.letters)):
         assert augmentation_number(b, "hat", 3, 2, 1, split=cut).count == whole
+
+
+# (braid, (lam0, mu0), count, evaluations) of the hat counts over Z/3 of
+# the reference table at the cut augmentation_number picks: a change to
+# the search or to the relations it is given shows here
+TABLE_SEARCH = [
+    ("3 3 -2 3 2 1 1 2 -1", (2, 1), 0, 59922),
+    ("3 3 -2 3 2 -1 2 1 1", (2, 1), 5, 36926),
+    ("1 -2 1 -2 -3 2 3 3 3", (2, 1), 5, 27314),
+    ("1 -2 1 -2 3 3 3 2 -3", (2, 1), 0, 3501),
+    ("-3 1 2 -3 -2 3 1 -2 -3", (2, 1), 5, 1848),
+    ("-2 -3 2 1 2 -3 -2 1 -2", (2, 1), 0, 0),
+    ("reverse:-2 -3 2 1 2 -3 -2 1 -2", (2, 1), 0, 92),
+    ("-2 3 3 2 -1 2 -3 2 1 1 -2", (2, 1), 4, 188332),
+    ("2 3 3 2 -1 -2 -2 -3 2 1 1", (2, 1), 0, 76816),
+    ("3 -2 -2 3 3 2 -3 -1 2 1 1", (1, 1), 0, 12442),
+    ("3 -2 -2 3 3 2 -3 1 1 2 -1", (1, 1), 1, 56084),
+    ("-1 2 -1 2 3 3 -2 1 -2 -3 2", (2, 1), 5, 583),
+    ("-2 3 -2 -1 -2 3 -2 1 1 1 3", (2, 1), 0, 7358),
+    ("1 1 -2 1 2 -1 -1 -3 2 3 3", (2, 1), 1, 92829),
+    ("1 1 -2 1 2 -1 -1 3 3 2 -3", (2, 1), 2, 1505),
+    ("-2 3 3 2 -1 2 1 3 2 2 1 -4", (1, 1), 0, 0),
+    ("3 2 1 -3 -4 -2 -3 1 2 2 1 3 4 4", (1, 1), 1, 23226),
+    ("-1 2 1 1 1 2 2 1 1 2 -3", (1, 1), 0, 0),
+    ("2 -1 2 2 1 3 3 2 2 2 -1 2 -3", (1, 1), 1, 138259),
+    ("3 2 3 2 -1 3 2 1 3 2 1 2 1 -4", (1, 1), 0, 0),
+    ("-2 -3 -1 -2 4 3 4 3 2 1 2 1 2 1 4 3 4 3", (1, 1), 1, 68363),
+]
+
+
+def test_table_search_is_pinned():
+    """Counts and evaluations of the 21 table braids are the recorded
+    ones, so a change to the search or to Phi extraction fails here."""
+    assert sum(e for _, _, _, e in TABLE_SEARCH) == 795_400
+    for text, (l0, m0), count, evals in TABLE_SEARCH:
+        if text.startswith("reverse:"):
+            b = braid_transform(parse_braid(text[len("reverse:"):]), "reverse")
+        else:
+            b = parse_braid(text)
+        r = augmentation_number(b, "hat", 3, l0, m0)
+        assert (r.count, r.assignments_tested) == (count, evals), text
+
+
+@pytest.mark.parametrize("bad", ["none", "two", "squared", "wrong side"])
+def test_malformed_extra_strand_image_raises(monkeypatch, bad):
+    """Each term of Phi_b(a_{i,n+1}) holds exactly one marked variable
+    a_{l,n+1}, to the first power; anything else is a construction bug.
+    On 2 strands the variables are a12, a21, then a13, a23, then a31,
+    a32."""
+    def x(i, e=1):
+        return e << (_BITS * i)
+
+    term = {"none": 0, "two": x(2) + x(3), "squared": x(2, 2),
+            "wrong side": x(4)}[bad]
+    maps = {k: dict(m)
+            for k, m in xverse.augment._packed_sigma_images(2, 3).items()}
+    maps[(1, False)][2] = {x(3): 1, term: 1}
+    monkeypatch.setattr(xverse.augment, "_packed_sigma_images",
+                        lambda n, p: maps)
+    with pytest.raises(RuntimeError, match="malformed extra-strand image"):
+        _packed_phi_matrices.__wrapped__(parse_braid("1"), 3)
 
 
 @st.composite

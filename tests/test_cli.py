@@ -97,6 +97,29 @@ def test_aug_compare_verdicts(capsys):
     assert "verdict: indistinguishable on tested grid" in out
 
 
+N12_591 = ("3 2 3 2 -1 3 2 1 3 2 1 2 1 -4",
+           "-2 -3 -1 -2 4 3 4 3 2 1 2 1 2 1 4 3 4 3")
+BUDGET_1E5 = ("--prime", "3", "--lam", "1", "--mu", "1", "--budget", "100000")
+
+
+def test_aug_count_picks_the_cut(capsys):
+    """aug count cuts a long word where table does; counting this
+    18-letter word whole (--split 0) takes over a minute of relation
+    building and more than this budget."""
+    code, out, _ = run(capsys, "aug", "count", "--braid", N12_591[1],
+                       *BUDGET_1E5)
+    assert code == 0
+    assert out == "count = 1\n"
+
+
+def test_aug_compare_12n_591(capsys):
+    code, out, _ = run(capsys, "aug", "compare", "--braid-a", N12_591[0],
+                       "--braid-b", N12_591[1], *BUDGET_1E5)
+    assert code == 0
+    assert out.splitlines() == ["(1,1): 0 vs 1",
+                                "verdict: distinct transverse knots"]
+
+
 def test_verify_requires_seed(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--braid", "1 1 1", "--check", "mirror"])
@@ -162,7 +185,9 @@ def test_usage_errors_exit_2(capsys):
                  ["aug", "compare", "--braid-a", "1 1", "--braid-b", "1",
                   "--prime", "3"],
                  ["aug", "compare", "--braid-a", "1", "--braid-b", "1",
-                  "--prime", "3", "--lam", "3"]):
+                  "--prime", "3", "--lam", "3"],
+                 ["check", "lemma29", "--braid", "1 -2 1 -2",
+                  "--flavor", "hat"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv

@@ -104,11 +104,6 @@ def test_specialize_infinity():
         p.specialize("infinity", sl=2)
 
 
-def test_json_round_trip():
-    p = a(1, 2) * a(2, 1) * 3 - NCPoly.scalar(1, lam=-2, mu=1, u=1, v=-1)
-    assert NCPoly.from_json(p.to_json()) == p
-
-
 def test_pow_mod():
     assert pow_mod(2, -1, 5) == 3
     assert pow_mod(2, 3, 5) == 3

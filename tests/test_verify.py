@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 import xverse.verify
 from xverse.augment import PRIMES, augmentation_number
 from xverse.braid import BraidWord, braid_stats, parse_braid
-from xverse.verify import (CHECKS, CheckSpec, _auto_split, _check_jobs,
-                           reproduce_table, run_check, TABLE_ROWS)
+from xverse.verify import (CHECKS, CheckSpec, _check_jobs, reproduce_table,
+                           run_check, TABLE_ROWS)
 
 TREFOIL = parse_braid("1 1 1")
 FIG8 = parse_braid("1 -2 1 -2")
@@ -38,7 +38,6 @@ def test_seed_determinism():
 def _direct(args):
     b, flavor, p, l0, m0, u0, v0, override = args
     return augmentation_number(b, flavor, p, l0, m0, u0=u0, v0=v0,
-                               split=_auto_split(b),
                                lam_override=override).count
 
 
