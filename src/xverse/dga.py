@@ -34,6 +34,7 @@ a-variable order is `phi.a_variables`.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -319,17 +320,38 @@ def verify_phi_factorization(b: BraidWord) -> list[str]:
 # Sampled identity checks.  Fully symbolic expansion of d(d(g)) or of the
 # factorization identity can generate tens of millions of monomials before
 # cancellation on unlucky words.  Instead, evaluate the generators at random
-# square matrices over a large prime field; a nonzero difference polynomial
-# of word degree below twice the matrix dimension cannot vanish on generic
-# matrices, so by Schwartz-Zippel a mismatch survives evaluation except with
-# probability about degree/prime per sample point.  Arithmetic is exact.
+# dim x dim matrices over F_p (p = _SAMPLE_PRIME) and the four base scalars
+# at random units.
+#
+# Dimension.  By Amitsur-Levitzki the polynomial identities of dim x dim
+# matrices start in degree 2 dim, so a nonzero difference polynomial of word
+# degree below 2 dim does not vanish on all such matrices; `_sample_dim`
+# takes dim = degree // 2 + 1.
+#
+# Error bound.  Entry by entry, such a polynomial is then a nonzero
+# commutative polynomial in the matrix entries and the scalars, so by
+# Schwartz-Zippel it vanishes at a random point with probability at most
+# about degree/p.  The d^2 check applies d(d(g)) to a random vector v instead
+# of forming the matrix; by Freivalds (1977) a nonzero matrix kills a uniform
+# v with probability at most 1/p.  A failure therefore escapes one trial
+# with probability at most about (degree + 1)/p, and trials are independent.
+#
+# Exactness.  Arithmetic runs in float64 so that products hit BLAS, and it is
+# exact: operands are residues below p < 2^24, so each entry of a product of
+# two matrices, or of a matrix and a vector, sums dim <= _MAX_DIM = 31
+# products and stays below dim p^2 < 2^53 (below dim p^2 + p where the vector
+# pass adds a residue to it), and is reduced before it is used again.  A sum
+# of residues (the terms of one polynomial, the rows of one generator) adds
+# at most _BLOCK + 1 < 2^53 / p of them before it is reduced.
+#
+# Compilation.  `_Trie` and `_LeibnizRows` depend only on the polynomials, so
+# each check builds them once, before its trials; a trial is numpy work on
+# blocks of at most _BLOCK nodes or rows, which bounds its temporaries.
 # ---------------------------------------------------------------------------
 
-# Arithmetic runs in float64 so the batched products hit BLAS; with this
-# prime every intermediate (dim * prime^2 for dim <= 31) stays below 2^53
-# and is therefore exact.
 _SAMPLE_PRIME = 16777213
 _MAX_DIM = 31
+_BLOCK = 1024
 
 
 def _word_span(p: NCPoly) -> int:
@@ -337,7 +359,8 @@ def _word_span(p: NCPoly) -> int:
 
 
 def _modp(arr, prime: int):
-    """Reduce a nonnegative float64 array mod prime in place.
+    """Reduce a float64 array of integers below 2^53 in absolute value mod
+    prime, in place.
 
     np.mod on large float arrays is an order of magnitude slower than a
     multiply-and-floor reduction.  The floor of the rounded quotient can be
@@ -350,96 +373,199 @@ def _modp(arr, prime: int):
     return arr
 
 
-def _rand_matrix(rng, dim: int, prime: int):
+def _rand_point(rng, count: int, dim: int, prime: int):
+    """`count` random dim x dim matrices over F_prime, as an array
+    (count, dim, dim), drawn matrix by matrix in row-major order."""
     import numpy as np
-    return np.array([[rng.randrange(prime) for _ in range(dim)]
-                     for _ in range(dim)], dtype=np.float64)
+    return np.array([rng.randrange(prime) for _ in range(count * dim * dim)],
+                    dtype=np.float64).reshape(count, dim, dim)
 
 
-class _Bank:
-    """Numbered store of dim x dim matrices; id 0 is the identity, so
-    shorter id sequences can be padded with zeros."""
+class _Terms:
+    """Terms (index, word, coeff, base) of a list of polynomials, as arrays
+    with one entry per term: `letters` (the word's letter ids, padded with
+    len(ids)), `lens`, `polys` (the index) and the scalar part
+    coeff * L^i m^j U^k V^l, kept as the coefficient mod p and an index into
+    `bases`."""
 
-    def __init__(self, dim: int):
+    def __init__(self, terms, ids: dict):
         import numpy as np
-        self.mats = [np.eye(dim, dtype=np.float64)]
-        self.ids: dict = {}
-        self.dim = dim
+        from itertools import chain
+        words, polys, coeffs, base_ids = [], [], [], []
+        self.bases: dict = {}
+        for k, word, coeff, base in terms:
+            words.append(tuple(map(ids.__getitem__, word)))
+            polys.append(k)
+            coeffs.append(coeff % _SAMPLE_PRIME)
+            base_ids.append(self.bases.setdefault(base, len(self.bases)))
+        self.lens = np.array([len(w) for w in words], dtype=np.intp)
+        self.letters = np.full((len(words), self.lens.max(initial=0)),
+                               len(ids), dtype=np.intp)
+        self.letters[np.arange(self.letters.shape[1]) < self.lens[:, None]] = \
+            np.fromiter(chain.from_iterable(words), dtype=np.intp,
+                        count=int(self.lens.sum()))
+        self.polys = np.array(polys, dtype=np.intp)
+        self.coeffs = np.array(coeffs, dtype=np.int64)
+        self.base_ids = np.array(base_ids, dtype=np.intp)
 
-    def add(self, key, mat) -> int:
-        idx = self.ids.get(key)
-        if idx is None:
-            idx = len(self.mats)
-            self.mats.append(mat)
-            self.ids[key] = idx
-        return idx
-
-    def array(self):
+    def values(self, scalars):
+        """Each term's scalar part at `scalars`, as float64 residues."""
         import numpy as np
-        return np.stack(self.mats)
+        units = np.array([math.prod(pow_mod(s, e, _SAMPLE_PRIME)
+                                    for s, e in zip(scalars, b)) % _SAMPLE_PRIME
+                          for b in self.bases], dtype=np.int64)
+        return (self.coeffs * units[self.base_ids]
+                % _SAMPLE_PRIME).astype(np.float64)
 
 
-def _prod_sum(items, bank_arr, prime: int, dim: int):
-    """Sum of coeff * product(bank[id] for id in ids) over items, all mod
-    prime, computed as batched matrix products."""
-    import numpy as np
-    if not items:
-        return np.zeros((dim, dim), dtype=np.float64)
-    width = max(1, max(len(ids) for _, ids in items))
-    idmat = np.zeros((len(items), width), dtype=np.intp)
-    coeffs = np.empty(len(items), dtype=np.float64)
-    for r, (c, ids) in enumerate(items):
-        coeffs[r] = c % prime
-        idmat[r, :len(ids)] = ids
-    cur = bank_arr[idmat[:, 0]].copy()
-    for pos in range(1, width):
-        col = idmat[:, pos]
-        act = np.nonzero(col)[0]
-        if act.size == 0:
-            continue
-        if act.size == len(items):
-            cur = _modp(cur @ bank_arr[col], prime)
-        else:
-            cur[act] = _modp(cur[act] @ bank_arr[col[act]], prime)
-    cur = _modp(coeffs[:, None, None] * cur, prime)
-    return _modp(cur.sum(axis=0), prime)
+class _Trie:
+    """The words of a list of polynomials, merged on shared prefixes.
+
+    A node is (parent, letter) and stands for the product of the letter
+    matrices on its path from the root, the empty word.  The nodes of one
+    depth form a level, computed from the level above by batched matrix
+    products; each term adds its scalar part times its end node to its
+    polynomial.  Letters are ids into the array of matrices `evaluate`
+    takes."""
+
+    def __init__(self, polys: list[NCPoly], ids: dict):
+        import numpy as np
+        self.size = len(polys)
+        self.terms = t = _Terms(((k, word, coeff, base)
+                                 for k, p in enumerate(polys)
+                                 for (word, base), coeff in p.terms.items()),
+                                ids)
+        bound = len(ids)
+        node = np.zeros(len(t.lens), dtype=np.intp)  # each term's node
+        keys = node[:0]  # the root, depth 0, has no parent or letter
+        # per depth: parent and letter of each node, and the terms that end
+        # there (in term order, which is polynomial order) with their nodes
+        self.levels = []
+        for depth in range(t.letters.shape[1] + 1):
+            if depth:
+                act = np.flatnonzero(t.lens >= depth)
+                keys, node[act] = np.unique(
+                    node[act] * bound + t.letters[act, depth - 1],
+                    return_inverse=True)
+            ends = np.flatnonzero(t.lens == depth)
+            self.levels.append((keys // bound, keys % bound, ends, node[ends]))
+
+    def evaluate(self, mats, scalars):
+        """The polynomials at the point that sends letter id k to mats[k]
+        and the base scalars to `scalars`: an array (len(polys), dim, dim)."""
+        import numpy as np
+        prime = _SAMPLE_PRIME
+        dim = mats.shape[-1]
+        coeffs = self.terms.values(scalars)
+        out = np.zeros((self.size, dim, dim))
+        level = np.eye(dim)[None]
+        for depth, (parents, letters, ends, nodes) in enumerate(self.levels):
+            if depth:
+                # residues < p < 2^24 are exact in float32, which halves
+                # the memory of the widest levels
+                prev, level = level, np.empty((len(parents), dim, dim),
+                                              dtype=np.float32)
+                for lo in range(0, len(parents), _BLOCK):
+                    blk = slice(lo, lo + _BLOCK)
+                    level[blk] = _modp(prev[parents[blk]] @ mats[letters[blk]],
+                                       prime)
+            for lo in range(0, len(ends), _BLOCK):
+                term, node = ends[lo:lo + _BLOCK], nodes[lo:lo + _BLOCK]
+                target = self.terms.polys[term]
+                runs = np.flatnonzero(np.diff(target, prepend=-1))
+                out[target[runs]] = _modp(out[target[runs]] + np.add.reduceat(
+                    _modp(coeffs[term, None, None] * level[node], prime),
+                    runs), prime)
+        return out
 
 
-def _base_unit(base, scalars, prime: int) -> int:
-    c = 1
-    for e, s in zip(base, scalars):
-        c = c * pow_mod(s, e, prime) % prime
-    return c
+class _LeibnizRows:
+    """d(d(g)) for every generator g, as rows for a vector pass.
+
+    A row is a term c * x_1 ... x_k of some d(g) with a hot letter, one whose
+    differential is nonzero.  By the Koszul rule the row contributes
+
+        sum_i c * sign_i * x_1 ... x_(i-1) d(x_i) x_(i+1) ... x_k,
+        sign_i = (-1)^(|x_1| + ... + |x_(i-1)|),
+
+    over its hot positions i.  The row stores its letter ids and, per
+    position, a slot: sign_i times (1 + the index of x_i in `hot`), or 0 when
+    x_i is not hot.  `apply` evaluates the row on a vector v from right to
+    left, with s the suffix so far applied to v and t the sum so far:
+
+        t <- X_i t + sign_i D(x_i) s,    s <- X_i s
+
+    so a letter costs matrix-vector products, not a product of matrices.
+    Letter ids index dga.generators."""
+
+    def __init__(self, dga: DgaPresentation, ids: dict):
+        import numpy as np
+        gens = dga.generators
+        hot = {g for g in gens if not dga.diff[g].is_zero()}
+        # longest first, so the rows of a block still active at a position
+        # are a prefix of the block
+        self.terms = t = _Terms(sorted(
+            ((k, word, coeff, base) for k, g in enumerate(gens)
+             for (word, base), coeff in dga.diff[g].terms.items()
+             if not hot.isdisjoint(word)), key=lambda r: -len(r[1])), ids)
+        # per letter id, then looked up at every position; padding is id
+        # len(gens), odd = hot = span = 0
+        odd = np.array([g.degree % 2 for g in gens] + [0])[t.letters]
+        is_hot = np.array([g in hot for g in gens] + [False])[t.letters]
+        span = np.array([_word_span(dga.diff[g]) for g in gens] + [0])
+        # the word degree of d(d(g)): a word of d(g) with one hot letter
+        # replaced by a word of that letter's differential
+        self.degree = max(2, int(((t.lens[:, None] - 1 + span[t.letters])
+                                  * is_hot).max(initial=0)))
+        used = np.unique(t.letters[is_hot])
+        self.hot = [gens[k] for k in used]
+        slot_of = np.zeros(len(gens) + 1, dtype=np.intp)
+        slot_of[used] = np.arange(1, len(used) + 1)
+        self.slots = (1 - 2 * ((np.cumsum(odd, axis=1) - odd) % 2)
+                      ) * slot_of[t.letters]
+        self.size = len(gens)
+
+    def apply(self, mats, dmats, v, scalars):
+        """d(d(g)) . v for every generator g, as an array (len(generators),
+        dim), from the letter matrices, the matrices D(x) of the hot letters
+        in `hot` order and the vector v."""
+        import numpy as np
+        prime = _SAMPLE_PRIME
+        t = self.terms
+        coeffs = t.values(scalars)
+        out = np.zeros((self.size, len(v)))
+        for lo in range(0, len(t.lens), _BLOCK):
+            lens = t.lens[lo:lo + _BLOCK]
+            ts = np.zeros((len(lens), len(v), 2))  # the columns t and s
+            ts[:, :, 1] = v
+            for j in range(lens[0] - 1, -1, -1):
+                act = np.count_nonzero(lens > j)
+                slot = self.slots[lo:lo + act, j]
+                hot = np.flatnonzero(slot)
+                ds = dmats[np.abs(slot[hot]) - 1] @ ts[hot, :, 1:]
+                ts[:act] = _modp(mats[t.letters[lo:lo + act, j]] @ ts[:act],
+                                 prime)
+                ts[hot, :, 0] = _modp(
+                    ts[hot, :, 0] + np.sign(slot[hot])[:, None] * ds[:, :, 0],
+                    prime)
+            np.add.at(out, t.polys[lo:lo + _BLOCK],
+                      _modp(coeffs[lo:lo + _BLOCK, None] * ts[:, :, 0], prime))
+            _modp(out, prime)
+        return out
 
 
-def _eval_matrix(p: NCPoly, point, scalars, prime: int, dim: int,
-                 bank: _Bank | None = None, bank_arr=None):
-    """Evaluate at point (generator -> dim x dim matrix over F_prime) with
-    the four base scalars sent to the units in scalars."""
-    if bank is None:
-        bank = _Bank(dim)
-        for g, mat in point.items():
-            bank.add(g, mat)
-        bank_arr = bank.array()
-    items = []
-    for (word, base), coeff in p.terms.items():
-        c = coeff * _base_unit(base, scalars, prime) % prime
-        items.append((c, [bank.ids[g] for g in word]))
-    return _prod_sum(items, bank_arr, prime, dim)
-
-
-def _phi_point(b: BraidWord, values, scalars, prime: int, dim: int):
-    """Numeric phi_B: push a point on the a-generators through the braid
-    letter by letter.  Returns the point whose value at a_ij equals the
-    evaluation of phi_B(a_ij) at the original point."""
-    n = b.strands
-    vals = dict(values)
+def _phi_point(b: BraidWord, point, scalars, steps):
+    """Numeric phi_B: push a point on the a-generators (an array in
+    `a_variables` order) through the braid letter by letter.  `steps` maps
+    each letter to the ids its sigma images replace and the trie of those
+    images.  Returns the point whose value at a_ij equals the evaluation of
+    phi_B(a_ij) at the original point."""
     for letter in b.letters:
-        cur = vals
-        vals = dict(cur)
-        for g, img in sigma_images(abs(letter), n, inverse=letter < 0).items():
-            vals[g] = _eval_matrix(img, cur, scalars, prime, dim)
-    return vals
+        targets, trie = steps[letter]
+        new = point.copy()
+        new[targets] = trie.evaluate(point, scalars)
+        point = new
+    return point
 
 
 def _phi_degree_bound(b: BraidWord) -> int:
@@ -464,75 +590,40 @@ def _sample_dim(span: int) -> int:
 def verify_d_squared_sampled(dga: DgaPresentation, seed: int = 0,
                              trials: int = 2) -> list[Generator]:
     """Check d(d(g)) = 0 for every generator by evaluation at random
-    matrices; returns the generators whose image fails to vanish."""
+    matrices, applied to a random vector; returns the generators whose image
+    fails to vanish."""
+    import numpy as np
     prime = _SAMPLE_PRIME
-    # word degree of d(d(g)): one letter of a differential word is replaced
-    # by that letter's differential
-    spans = {g: _word_span(dga.diff[g]) for g in dga.generators}
-    deg = 2
-    for g in dga.generators:
-        for word, _ in dga.diff[g].terms:
-            for x in word:
-                if spans[x]:
-                    deg = max(deg, len(word) - 1 + spans[x])
-    dim = _sample_dim(deg)
+    ids = {g: k for k, g in enumerate(dga.generators)}
+    rows = _LeibnizRows(dga, ids)
+    dim = _sample_dim(rows.degree)
+    trie = _Trie([dga.diff[x] for x in rows.hot], ids)
     rng = random.Random(seed)
     failures = []
     for _ in range(trials):
-        point = {g: _rand_matrix(rng, dim, prime) for g in dga.generators}
+        point = _rand_point(rng, len(dga.generators), dim, prime)
         scalars = tuple(rng.randrange(1, prime) for _ in range(4))
-        bank = _Bank(dim)
-        for g, mat in point.items():
-            bank.add(g, mat)
-        bank_arr = bank.array()
-        # letters with nonzero differential actually appearing in words
-        needed = {g for gg in dga.generators
-                  for word, _ in dga.diff[gg].terms for g in word
-                  if not dga.diff[g].is_zero()}
-        for g in sorted(needed, key=lambda x: (x.family, x.row, x.col)):
-            val = _eval_matrix(dga.diff[g], point, scalars, prime, dim,
-                               bank=bank, bank_arr=bank_arr)
-            bank.add(("d", g), val)
-        bank_arr = bank.array()
-        for g in dga.generators:
-            r = _differential_at(dga, dga.diff[g], bank, bank_arr,
-                                 scalars, prime, dim)
-            if r.any() and g not in failures:
-                failures.append(g)
+        v = np.array([rng.randrange(prime) for _ in range(dim)],
+                     dtype=np.float64)
+        res = rows.apply(point, trie.evaluate(point, scalars), v, scalars)
+        for k in np.flatnonzero(res.any(axis=1)):
+            if dga.generators[k] not in failures:
+                failures.append(dga.generators[k])
     return failures
 
 
-def _differential_at(dga, p: NCPoly, bank: _Bank, bank_arr, scalars,
-                     prime: int, dim: int):
-    """Evaluate d(p) at the point without expanding it symbolically: each
-    Leibniz summand is the word with one letter swapped for the value of
-    its differential."""
-    items = []
-    for (word, base), coeff in p.terms.items():
-        hot = [pos for pos, g in enumerate(word)
-               if not dga.diff[g].is_zero()]
-        if not hot:
-            continue
-        c = coeff * _base_unit(base, scalars, prime) % prime
-        ids = [bank.ids[g] for g in word]
-        sign = 1
-        nxt = 0
-        for pos, g in enumerate(word):
-            if nxt < len(hot) and hot[nxt] == pos:
-                swapped = list(ids)
-                swapped[pos] = bank.ids[("d", g)]
-                items.append((sign * c, swapped))
-                nxt += 1
-            if g.degree % 2:
-                sign = -sign
-    return _prod_sum(items, bank_arr, prime, dim)
+def _block_product(x, y):
+    """The product of two block matrices of residues, each an array
+    (n, n, dim, dim) of n x n blocks."""
+    prime = _SAMPLE_PRIME
+    return _modp(sum(_modp(x[:, k, None] @ y[None, k], prime)
+                     for k in range(len(x))), prime)
 
 
 def verify_phi_factorization_sampled(b: BraidWord, seed: int = 0,
                                      trials: int = 2) -> list[str]:
     """The factorization identities of verify_phi_factorization, checked
     by evaluation at random matrices instead of symbolic expansion."""
-    import numpy as np
     prime = _SAMPLE_PRIME
     n = b.strands
     m = degree0_matrices(b)
@@ -540,32 +631,29 @@ def verify_phi_factorization_sampled(b: BraidWord, seed: int = 0,
     span_l = max(_word_span(e) for _, _, e in phi_l.entries())
     span_r = max(_word_span(e) for _, _, e in phi_r.entries())
     dim = _sample_dim(max(span_l + 1 + span_r, _phi_degree_bound(b)))
+    avars = a_variables(n)
+    ids = {a: k for k, a in enumerate(avars)}
+    steps = {}
+    for letter in set(b.letters):
+        images = sigma_images(abs(letter), n, inverse=letter < 0)
+        steps[letter] = ([ids[g] for g in images],
+                         _Trie(list(images.values()), ids))
+    names = ("A_lower", "A_upper", "Ahat", "Acheck")
+    entries = lambda *ms: [e for M in ms for _, _, e in M.entries()]
+    outer = _Trie(entries(phi_l, phi_r), ids)
+    inner = _Trie(entries(*(getattr(m, name) for name in names)), ids)
+    blocks = lambda arr: arr.reshape(-1, n, n, dim, dim)
     rng = random.Random(seed)
     failures = []
     for _ in range(trials):
-        point = {a: _rand_matrix(rng, dim, prime) for a in a_variables(n)}
+        point = _rand_point(rng, len(avars), dim, prime)
         scalars = tuple(rng.randrange(1, prime) for _ in range(4))
-        phi_pt = _phi_point(b, point, scalars, prime, dim)
-        l_val = [[_eval_matrix(phi_l.at(i, j), point, scalars, prime, dim)
-                  for j in range(1, n + 1)] for i in range(1, n + 1)]
-        r_val = [[_eval_matrix(phi_r.at(i, j), point, scalars, prime, dim)
-                  for j in range(1, n + 1)] for i in range(1, n + 1)]
-        for name, M in (("A_lower", m.A_lower), ("A_upper", m.A_upper),
-                        ("Ahat", m.Ahat), ("Acheck", m.Acheck)):
-            mid = [[_eval_matrix(M.at(i, j), point, scalars, prime, dim)
-                    for j in range(1, n + 1)] for i in range(1, n + 1)]
-            left = [[sum(l_val[i][k] @ mid[k][j] % prime
-                         for k in range(n)) % prime
-                     for j in range(n)] for i in range(n)]
-            ok = True
-            for i in range(n):
-                for j in range(n):
-                    rhs = sum(left[i][k] @ r_val[k][j] % prime
-                              for k in range(n)) % prime
-                    lhs = _eval_matrix(M.at(i + 1, j + 1), phi_pt,
-                                       scalars, prime, dim)
-                    if ((lhs - rhs) % prime).any():
-                        ok = False
-            if not ok and name not in failures:
+        left, right = blocks(outer.evaluate(point, scalars))
+        mids = blocks(inner.evaluate(point, scalars))
+        phi_pt = _phi_point(b, point, scalars, steps)
+        lhs = blocks(inner.evaluate(phi_pt, scalars))
+        for name, mid, want in zip(names, mids, lhs):
+            rhs = _block_product(_block_product(left, mid), right)
+            if (rhs != want).any() and name not in failures:
                 failures.append(name)
     return failures

@@ -1,10 +1,16 @@
+import dataclasses
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from xverse import dga as dga_module
 from xverse.braid import BraidWord, braid_stats, parse_braid
-from xverse.dga import (DgaError, build_dga, build_modified_dga, differential,
-                        structured_matrices, verify_d_squared,
+from xverse.dga import (FLAVORS, DgaError, build_dga, build_modified_dga,
+                        differential, structured_matrices, verify_d_squared,
                         verify_d_squared_sampled, verify_phi_factorization,
                         verify_phi_factorization_sampled)
 from xverse.ncpoly import NCPoly, gen
@@ -147,6 +153,148 @@ def test_sampled_verifier_detects_corruption():
     g = gen("e", 1, 2)
     dga.diff[g] = dga.diff[g] - m.Bhat.at(1, 2).specialize("minus", dga.sl)
     assert g in verify_d_squared_sampled(dga, seed=3)
+    # one term of a degree-1 and of a degree-2 differential dropped or
+    # doubled.  A degree-1 differential is a sum of a-words, so d(d(c12))
+    # vanishes whatever d(c12) is: its corruption shows in the degree-2
+    # generators whose differentials contain c12.
+    for b in (TREFOIL, FIG8):
+        for flavor in ("minus", "infinity"):
+            for g in (gen("c", 1, 2), gen("e", 2, 1)):
+                for kind in ("drop", "perturb"):
+                    dga = build_dga(b, flavor)
+                    terms = dict(dga.diff[g].terms)
+                    (key, coeff), = dga.diff[g].sorted_terms()[-1:]
+                    if kind == "drop":
+                        del terms[key]
+                    else:
+                        terms[key] = 2 * coeff
+                    dga.diff[g] = NCPoly(terms)
+                    want = [h for h, _ in verify_d_squared(dga)]
+                    assert want and (g.degree == 1 or g in want), (b, g)
+                    assert verify_d_squared_sampled(dga, seed=3) == want, \
+                        (b, flavor, g, kind)
+
+
+def test_sampled_phi_factorization_detects_corruption(monkeypatch):
+    real = dga_module.phi_matrices
+
+    def corrupted(b):
+        phi_l, phi_r = real(b)
+        phi_l.set(1, 2, phi_l.at(1, 2) + NCPoly.generator("a", 2, 1))
+        return phi_l, phi_r
+
+    monkeypatch.setattr(dga_module, "phi_matrices", corrupted)
+    for b in (TREFOIL, FIG8):
+        want = verify_phi_factorization(b)
+        assert want
+        assert verify_phi_factorization_sampled(b, seed=3) == want
+
+
+# ---- the evaluators behind the sampled checks, against references ----
+
+P = dga_module._SAMPLE_PRIME
+LETTERS = (gen("a", 1, 2), gen("a", 2, 1), gen("b", 1, 2), gen("c", 1, 1),
+           gen("e", 2, 2))
+
+
+def ref_eval(p, mats, scalars, dim):
+    """p at the point, term by term in Python integers mod P."""
+    acc = np.zeros((dim, dim), dtype=object)
+    for (word, base), coeff in p.terms.items():
+        c = coeff
+        for s, e in zip(scalars, base):
+            c = c * pow(s, e, P)
+        prod = np.identity(dim, dtype=object)
+        for g in word:
+            prod = prod.dot(mats[g]) % P
+        acc = (acc + c * prod) % P
+    return acc
+
+
+def _as_ints(arr):
+    return arr.astype(np.int64).tolist()
+
+
+def _random_point(rng, letters, dim):
+    """A point as the float64 array the evaluators take and as object
+    matrices of Python integers for `ref_eval`."""
+    entries = [[rng.randrange(P) for _ in range(dim * dim)] for _ in letters]
+    point = np.array(entries, dtype=np.float64).reshape(len(letters), dim, dim)
+    mats = {g: np.array(e, dtype=object).reshape(dim, dim)
+            for g, e in zip(letters, entries)}
+    return point, mats
+
+
+_term = st.tuples(
+    st.lists(st.sampled_from(LETTERS), max_size=5).map(tuple),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 3),
+              st.integers(0, 3)),
+    st.integers(-4, 4).filter(bool))
+_poly = st.lists(_term, max_size=6).map(
+    lambda ts: sum((NCPoly({(w, b): c}) for w, b, c in ts), NCPoly()))
+# every word of length 5 over the letters: more nodes and terms than a block
+_ALL_WORDS = NCPoly({(tuple(LETTERS[(k // 5 ** i) % 5] for i in range(5)),
+                      (k % 3 - 1, 0, 0, 0)): 1 for k in range(5 ** 5)})
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(polys=st.lists(_poly, min_size=1, max_size=4),
+       dim=st.integers(1, 4), seed=st.integers(0, 2 ** 32))
+@example(polys=[_ALL_WORDS, NCPoly.one()], dim=2, seed=0)
+def test_trie_evaluation_matches_term_by_term_reference(polys, dim, seed):
+    rng = random.Random(seed)
+    point, mats = _random_point(rng, LETTERS, dim)
+    scalars = tuple(rng.randrange(1, P) for _ in range(4))
+    trie = dga_module._Trie(polys, {g: k for k, g in enumerate(LETTERS)})
+    want = [ref_eval(p, mats, scalars, dim).tolist() for p in polys]
+    assert _as_ints(trie.evaluate(point, scalars)) == want
+    with mock.patch.object(dga_module, "_BLOCK", 3):
+        assert _as_ints(trie.evaluate(point, scalars)) == want
+
+
+def _scrambled(dga, rng):
+    """dga with a random a-word added to each degree-1 differential and a
+    random term x a ... y (x, y of degree 1) to each degree-2 one, so that
+    d(d(g)) is nonzero and has hot letters after odd ones."""
+    odd = [g for g in dga.generators if g.degree == 1]
+    avars = [g for g in dga.generators if g.degree == 0]
+    diff = dict(dga.diff)
+    for g in dga.generators:
+        if not g.degree:
+            continue
+        mid = tuple(rng.choice(avars) for _ in range(rng.randrange(3))
+                    ) if avars else ()
+        word = mid if g.degree == 1 else (rng.choice(odd),) + mid + (
+            rng.choice(odd),)
+        base = (rng.randrange(-2, 3), rng.randrange(-1, 2), 1, 0)
+        diff[g] = diff[g] + NCPoly({(word, base): rng.choice((1, -1, 3))})
+    return dataclasses.replace(dga, diff=diff)
+
+
+def test_vector_pass_matches_symbolic_d_squared():
+    rng = random.Random(5)
+    dim = 3
+    for b in (UNKNOT, TREFOIL, FIG8):
+        for flavor in FLAVORS:
+            true = build_dga(b, flavor)
+            for dga in (true, _scrambled(true, rng)):
+                gens = dga.generators
+                ids = {g: k for k, g in enumerate(gens)}
+                rows = dga_module._LeibnizRows(dga, ids)
+                trie = dga_module._Trie([dga.diff[x] for x in rows.hot], ids)
+                point, mats = _random_point(rng, gens, dim)
+                scalars = tuple(rng.randrange(1, P) for _ in range(4))
+                v = [rng.randrange(P) for _ in range(dim)]
+                want = [(ref_eval(differential(dga, dga.diff[g]), mats,
+                                  scalars, dim).dot(np.array(v, dtype=object))
+                         % P).tolist() for g in gens]
+                assert any(any(w) for w in want) == (dga is not true)
+                for block in (dga_module._BLOCK, 2):
+                    with mock.patch.object(dga_module, "_BLOCK", block):
+                        got = rows.apply(point, trie.evaluate(point, scalars),
+                                         np.array(v, dtype=np.float64),
+                                         scalars)
+                    assert _as_ints(got) == want, (b, flavor, block)
 
 
 def test_hat_matrices_coincide_at_units():
