@@ -651,12 +651,15 @@ def augmentation_number(b: BraidWord, flavor: str, prime: int, lam0: int,
     evaluated), which keeps long words tractable; the result agrees with
     counting from the symbolic presentation.  The word is cut at `split`;
     by default at `_auto_split(b)`, and `split=0` is the whole word.  The
-    budget bounds the evaluations of the count at that cut.
+    budget bounds the evaluations of the count at that cut.  The hat and
+    double-hat flavors fix (U, V); a u0 or v0 that disagrees is an error.
     """
-    if flavor == "hat":
-        u0, v0 = 0, 1
-    elif flavor == "doublehat":
-        u0, v0 = 0, 0
+    fixed = {"hat": (0, 1), "doublehat": (0, 0)}.get(flavor)
+    if fixed:
+        if any(x not in (None, f) for x, f in zip((u0, v0), fixed)):
+            raise ValueError(f"the {flavor} flavor fixes (U, V) = {fixed}, "
+                             f"got u0={u0}, v0={v0}")
+        u0, v0 = fixed
     else:
         u0 = 1 if u0 is None else u0
         v0 = 1 if v0 is None else v0

@@ -3,7 +3,8 @@
 Subcommands: braid, dga, ht0, aug (count|poly|compare), verify, table,
 check.  Output is deterministic for fixed arguments and seed; scalars are
 printed as L, m, U, V.  Exit codes: 0 for any completed computation
-(including failing verdicts), 2 for usage errors, 3 when the evaluation
+(including failing verdicts), 2 for usage errors (argparse's, and any
+ValueError or EliminationError the library raises), 3 when the evaluation
 budget is exceeded.  Counts run serially in one process; `--budget` (or
 XVERSE_BUDGET) bounds the incremental evaluations of each count at the
 cut `augmentation_number` picks, and `aug poly` takes no budget.
@@ -17,20 +18,16 @@ import sys
 
 from .augment import (PRIMES, BudgetError, EliminationError,
                       augmentation_number, augmentation_polynomial_index2)
-from .braid import BraidError, BraidWord, braid_stats, parse_braid
-from .dga import (FLAVORS, DgaError, build_dga, verify_d_squared,
-                  verify_phi_factorization)
+from .braid import BraidWord, braid_stats, parse_braid
+from .dga import FLAVORS, build_dga, verify_d_squared, verify_phi_factorization
 from .ht0 import ht0_relations, reduced_relations
 from .verify import CHECKS, CheckSpec, reproduce_table, run_check
 
 JSON_SCHEMA_VERSION = 1
 
 
-def _parse_braid_arg(parser, args) -> BraidWord:
-    try:
-        return parse_braid(args.braid, strands=args.strands)
-    except BraidError as e:
-        parser.error(str(e))
+def _parse_braid_arg(args) -> BraidWord:
+    return parse_braid(args.braid, strands=args.strands)
 
 
 def _int_at_least(low: int):
@@ -67,7 +64,7 @@ def _emit(payload: dict, as_json: bool, text_lines: list[str]) -> None:
 
 
 def _cmd_braid(parser, args) -> int:
-    b = _parse_braid_arg(parser, args)
+    b = _parse_braid_arg(args)
     s = braid_stats(b)
     print(json.dumps({"writhe": s.writhe, "strands": s.strands,
                       "sl": s.self_linking, "knot": s.is_knot}))
@@ -75,11 +72,8 @@ def _cmd_braid(parser, args) -> int:
 
 
 def _cmd_dga(parser, args) -> int:
-    b = _parse_braid_arg(parser, args)
-    try:
-        dga = build_dga(b, args.flavor)
-    except DgaError as e:
-        parser.error(str(e))
+    b = _parse_braid_arg(args)
+    dga = build_dga(b, args.flavor)
     lines = [f"flavor: {args.flavor}", f"sl: {dga.sl}",
              "generators: " + " ".join(str(g) for g in dga.generators)]
     for g in dga.generators:
@@ -89,21 +83,16 @@ def _cmd_dga(parser, args) -> int:
         "sl": dga.sl,
         "generators": [str(g) for g in dga.generators],
         "differentials": {str(g): str(dga.diff[g]) for g in dga.generators},
-        "phi_l": [[str(dga.phi_l.at(i, j)) for j in range(1, b.strands + 1)]
-                  for i in range(1, b.strands + 1)],
-        "phi_r": [[str(dga.phi_r.at(i, j)) for j in range(1, b.strands + 1)]
-                  for i in range(1, b.strands + 1)],
+        "phi_l": [[str(e) for e in row] for row in dga.phi_l.rows],
+        "phi_r": [[str(e) for e in row] for row in dga.phi_r.rows],
     }
     _emit(payload, args.json, lines)
     return 0
 
 
 def _cmd_ht0(parser, args) -> int:
-    b = _parse_braid_arg(parser, args)
-    try:
-        pres = ht0_relations(b, args.flavor, split=args.split)
-    except DgaError as e:
-        parser.error(str(e))
+    b = _parse_braid_arg(args)
+    pres = ht0_relations(b, args.flavor, split=args.split)
     rels = reduced_relations(pres) if args.reduced else pres.relations
     lines = [f"flavor: {args.flavor}", f"sl: {pres.sl}",
              "variables: " + " ".join(str(v) for v in pres.variables)]
@@ -117,14 +106,10 @@ def _cmd_ht0(parser, args) -> int:
 
 
 def _cmd_aug_count(parser, args) -> int:
-    b = _parse_braid_arg(parser, args)
-    try:
-        res = augmentation_number(
-            b, args.flavor, args.prime, args.lam, args.mu,
-            u0=args.u0, v0=args.v0, split=args.split,
-            no_elim=args.no_elim, budget=args.budget)
-    except (ValueError, BraidError) as e:
-        parser.error(str(e))
+    b = _parse_braid_arg(args)
+    res = augmentation_number(b, args.flavor, args.prime, args.lam, args.mu,
+                              u0=args.u0, v0=args.v0, split=args.split,
+                              no_elim=args.no_elim, budget=args.budget)
     payload = {"count": res.count, "flavor": args.flavor,
                "prime": args.prime, "lam": args.lam, "mu": args.mu,
                "u0": args.u0, "v0": args.v0}
@@ -133,11 +118,8 @@ def _cmd_aug_count(parser, args) -> int:
 
 
 def _cmd_aug_poly(parser, args) -> int:
-    b = _parse_braid_arg(parser, args)
-    try:
-        res = augmentation_polynomial_index2(b)
-    except EliminationError as e:
-        parser.error(str(e))
+    b = _parse_braid_arg(args)
+    res = augmentation_polynomial_index2(b)
     payload = {"poly": str(res.poly),
                "may_have_repeated_factors": res.may_have_repeated_factors}
     _emit(payload, args.json,
@@ -146,27 +128,23 @@ def _cmd_aug_poly(parser, args) -> int:
 
 
 def _cmd_aug_compare(parser, args) -> int:
-    try:
-        ba = parse_braid(args.braid_a)
-        bb = parse_braid(args.braid_b)
-    except BraidError as e:
-        parser.error(str(e))
+    ba, bb = parse_braid(args.braid_a), parse_braid(args.braid_b)
     p = args.prime
+    if args.grid and (args.lam, args.mu) != (None, None):
+        parser.error("--grid sweeps every (lam, mu); it takes no --lam or --mu")
     points = ([(l, m) for l in range(1, p) for m in range(1, p)]
-              if args.grid else [(args.lam, args.mu)])
+              if args.grid else [(1 if args.lam is None else args.lam,
+                                  1 if args.mu is None else args.mu)])
     cases = []
     distinct = False
-    try:
-        for l0, m0 in points:
-            ca = augmentation_number(ba, args.flavor, p, l0, m0,
-                                     budget=args.budget).count
-            cb = augmentation_number(bb, args.flavor, p, l0, m0,
-                                     budget=args.budget).count
-            cases.append({"lam": l0, "mu": m0, "count_a": ca, "count_b": cb})
-            if ca != cb:
-                distinct = True
-    except ValueError as e:
-        parser.error(str(e))
+    for l0, m0 in points:
+        ca = augmentation_number(ba, args.flavor, p, l0, m0,
+                                 budget=args.budget).count
+        cb = augmentation_number(bb, args.flavor, p, l0, m0,
+                                 budget=args.budget).count
+        cases.append({"lam": l0, "mu": m0, "count_a": ca, "count_b": cb})
+        if ca != cb:
+            distinct = True
     verdict = ("distinct transverse knots" if distinct
                else "indistinguishable on tested grid")
     lines = [f"({c['lam']},{c['mu']}): {c['count_a']} vs {c['count_b']}"
@@ -176,20 +154,14 @@ def _cmd_aug_compare(parser, args) -> int:
 
 
 def _cmd_verify(parser, args) -> int:
-    b = _parse_braid_arg(parser, args)
+    b = _parse_braid_arg(args)
     if args.grid is not None:
-        try:
-            grid = _parse_grid(args.grid, args.prime)
-        except ValueError as e:
-            parser.error(str(e))
+        grid = _parse_grid(args.grid, args.prime)
     else:
         grid = ((2, 1),) if args.prime > 2 else ((1, 1),)
     spec = CheckSpec(braid=b, check=args.check, prime=args.prime,
                      grid=grid, samples=args.samples, seed=args.seed)
-    try:
-        report = run_check(spec, budget=args.budget)
-    except ValueError as e:
-        parser.error(str(e))
+    report = run_check(spec, budget=args.budget)
     lines = [f"{desc}: {l} vs {r}" for desc, l, r in report.cases]
     lines.append("pass" if report.passed else "fail")
     payload = {"check": args.check, "passed": report.passed,
@@ -201,11 +173,7 @@ def _cmd_verify(parser, args) -> int:
 
 def _cmd_table(parser, args) -> int:
     rows = args.rows.split(",") if args.rows else None
-    try:
-        report = reproduce_table(prime=args.prime, rows=rows,
-                                 budget=args.budget)
-    except ValueError as e:
-        parser.error(str(e))
+    report = reproduce_table(prime=args.prime, rows=rows, budget=args.budget)
     lines = []
     for r in report.rows:
         got = " ".join("?" if c is None else str(c) for c in r.computed)
@@ -224,12 +192,9 @@ def _cmd_table(parser, args) -> int:
 
 
 def _cmd_check(parser, args) -> int:
-    b = _parse_braid_arg(parser, args)
+    b = _parse_braid_arg(args)
     if args.what == "d2":
-        try:
-            dga = build_dga(b, args.flavor or "minus")
-        except DgaError as e:
-            parser.error(str(e))
+        dga = build_dga(b, args.flavor or "minus")
         failures = verify_d_squared(dga)
         payload = {"check": "d2", "passed": not failures,
                    "failures": [str(g) for g, _ in failures]}
@@ -261,13 +226,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("braid", help="writhe, self-linking, knot/link")
+    p.set_defaults(run=_cmd_braid)
     _add_common(p)
 
     p = sub.add_parser("dga", help="generators and differentials")
+    p.set_defaults(run=_cmd_dga)
     _add_common(p)
     p.add_argument("--flavor", default="minus", choices=FLAVORS)
 
     p = sub.add_parser("ht0", help="degree-0 relations")
+    p.set_defaults(run=_cmd_ht0)
     _add_common(p)
     p.add_argument("--flavor", default="minus", choices=FLAVORS)
     p.add_argument("--split", type=int, default=None,
@@ -279,6 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     augsub = aug.add_subparsers(dest="augcmd", required=True)
 
     p = augsub.add_parser("count", help="count augmentations over Z/p")
+    p.set_defaults(run=_cmd_aug_count)
     _add_common(p)
     p.add_argument("--flavor", default="hat", choices=FLAVORS)
     p.add_argument("--prime", type=int, required=True, choices=PRIMES)
@@ -294,21 +263,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_int_at_least(0), default=None)
 
     p = augsub.add_parser("poly", help="two-strand augmentation polynomial")
+    p.set_defaults(run=_cmd_aug_poly)
     _add_common(p)
 
     p = augsub.add_parser("compare", help="compare counts of two braids")
+    p.set_defaults(run=_cmd_aug_compare)
     p.add_argument("--braid-a", required=True)
     p.add_argument("--braid-b", required=True)
     p.add_argument("--flavor", default="hat", choices=FLAVORS)
     p.add_argument("--prime", type=int, required=True, choices=PRIMES)
-    p.add_argument("--lam", type=int, default=1)
-    p.add_argument("--mu", type=int, default=1)
+    p.add_argument("--lam", type=int, default=None, help="default 1")
+    p.add_argument("--mu", type=int, default=None, help="default 1")
     p.add_argument("--grid", action="store_true",
                    help="sweep all nonzero (lam, mu) pairs")
     p.add_argument("--budget", type=_int_at_least(0), default=None)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="invariance checks on counts")
+    p.set_defaults(run=_cmd_verify)
     _add_common(p)
     p.add_argument("--check", required=True, choices=CHECKS)
     p.add_argument("--prime", type=int, default=3, choices=PRIMES)
@@ -319,6 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_int_at_least(0), default=None)
 
     p = sub.add_parser("table", help="reproduce the reference count table")
+    p.set_defaults(run=_cmd_table)
     p.add_argument("--prime", type=int, default=3, choices=PRIMES)
     p.add_argument("--rows", default=None,
                    help="comma-separated row names, e.g. m72,9_48")
@@ -326,6 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("check", help="symbolic identity checks")
+    p.set_defaults(run=_cmd_check)
     p.add_argument("what", choices=("d2", "lemma29"))
     _add_common(p)
     p.add_argument("--flavor", default=None, choices=FLAVORS,
@@ -337,30 +311,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _dispatch(parser, args)
+        return args.run(parser, args)
     except BudgetError as e:
         print(e, file=sys.stderr)
         return 3
-
-
-def _dispatch(parser, args) -> int:
-    if args.cmd == "braid":
-        return _cmd_braid(parser, args)
-    if args.cmd == "dga":
-        return _cmd_dga(parser, args)
-    if args.cmd == "ht0":
-        return _cmd_ht0(parser, args)
-    if args.cmd == "aug":
-        if args.augcmd == "count":
-            return _cmd_aug_count(parser, args)
-        if args.augcmd == "poly":
-            return _cmd_aug_poly(parser, args)
-        return _cmd_aug_compare(parser, args)
-    if args.cmd == "verify":
-        return _cmd_verify(parser, args)
-    if args.cmd == "table":
-        return _cmd_table(parser, args)
-    return _cmd_check(parser, args)
+    except (ValueError, EliminationError) as e:
+        # bad braids, flavors, points, rows and cuts; BraidError and
+        # DgaError are ValueErrors
+        parser.error(str(e))
 
 
 if __name__ == "__main__":

@@ -27,20 +27,22 @@ d(xy) = (dx)y + (-1)^|x| x(dy).
 Each formula is written once, here: `cd_blocks` forms the products
 Lam . PhiL . X and Y . PhiR . Lam^-1 (dC, dD, dE, dF, the modified DGA and
 ht0's degree-0 relations, cut or whole), `db_block` forms dB (the DGA and
-`ht0.b_consequences`), and `_assemble` turns blocks into a specialized
-presentation for both `build_dga` and `build_modified_dga`.  The
-a-variable order is `phi.a_variables`.
+`ht0.b_consequences`) from the table `phi.phi_images`, and `_assemble`
+turns blocks into a specialized presentation for both `build_dga` and
+`build_modified_dga`.  The a-variable order is `phi.a_variables`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
+from functools import reduce
 
 from .braid import BraidWord, braid_stats
 from .ncpoly import GenMatrix, Generator, NCPoly, gen, pow_mod
-from .phi import a_variables, apply_phi, phi_matrices, sigma_images
+from .phi import a_variables, phi_images, phi_matrices, push
 
 FLAVORS = ("minus", "hat", "doublehat", "infinity")
 
@@ -172,7 +174,7 @@ def cd_blocks(c_left, d_left, ahat, acheck, lam, lam_inv, phi_l, phi_r):
 def db_block(b: BraidWord, A: GenMatrix, lam: GenMatrix,
              lam_inv: GenMatrix) -> GenMatrix:
     """dB = A - Lam . phi_B(A) . Lam^-1."""
-    return A - lam @ A.map(lambda p: apply_phi(b, p)) @ lam_inv
+    return A - lam @ A.substitute(phi_images(b)) @ lam_inv
 
 
 def _offdiag(n):
@@ -306,12 +308,11 @@ def verify_phi_factorization(b: BraidWord) -> list[str]:
     Acheck}; returns the names of failing identities."""
     m = degree0_matrices(b)
     phi_l, phi_r = phi_matrices(b)
+    images = phi_images(b)
     failures = []
     for name, M in (("A_lower", m.A_lower), ("A_upper", m.A_upper),
                     ("Ahat", m.Ahat), ("Acheck", m.Acheck)):
-        lhs = M.map(lambda p: apply_phi(b, p))
-        rhs = phi_l @ M @ phi_r
-        if lhs != rhs:
+        if M.substitute(images) != phi_l @ M @ phi_r:
             failures.append(name)
     return failures
 
@@ -342,11 +343,16 @@ def verify_phi_factorization(b: BraidWord) -> list[str]:
 # products and stays below dim p^2 < 2^53 (below dim p^2 + p where the vector
 # pass adds a residue to it), and is reduced before it is used again.  A sum
 # of residues (the terms of one polynomial, the rows of one generator) adds
-# at most _BLOCK + 1 < 2^53 / p of them before it is reduced.
+# at most _BLOCK + 1 < 2^53 / p of them before it is reduced.  The sigma
+# images that `_sigma_value` evaluates for `phi.push` have coefficients +-1,
+# no scalars and words of one or two letters, so each entry of an image stays
+# below p + dim p^2 < 2^53 before its one reduction.
 #
 # Compilation.  `_Trie` and `_LeibnizRows` depend only on the polynomials, so
 # each check builds them once, before its trials; a trial is numpy work on
-# blocks of at most _BLOCK nodes or rows, which bounds its temporaries.
+# blocks of at most _BLOCK nodes or rows, which bounds its temporaries.  The
+# factorization check needs phi_B(M) at the point: it pushes the point
+# through the braid (`phi.push`) and evaluates M's trie there.
 # ---------------------------------------------------------------------------
 
 _SAMPLE_PRIME = 16777213
@@ -554,30 +560,21 @@ class _LeibnizRows:
         return out
 
 
-def _phi_point(b: BraidWord, point, scalars, steps):
-    """Numeric phi_B: push a point on the a-generators (an array in
-    `a_variables` order) through the braid letter by letter.  `steps` maps
-    each letter to the ids its sigma images replace and the trie of those
-    images.  Returns the point whose value at a_ij equals the evaluation of
-    phi_B(a_ij) at the original point."""
-    for letter in b.letters:
-        targets, trie = steps[letter]
-        new = point.copy()
-        new[targets] = trie.evaluate(point, scalars)
-        point = new
-    return point
+def _sigma_value(image: NCPoly, values: dict):
+    """A sigma image at the residue matrices `values`, for `phi.push`."""
+    return _modp(sum(coeff * reduce(operator.matmul,
+                                    map(values.__getitem__, word))
+                     for (word, _), coeff in image.terms.items()),
+                 _SAMPLE_PRIME)
 
 
 def _phi_degree_bound(b: BraidWord) -> int:
-    """Max word length over all phi_B(a_ij), by folding degrees."""
-    n = b.strands
-    degs = {a: 1 for a in a_variables(n)}
-    for letter in b.letters:
-        cur = dict(degs)
-        for g, img in sigma_images(abs(letter), n, inverse=letter < 0).items():
-            degs[g] = max((sum(cur[x] for x in word) for word, _ in img.terms),
-                          default=0)
-    return max(degs.values())
+    """A bound on the word length of every phi_B(a_ij): word degrees
+    pushed through the braid, blind to cancellation."""
+    degs = push(b, dict.fromkeys(a_variables(b.strands), 1),
+                lambda img, d: max(sum(map(d.__getitem__, word))
+                                   for word, _ in img.terms))
+    return max(degs.values(), default=0)
 
 
 def _sample_dim(span: int) -> int:
@@ -624,6 +621,7 @@ def verify_phi_factorization_sampled(b: BraidWord, seed: int = 0,
                                      trials: int = 2) -> list[str]:
     """The factorization identities of verify_phi_factorization, checked
     by evaluation at random matrices instead of symbolic expansion."""
+    import numpy as np
     prime = _SAMPLE_PRIME
     n = b.strands
     m = degree0_matrices(b)
@@ -633,11 +631,6 @@ def verify_phi_factorization_sampled(b: BraidWord, seed: int = 0,
     dim = _sample_dim(max(span_l + 1 + span_r, _phi_degree_bound(b)))
     avars = a_variables(n)
     ids = {a: k for k, a in enumerate(avars)}
-    steps = {}
-    for letter in set(b.letters):
-        images = sigma_images(abs(letter), n, inverse=letter < 0)
-        steps[letter] = ([ids[g] for g in images],
-                         _Trie(list(images.values()), ids))
     names = ("A_lower", "A_upper", "Ahat", "Acheck")
     entries = lambda *ms: [e for M in ms for _, _, e in M.entries()]
     outer = _Trie(entries(phi_l, phi_r), ids)
@@ -650,7 +643,8 @@ def verify_phi_factorization_sampled(b: BraidWord, seed: int = 0,
         scalars = tuple(rng.randrange(1, prime) for _ in range(4))
         left, right = blocks(outer.evaluate(point, scalars))
         mids = blocks(inner.evaluate(point, scalars))
-        phi_pt = _phi_point(b, point, scalars, steps)
+        pushed = push(b, dict(zip(avars, point)), _sigma_value)
+        phi_pt = np.reshape([pushed[a] for a in avars], point.shape)
         lhs = blocks(inner.evaluate(phi_pt, scalars))
         for name, mid, want in zip(names, mids, lhs):
             rhs = _block_product(_block_product(left, mid), right)

@@ -12,20 +12,33 @@ and everything else is fixed.  The inverse images are hard-coded closed
 forms (solved once from the above; the round-trip tests pin them).
 
 Composition convention: for a word B = l1 l2 ... lm the automorphism is
-phi_B = phi_{l1} o phi_{l2} o ... o phi_{lm}, so a polynomial is rewritten
-letter by letter starting from the last letter.  This is the convention
-under which the chain rules
+phi_B = phi_{l1} o phi_{l2} o ... o phi_{lm}.  This is the convention under
+which the chain rules
 
     PhiL_{B1 B2} = PhiL_{B2}(phi_{B1} A) . PhiL_{B1}
     PhiR_{B1 B2} = PhiR_{B1} . PhiR_{B2}(phi_{B1} A)
 
 hold in the stated form.
+
+The braid is walked in two directions.  `push` moves values of the
+a-generators from the front, each letter evaluating its sigma images once
+for all generators: `phi_images` (phi_B of every a, for dB and the chain
+rules), the sampled factorization check and its degree bound are that one
+pass over polynomials, residue matrices and word lengths.  A polynomial is
+rewritten from the back (`apply_phi`, and the packed Phi of `augment`), one
+sigma substitution per letter, because substituting whole images into long
+words expands far before it cancels, and on the marked generators of
+`phi_matrices` and the packed Phi the per-letter pass measures faster.
 """
 
 from __future__ import annotations
 
+from typing import Callable, Mapping, TypeVar
+
 from .braid import BraidWord, braid_transform
 from .ncpoly import GenMatrix, Generator, NCPoly, gen
+
+T = TypeVar("T")
 
 
 class PhiStructureError(RuntimeError):
@@ -75,8 +88,31 @@ def _check_a_only(p: NCPoly, n: int) -> None:
             raise ValueError(f"phi acts on a-generators with indices <= {n}, got {g}")
 
 
+def push(b: BraidWord, values: Mapping[Generator, T],
+         evaluate: Callable[[NCPoly, dict[Generator, T]], T]
+         ) -> dict[Generator, T]:
+    """phi_B(a) at `values` for every a-generator a: from the first letter
+    on, each sigma image is evaluated at the current values by
+    `evaluate(image, values)` and replaces its generator's value."""
+    images = {k: sigma_images(abs(k), b.strands, inverse=k < 0)
+              for k in set(b.letters)}
+    values = dict(values)
+    for letter in b.letters:
+        # every image reads the values from before this letter
+        values.update({g: evaluate(img, values)
+                       for g, img in images[letter].items()})
+    return values
+
+
+def phi_images(b: BraidWord) -> dict[Generator, NCPoly]:
+    """phi_B(a) for every a-generator a."""
+    return push(b, {a: _a(a.row, a.col) for a in a_variables(b.strands)},
+                lambda img, values: img.substitute(values))
+
+
 def apply_phi(b: BraidWord, p: NCPoly) -> NCPoly:
-    """Apply phi_B to a degree-0 polynomial."""
+    """Apply phi_B to a degree-0 polynomial, rewriting it from the last
+    letter."""
     _check_a_only(p, b.strands)
     n = b.strands
     for letter in reversed(b.letters):
@@ -128,7 +164,7 @@ def verify_chain_rules(b: BraidWord, cut: int | None = None) -> list[str]:
     phi_l, phi_r = phi_matrices(b)
     l1, r1 = phi_matrices(b1)
     l2, r2 = phi_matrices(b2)
-    images = {a: apply_phi(b1, _a(a.row, a.col)) for a in a_variables(n)}
+    images = phi_images(b1)
     failures = []
     if l2.substitute(images) @ l1 != phi_l:
         failures.append("left chain rule")
@@ -146,7 +182,6 @@ def verify_chain_rules(b: BraidWord, cut: int | None = None) -> list[str]:
 def phi_matrix_inverses(b: BraidWord) -> tuple[GenMatrix, GenMatrix]:
     """Inverses of PhiL_B, PhiR_B, as PhiL_{B^{-1}} and PhiR_{B^{-1}} with
     every a_{ij} replaced by phi_B(a_{ij})."""
-    n = b.strands
     linv, rinv = phi_matrices(braid_transform(b, "inverse"))
-    images = {a: apply_phi(b, _a(a.row, a.col)) for a in a_variables(n)}
+    images = phi_images(b)
     return linv.substitute(images), rinv.substitute(images)

@@ -397,6 +397,14 @@ def test_input_validation():
         augmentation_number(TREFOIL, "infinity", 3, 1, 1, u0=3, v0=1)
     with pytest.raises(ValueError):
         augmentation_number(TREFOIL, "hat", 3, 1, 1, split=9)
+    # hat fixes (U, V) = (0, 1) and double-hat (0, 0): a value that
+    # disagrees would be ignored, so it is refused
+    for flavor, u0, v0 in (("hat", 2, None), ("hat", None, 2),
+                           ("doublehat", None, 1)):
+        with pytest.raises(ValueError):
+            augmentation_number(TREFOIL, flavor, 3, 1, 1, u0=u0, v0=v0)
+    assert augmentation_number(TREFOIL, "hat", 3, 1, 1, u0=0, v0=1).count == \
+        augmentation_number(TREFOIL, "hat", 3, 1, 1).count
 
 
 def test_budget_error():

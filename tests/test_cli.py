@@ -186,6 +186,15 @@ def test_usage_errors_exit_2(capsys):
                   "--prime", "3"],
                  ["aug", "compare", "--braid-a", "1", "--braid-b", "1",
                   "--prime", "3", "--lam", "3"],
+                 ["aug", "compare", "--braid-a", "1", "--braid-b", "1",
+                  "--prime", "3", "--grid", "--lam", "1"],
+                 ["aug", "compare", "--braid-a", "1", "--braid-b", "1",
+                  "--prime", "3", "--grid", "--mu", "2"],
+                 ["aug", "count", "--braid", "1", "--prime", "3",
+                  "--lam", "1", "--mu", "1", "--u0", "2", "--v0", "2"],
+                 ["aug", "count", "--braid", "1", "--prime", "3",
+                  "--lam", "1", "--mu", "1", "--flavor", "doublehat",
+                  "--v0", "1"],
                  ["check", "lemma29", "--braid", "1 -2 1 -2",
                   "--flavor", "hat"]):
         with pytest.raises(SystemExit) as exc:

@@ -14,7 +14,7 @@ from xverse.dga import (FLAVORS, DgaError, build_dga, build_modified_dga,
                         verify_d_squared_sampled, verify_phi_factorization,
                         verify_phi_factorization_sampled)
 from xverse.ncpoly import NCPoly, gen
-from xverse.phi import apply_phi
+from xverse.phi import a_variables, apply_phi, phi_images, push
 
 UNKNOT = BraidWord(1)
 TREFOIL = parse_braid("1 1 1")
@@ -190,6 +190,13 @@ def test_sampled_phi_factorization_detects_corruption(monkeypatch):
         assert verify_phi_factorization_sampled(b, seed=3) == want
 
 
+def test_sampled_phi_factorization_on_empty_words():
+    # one strand has no a-generators, so phi_B has no images to bound
+    for b in (UNKNOT, BraidWord(3)):
+        assert verify_phi_factorization(b) == []
+        assert verify_phi_factorization_sampled(b, seed=3) == []
+
+
 # ---- the evaluators behind the sampled checks, against references ----
 
 P = dga_module._SAMPLE_PRIME
@@ -356,3 +363,30 @@ def test_lam_override_validation():
         build_dga(TREFOIL, "minus", lam_override=[(1, 0, 0), (1, 0, 0)])
     with pytest.raises(DgaError):
         build_dga(TREFOIL, "minus", lam_override=[(2, 1, -w), (1, 0, 0)])
+
+
+_braid = st.integers(2, 4).flatmap(lambda n: st.lists(
+    st.sampled_from([s * k for k in range(1, n) for s in (1, -1)]),
+    max_size=6).map(lambda letters: BraidWord(n, tuple(letters))))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(b=_braid, dim=st.integers(1, 3), seed=st.integers(0, 2 ** 32))
+def test_push_matches_references(b, dim, seed):
+    avars = a_variables(b.strands)
+    images = phi_images(b)
+    assert list(images) == avars
+    for a in avars:
+        assert images[a] == apply_phi(b, NCPoly.generator("a", a.row, a.col))
+    # a bound, not the degree: sigma_1 sigma_1^-1 folds to 2, its images
+    # have degree 1
+    assert dga_module._phi_degree_bound(b) >= max(
+        dga_module._word_span(p) for p in images.values())
+    rng = random.Random(seed)
+    point, _ = _random_point(rng, avars, dim)
+    scalars = tuple(rng.randrange(1, P) for _ in range(4))
+    pushed = push(b, dict(zip(avars, point)), dga_module._sigma_value)
+    trie = dga_module._Trie([images[a] for a in avars],
+                            {a: k for k, a in enumerate(avars)})
+    assert _as_ints(np.array([pushed[a] for a in avars])) == \
+        _as_ints(trie.evaluate(point, scalars))
