@@ -22,7 +22,9 @@ double-hat (U=V=0), infinity (L^a rewritten with (U/V)^(-a(sl+1)/2),
 which turns Lam into the primed diagonal automatically).
 
 The differential extends to products by the Koszul rule
-d(xy) = (dx)y + (-1)^|x| x(dy).
+d(xy) = (dx)y + (-1)^|x| x(dy).  So d of a word x_1 ... x_k is the top
+right block of the product of the dual matrices [[(-1)^|x| x, dx], [0, x]]
+of its letters, which is how the sampled d^2 check evaluates it.
 
 Each formula is written once, here: `cd_blocks` forms the products
 Lam . PhiL . X and Y . PhiR . Lam^-1 (dC, dD, dE, dF, the modified DGA and
@@ -340,19 +342,24 @@ def verify_phi_factorization(b: BraidWord) -> list[str]:
 # Exactness.  Arithmetic runs in float64 so that products hit BLAS, and it is
 # exact: operands are residues below p < 2^24, so each entry of a product of
 # two matrices, or of a matrix and a vector, sums dim <= _MAX_DIM = 31
-# products and stays below dim p^2 < 2^53 (below dim p^2 + p where the vector
-# pass adds a residue to it), and is reduced before it is used again.  A sum
-# of residues (the terms of one polynomial, the rows of one generator) adds
-# at most _BLOCK + 1 < 2^53 / p of them before it is reduced.  The sigma
-# images that `_sigma_value` evaluates for `phi.push` have coefficients +-1,
-# no scalars and words of one or two letters, so each entry of an image stays
-# below p + dim p^2 < 2^53 before its one reduction.
+# products and stays below dim p^2 < 2^53, and is reduced before it is used
+# again.  The d^2 step (`_dual_step`) reduces X t before it adds D(x) s, so
+# that sum stays below dim p^2 + p; the two unreduced products together
+# would reach 2 dim p^2, about 2^55 at _MAX_DIM, and round.  A sum of
+# residues (the terms of one polynomial) adds at most _BLOCK + 1 < 2^53 / p
+# of them before it is reduced.  The sigma images that `_sigma_value`
+# evaluates for `phi.push` have coefficients +-1, no scalars and words of
+# one or two letters, so each entry of an image stays below p + dim p^2 <
+# 2^53 before its one reduction.
 #
-# Compilation.  `_Trie` and `_LeibnizRows` depend only on the polynomials, so
-# each check builds them once, before its trials; a trial is numpy work on
-# blocks of at most _BLOCK nodes or rows, which bounds its temporaries.  The
-# factorization check needs phi_B(M) at the point: it pushes the point
-# through the braid (`phi.push`) and evaluates M's trie there.
+# Compilation.  A `_Trie` depends only on its polynomials, so each check
+# builds its tries once, before its trials; a trial is numpy work on blocks
+# of at most _BLOCK nodes, which bounds its temporaries.  The same walk over
+# a trie evaluates both kinds of word: a word at matrices (`evaluate`, from
+# the identity) and d(d(g)) . v (`_dual_step`, from the state (0, v), over
+# the reversed words of d(g); see `_d_squared`).  The factorization
+# check needs phi_B(M) at the point: it pushes the point through the braid
+# (`phi.push`) and evaluates M's trie there.
 # ---------------------------------------------------------------------------
 
 _SAMPLE_PRIME = 16777213
@@ -427,12 +434,11 @@ class _Terms:
 class _Trie:
     """The words of a list of polynomials, merged on shared prefixes.
 
-    A node is (parent, letter) and stands for the product of the letter
-    matrices on its path from the root, the empty word.  The nodes of one
-    depth form a level, computed from the level above by batched matrix
-    products; each term adds its scalar part times its end node to its
-    polynomial.  Letters are ids into the array of matrices `evaluate`
-    takes."""
+    A node is (parent, letter) and stands for the word on its path from the
+    root, the empty word.  `walk` gives each node a value, computed for the
+    nodes of one depth at once from the values of their parents, and adds
+    each term's scalar part times the value of its end node to its
+    polynomial.  Letters are ids into the arrays the steps read."""
 
     def __init__(self, polys: list[NCPoly], ids: dict):
         import numpy as np
@@ -456,108 +462,95 @@ class _Trie:
             ends = np.flatnonzero(t.lens == depth)
             self.levels.append((keys // bound, keys % bound, ends, node[ends]))
 
-    def evaluate(self, mats, scalars):
-        """The polynomials at the point that sends letter id k to mats[k]
-        and the base scalars to `scalars`: an array (len(polys), dim, dim)."""
+    def walk(self, root, step, scalars):
+        """The polynomials at a point, as an array (len(polys),) +
+        root.shape: the root has the value `root`, and step(values,
+        letters) gives the values, reduced mod p, of the children by
+        `letters` of nodes whose values are `values`."""
         import numpy as np
-        prime = _SAMPLE_PRIME
-        dim = mats.shape[-1]
         coeffs = self.terms.values(scalars)
-        out = np.zeros((self.size, dim, dim))
-        level = np.eye(dim)[None]
+        out = np.zeros((self.size,) + root.shape)
+        level = root[None]
         for depth, (parents, letters, ends, nodes) in enumerate(self.levels):
             if depth:
                 # residues < p < 2^24 are exact in float32, which halves
                 # the memory of the widest levels
-                prev, level = level, np.empty((len(parents), dim, dim),
+                prev, level = level, np.empty((len(parents),) + root.shape,
                                               dtype=np.float32)
                 for lo in range(0, len(parents), _BLOCK):
                     blk = slice(lo, lo + _BLOCK)
-                    level[blk] = _modp(prev[parents[blk]] @ mats[letters[blk]],
-                                       prime)
+                    level[blk] = step(prev[parents[blk]], letters[blk])
             for lo in range(0, len(ends), _BLOCK):
                 term, node = ends[lo:lo + _BLOCK], nodes[lo:lo + _BLOCK]
                 target = self.terms.polys[term]
                 runs = np.flatnonzero(np.diff(target, prepend=-1))
                 out[target[runs]] = _modp(out[target[runs]] + np.add.reduceat(
-                    _modp(coeffs[term, None, None] * level[node], prime),
-                    runs), prime)
+                    _modp(coeffs[(term,) + (None,) * root.ndim] * level[node],
+                          _SAMPLE_PRIME), runs), _SAMPLE_PRIME)
         return out
 
-
-class _LeibnizRows:
-    """d(d(g)) for every generator g, as rows for a vector pass.
-
-    A row is a term c * x_1 ... x_k of some d(g) with a hot letter, one whose
-    differential is nonzero.  By the Koszul rule the row contributes
-
-        sum_i c * sign_i * x_1 ... x_(i-1) d(x_i) x_(i+1) ... x_k,
-        sign_i = (-1)^(|x_1| + ... + |x_(i-1)|),
-
-    over its hot positions i.  The row stores its letter ids and, per
-    position, a slot: sign_i times (1 + the index of x_i in `hot`), or 0 when
-    x_i is not hot.  `apply` evaluates the row on a vector v from right to
-    left, with s the suffix so far applied to v and t the sum so far:
-
-        t <- X_i t + sign_i D(x_i) s,    s <- X_i s
-
-    so a letter costs matrix-vector products, not a product of matrices.
-    Letter ids index dga.generators."""
-
-    def __init__(self, dga: DgaPresentation, ids: dict):
+    def evaluate(self, mats, scalars):
+        """The polynomials at the point that sends letter id k to mats[k]
+        and the base scalars to `scalars`: an array (len(polys), dim, dim).
+        A node's value is its parent's times its letter's matrix."""
         import numpy as np
-        gens = dga.generators
-        hot = {g for g in gens if not dga.diff[g].is_zero()}
-        # longest first, so the rows of a block still active at a position
-        # are a prefix of the block
-        self.terms = t = _Terms(sorted(
-            ((k, word, coeff, base) for k, g in enumerate(gens)
-             for (word, base), coeff in dga.diff[g].terms.items()
-             if not hot.isdisjoint(word)), key=lambda r: -len(r[1])), ids)
-        # per letter id, then looked up at every position; padding is id
-        # len(gens), odd = hot = span = 0
-        odd = np.array([g.degree % 2 for g in gens] + [0])[t.letters]
-        is_hot = np.array([g in hot for g in gens] + [False])[t.letters]
-        span = np.array([_word_span(dga.diff[g]) for g in gens] + [0])
-        # the word degree of d(d(g)): a word of d(g) with one hot letter
-        # replaced by a word of that letter's differential
-        self.degree = max(2, int(((t.lens[:, None] - 1 + span[t.letters])
-                                  * is_hot).max(initial=0)))
-        used = np.unique(t.letters[is_hot])
-        self.hot = [gens[k] for k in used]
-        slot_of = np.zeros(len(gens) + 1, dtype=np.intp)
-        slot_of[used] = np.arange(1, len(used) + 1)
-        self.slots = (1 - 2 * ((np.cumsum(odd, axis=1) - odd) % 2)
-                      ) * slot_of[t.letters]
-        self.size = len(gens)
+        return self.walk(np.eye(mats.shape[-1]), lambda values, letters: _modp(
+            values @ mats[letters], _SAMPLE_PRIME), scalars)
 
-    def apply(self, mats, dmats, v, scalars):
-        """d(d(g)) . v for every generator g, as an array (len(generators),
-        dim), from the letter matrices, the matrices D(x) of the hot letters
-        in `hot` order and the vector v."""
-        import numpy as np
-        prime = _SAMPLE_PRIME
-        t = self.terms
-        coeffs = t.values(scalars)
-        out = np.zeros((self.size, len(v)))
-        for lo in range(0, len(t.lens), _BLOCK):
-            lens = t.lens[lo:lo + _BLOCK]
-            ts = np.zeros((len(lens), len(v), 2))  # the columns t and s
-            ts[:, :, 1] = v
-            for j in range(lens[0] - 1, -1, -1):
-                act = np.count_nonzero(lens > j)
-                slot = self.slots[lo:lo + act, j]
-                hot = np.flatnonzero(slot)
-                ds = dmats[np.abs(slot[hot]) - 1] @ ts[hot, :, 1:]
-                ts[:act] = _modp(mats[t.letters[lo:lo + act, j]] @ ts[:act],
-                                 prime)
-                ts[hot, :, 0] = _modp(
-                    ts[hot, :, 0] + np.sign(slot[hot])[:, None] * ds[:, :, 0],
-                    prime)
-            np.add.at(out, t.polys[lo:lo + _BLOCK],
-                      _modp(coeffs[lo:lo + _BLOCK, None] * ts[:, :, 0], prime))
-            _modp(out, prime)
+
+def _dual_step(mats, dmats, signs):
+    """The step of `_Trie.walk` that multiplies a state (t, s), the columns
+    of an array (dim, 2), on the left by the dual matrix of its letter x,
+    [[(-1)^|x| X, D(x)], [0, X]] with X = mats[x], D(x) = dmats[x] and
+    (-1)^|x| = signs[x].  X t is reduced before D(x) s is added to it (see
+    Exactness above)."""
+    def step(values, letters):
+        out = _modp(mats[letters] @ values, _SAMPLE_PRIME)
+        out[:, :, 0] = _modp(signs[letters, None] * out[:, :, 0]
+                             + (dmats[letters] @ values[:, :, 1:])[:, :, 0],
+                             _SAMPLE_PRIME)
         return out
+    return step
+
+
+def _d_squared(dga: DgaPresentation):
+    """d(d(g)) . v for every generator g, compiled once.
+
+    d of a word is the top right block of the word at the dual matrices of
+    `_dual_step`, so d(d(g)) . v is the walk from the state (0, v) over the
+    reversed words of d(g).  `rows` holds the reversed terms with a hot
+    letter, one whose differential D(x) is nonzero; a second trie
+    evaluates the D(x) of the hot letters they hold.
+
+    Returns the word degree of d(d(g)), blind to cancellation, and a
+    function of (point, scalars, v) that gives every d(d(g)) . v as an
+    array (len(generators), dim)."""
+    import numpy as np
+    gens = dga.generators
+    ids = {g: k for k, g in enumerate(gens)}
+    hot = {g for g in gens if not dga.diff[g].is_zero()}
+    rows = _Trie([NCPoly({(word[::-1], base): coeff
+                          for (word, base), coeff in dga.diff[g].terms.items()
+                          if not hot.isdisjoint(word)}) for g in gens], ids)
+    t = rows.terms
+    # per letter id, then looked up at every position; padding is id
+    # len(gens), not hot, of span 0
+    is_hot = np.array([g in hot for g in gens] + [False])[t.letters]
+    span = np.array([_word_span(dga.diff[g]) for g in gens] + [0])
+    # a word of d(g) with one hot letter replaced by a word of that
+    # letter's differential
+    degree = int(((t.lens[:, None] - 1 + span[t.letters]) * is_hot)
+                 .max(initial=0))
+    used = np.unique(t.letters[is_hot])
+    hot_trie = _Trie([dga.diff[gens[k]] for k in used], ids)
+    signs = np.array([(-1.0) ** g.degree for g in gens])
+
+    def apply(point, scalars, v):
+        dmats = np.zeros_like(point)
+        dmats[used] = hot_trie.evaluate(point, scalars)
+        return rows.walk(np.stack([np.zeros_like(v), v], axis=-1),
+                         _dual_step(point, dmats, signs), scalars)[:, :, 0]
+    return degree, apply
 
 
 def _sigma_value(image: NCPoly, values: dict):
@@ -591,10 +584,8 @@ def verify_d_squared_sampled(dga: DgaPresentation, seed: int = 0,
     fails to vanish."""
     import numpy as np
     prime = _SAMPLE_PRIME
-    ids = {g: k for k, g in enumerate(dga.generators)}
-    rows = _LeibnizRows(dga, ids)
-    dim = _sample_dim(rows.degree)
-    trie = _Trie([dga.diff[x] for x in rows.hot], ids)
+    degree, apply = _d_squared(dga)
+    dim = _sample_dim(degree)
     rng = random.Random(seed)
     failures = []
     for _ in range(trials):
@@ -602,7 +593,7 @@ def verify_d_squared_sampled(dga: DgaPresentation, seed: int = 0,
         scalars = tuple(rng.randrange(1, prime) for _ in range(4))
         v = np.array([rng.randrange(prime) for _ in range(dim)],
                      dtype=np.float64)
-        res = rows.apply(point, trie.evaluate(point, scalars), v, scalars)
+        res = apply(point, scalars, v)
         for k in np.flatnonzero(res.any(axis=1)):
             if dga.generators[k] not in failures:
                 failures.append(dga.generators[k])

@@ -51,6 +51,7 @@ Word = tuple[Generator, ...]
 Term = tuple[Word, Base]
 
 _ZERO_BASE: Base = (0, 0, 0, 0)
+_ONE_TERMS = {((), _ZERO_BASE): 1}
 
 
 def gen(family: str, row: int, col: int) -> Generator:
@@ -152,7 +153,22 @@ class NCPoly:
         return p
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
-        return self + (-other)
+        if not isinstance(other, NCPoly):
+            return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other
+        new = dict(self.terms)
+        for t, c in other.terms.items():
+            s = new.get(t, 0) - c
+            if s:
+                new[t] = s
+            else:
+                del new[t]
+        p = NCPoly.__new__(NCPoly)
+        p.terms = new
+        return p
 
     def __mul__(self, other) -> "NCPoly":
         if isinstance(other, int):
@@ -163,6 +179,12 @@ class NCPoly:
             return p
         if not isinstance(other, NCPoly):
             return NotImplemented
+        # polynomials are never changed in place, so a product by the
+        # scalar 1 (a diagonal Lam) may share the other factor
+        if self.terms == _ONE_TERMS:
+            return other
+        if other.terms == _ONE_TERMS:
+            return self
         new: dict[Term, int] = {}
         for (w1, b1), c1 in self.terms.items():
             for (w2, b2), c2 in other.terms.items():
@@ -200,7 +222,7 @@ class NCPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    # ---- substitution and involutions ----
+    # ---- substitution ----
 
     def substitute(self, images: Mapping[Generator, "NCPoly"]) -> "NCPoly":
         """Replace generators by polynomials (an algebra map fixing scalars).
@@ -221,26 +243,6 @@ class NCPoly:
                     prod = prod * img
             out += prod
         return out
-
-    def op(self) -> "NCPoly":
-        """Reverse words with the Koszul sign (-1)^(sum_{i<j} |g_i||g_j|)."""
-        new: dict[Term, int] = {}
-        for (word, base), coeff in self.terms.items():
-            sign = 1
-            degs = [g.degree for g in word]
-            for i in range(len(degs)):
-                for j in range(i + 1, len(degs)):
-                    if degs[i] % 2 and degs[j] % 2:
-                        sign = -sign
-            t = (word[::-1], base)
-            s = new.get(t, 0) + sign * coeff
-            if s:
-                new[t] = s
-            elif t in new:
-                del new[t]
-        p = NCPoly.__new__(NCPoly)
-        p.terms = new
-        return p
 
     # ---- flavor specialization ----
 

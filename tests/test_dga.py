@@ -286,9 +286,7 @@ def test_vector_pass_matches_symbolic_d_squared():
             true = build_dga(b, flavor)
             for dga in (true, _scrambled(true, rng)):
                 gens = dga.generators
-                ids = {g: k for k, g in enumerate(gens)}
-                rows = dga_module._LeibnizRows(dga, ids)
-                trie = dga_module._Trie([dga.diff[x] for x in rows.hot], ids)
+                _, apply = dga_module._d_squared(dga)
                 point, mats = _random_point(rng, gens, dim)
                 scalars = tuple(rng.randrange(1, P) for _ in range(4))
                 v = [rng.randrange(P) for _ in range(dim)]
@@ -298,10 +296,30 @@ def test_vector_pass_matches_symbolic_d_squared():
                 assert any(any(w) for w in want) == (dga is not true)
                 for block in (dga_module._BLOCK, 2):
                     with mock.patch.object(dga_module, "_BLOCK", block):
-                        got = rows.apply(point, trie.evaluate(point, scalars),
-                                         np.array(v, dtype=np.float64),
-                                         scalars)
+                        got = apply(point, scalars,
+                                    np.array(v, dtype=np.float64))
                     assert _as_ints(got) == want, (b, flavor, block)
+
+
+def test_trie_steps_are_exact_at_max_dim():
+    # the largest residues at the largest dimension: a product sums dim
+    # terms near p^2, and the dual step adds D(x) s to the reduced X t.  The
+    # vector s is p - 2 so that X t and D(x) s differ in their low bits, and
+    # adding the unreduced X t to D(x) s (near 2 dim p^2 > 2^53) rounds.
+    dim, top = dga_module._MAX_DIM, P - 1
+    mats = np.full((2, dim, dim), float(top))
+    x, y = LETTERS[:2]
+    trie = dga_module._Trie([NCPoly({((x, y), (0, 0, 0, 0)): 1})],
+                            {x: 0, y: 1})
+    assert _as_ints(trie.evaluate(mats, (1, 1, 1, 1))) == \
+        [[[dim * top * top % P] * dim] * dim]
+    state = np.full((2, dim, 2), top, dtype=np.float32)
+    state[:, :, 1] = top - 1
+    # letter 0 even, letter 1 odd
+    step = dga_module._dual_step(mats, mats, np.array([1.0, -1.0]))
+    xt, xs = dim * top * top, dim * top * (top - 1)
+    assert _as_ints(step(state, np.array([0, 1]))) == \
+        [[[(xt + xs) % P, xs % P]] * dim, [[(xs - xt) % P, xs % P]] * dim]
 
 
 def test_hat_matrices_coincide_at_units():

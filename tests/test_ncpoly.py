@@ -72,17 +72,6 @@ def test_substitute():
     assert p.substitute({}) == p
 
 
-def test_op_koszul_sign():
-    c = NCPoly.generator("c", 1, 1)
-    d = NCPoly.generator("d", 1, 1)
-    # two odd generators anticommute under reversal
-    assert (c * d).op() == -(d * c)
-    # even times odd has no sign
-    x = a(1, 2)
-    assert (x * c).op() == c * x
-    assert (x.op()) == x
-
-
 def test_specialize_hat():
     p = NCPoly.scalar(1, u=1) + NCPoly.scalar(2, v=1) + NCPoly.scalar(3)
     q = p.specialize("hat")
