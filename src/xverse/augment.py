@@ -26,8 +26,8 @@ two entry types: symbolic `NCPoly` entries abelianized afterwards
 where only the Phi matrices are built by a packed extractor of their own,
 `_packed_phi_matrices`.  Phi does not depend on the scalars, so it is
 cached per (braid word, prime) and shared, read only, by every build on
-that word.  `augmentation_number` picks the cut of the word itself
-(`_auto_split`) unless told one.  The count runs a linear pre-elimination
+that word.  `augmentation_number` cuts the word at its middle
+(`_auto_split`) unless told a cut.  The count runs a linear pre-elimination
 pass, then one depth-first search: a variable forced by a single-variable
 relation is a branch with one value, and a branch dies as soon as a
 relation becomes a nonzero constant.
@@ -66,7 +66,7 @@ DEFAULT_BUDGET = 10 ** 8
 
 _BITS = 4
 _EMASK = 15
-# packed Phi pairs kept, one per (word, prime); a check needs at most 9
+# packed Phi pairs kept, one per (word, prime); a check needs at most 10
 _PHI_CACHE_SIZE = 64
 
 
@@ -110,7 +110,6 @@ class AugQuery:
     mu0: int
     u0: int
     v0: int
-    no_elim: bool = False
     budget: int | None = None
 
 
@@ -168,15 +167,10 @@ def _fold_masks(nvars: int, p: int) -> tuple[int, int]:
     return _ones(nvars) * (8 - p), _ones(nvars) * 8
 
 
-def _mono_mul(k1: int, k2: int, nvars: int, p: int) -> int:
-    bias, guard = _fold_masks(nvars, p)
-    s = k1 + k2
-    return s - (((s + bias) & guard) >> 3) * (p - 1)
-
-
 def _mul_add(out: dict[int, int], k1: int, c1: int, b: dict[int, int],
              nvars: int, p: int) -> None:
-    """out += c1 * x^k1 * b, with `_mono_mul` inlined."""
+    """out += c1 * x^k1 * b; each product of keys is one add and the
+    SWAR fold of the module docstring."""
     bias, guard = _fold_masks(nvars, p)
     q = p - 1
     for k2, c2 in b.items():
@@ -383,19 +377,35 @@ def _check_point(prime: int, lam0: int, mu0: int) -> None:
         raise ValueError("lam0 and mu0 must be nonzero in the field")
 
 
-def _prepare(q: AugQuery) -> tuple[list[dict[int, int]] | None, int]:
+def _scalar_point(flavor: str, prime: int, u0: int | None,
+                  v0: int | None) -> tuple[int, int]:
+    """(u0, v0) for the flavor.  The hat and double-hat flavors fix (U, V),
+    and a u0 or v0 that disagrees is an error; otherwise each defaults to
+    1, and the infinity flavor needs both invertible."""
+    fixed = {"hat": (0, 1), "doublehat": (0, 0)}.get(flavor)
+    if fixed:
+        if any(x not in (None, f) for x, f in zip((u0, v0), fixed)):
+            raise ValueError(f"the {flavor} flavor fixes (U, V) = {fixed}, "
+                             f"got u0={u0}, v0={v0}")
+        return fixed
+    u0 = 1 if u0 is None else u0
+    v0 = 1 if v0 is None else v0
+    if flavor == "infinity" and (u0 % prime == 0 or v0 % prime == 0):
+        raise ValueError("infinity flavor needs invertible u0, v0")
+    return u0, v0
+
+
+def _prepare(q: AugQuery) -> tuple[list[dict[int, int]], int]:
+    """The nonzero abelianized relations, constants included, as
+    `packed_relations` gives them."""
+    u0, v0 = _scalar_point(q.presentation.flavor, q.prime, q.u0, q.v0)
     _check_point(q.prime, q.lam0, q.mu0)
-    variables = list(q.presentation.variables)
+    variables = q.presentation.variables
     var_index = {g: i for i, g in enumerate(variables)}
-    scalars = (q.lam0, q.mu0, q.u0, q.v0)
-    rels = []
-    for r in q.presentation.relations:
-        packed = _abelianize(r, var_index, q.prime, scalars)
-        if packed:
-            if len(packed) == 1 and 0 in packed:
-                return None, len(variables)  # unsatisfiable
-            rels.append(packed)
-    return rels, len(variables)
+    scalars = (q.lam0, q.mu0, u0, v0)
+    rels = [_abelianize(r, var_index, q.prime, scalars)
+            for r in q.presentation.relations]
+    return [r for r in rels if r], len(variables)
 
 
 def _pre_eliminate(rels: list[dict[int, int]], nvars: int, p: int
@@ -440,17 +450,13 @@ def _pre_eliminate(rels: list[dict[int, int]], nvars: int, p: int
     return rels, eliminated
 
 
-def _count_packed(rels: list[dict[int, int]] | None, nvars: int, prime: int,
-                  no_elim: bool, budget: int, start: float) -> AugResult:
+def _count_packed(rels: list[dict[int, int]], nvars: int, prime: int,
+                  budget: int, start: float) -> AugResult:
     """Count the solutions of rels within the resolved budget."""
-    if rels is None:
+    out = _pre_eliminate(rels, nvars, prime)
+    if out is None:
         return AugResult(0, 0, time.monotonic() - start)
-    eliminated = 0
-    if not no_elim:
-        out = _pre_eliminate(rels, nvars, prime)
-        if out is None:
-            return AugResult(0, 0, time.monotonic() - start)
-        rels, eliminated = out
+    rels, eliminated = out
     counter = _Counter(prime, _variable_order(rels, nvars), budget)
     count = counter.count(rels, counter.ones & ~eliminated)
     return AugResult(count, counter.tested, time.monotonic() - start)
@@ -460,15 +466,13 @@ def count_augmentations(q: AugQuery) -> AugResult:
     budget = _budget_from_env(q.budget)
     start = time.monotonic()
     rels, nvars = _prepare(q)
-    return _count_packed(rels, nvars, q.prime, q.no_elim, budget, start)
+    return _count_packed(rels, nvars, q.prime, budget, start)
 
 
 def count_augmentations_exhaustive(q: AugQuery) -> AugResult:
     """Plain enumeration of every assignment; the oracle for small cases."""
     start = time.monotonic()
     rels, nvars = _prepare(q)
-    if rels is None:
-        return AugResult(0, 0, time.monotonic() - start)
     p = q.prime
     count = 0
     tested = 0
@@ -632,18 +636,16 @@ def packed_relations(b: BraidWord, flavor: str, prime: int, lam0: int,
 
 
 def _auto_split(b: BraidWord) -> int:
-    """The cut `augmentation_number` takes by default: the middle of long
-    words, where the factor matrices stay small and the relations sparse
-    enough for pre-elimination to bite; 0 (the whole word) otherwise."""
-    if len(b.letters) >= 9 or b.strands >= 5:
-        return len(b.letters) // 2
-    return 0
+    """The cut `augmentation_number` takes by default: the middle of the
+    word, where the factor matrices stay small and the relations sparse
+    enough for pre-elimination to bite.  By the chain rule for PhiL and
+    PhiR every cut gives the same count."""
+    return len(b.letters) // 2
 
 
 def augmentation_number(b: BraidWord, flavor: str, prime: int, lam0: int,
                         mu0: int, u0: int | None = None, v0: int | None = None,
                         split: int | None = None, lam_override=None,
-                        no_elim: bool = False,
                         budget: int | None = None) -> AugResult:
     """Count augmentations of the braid's degree-0 presentation.
 
@@ -651,20 +653,10 @@ def augmentation_number(b: BraidWord, flavor: str, prime: int, lam0: int,
     evaluated), which keeps long words tractable; the result agrees with
     counting from the symbolic presentation.  The word is cut at `split`;
     by default at `_auto_split(b)`, and `split=0` is the whole word.  The
-    budget bounds the evaluations of the count at that cut.  The hat and
-    double-hat flavors fix (U, V); a u0 or v0 that disagrees is an error.
+    budget bounds the evaluations of the count at that cut.  (u0, v0) are
+    checked against the flavor by `_scalar_point`.
     """
-    fixed = {"hat": (0, 1), "doublehat": (0, 0)}.get(flavor)
-    if fixed:
-        if any(x not in (None, f) for x, f in zip((u0, v0), fixed)):
-            raise ValueError(f"the {flavor} flavor fixes (U, V) = {fixed}, "
-                             f"got u0={u0}, v0={v0}")
-        u0, v0 = fixed
-    else:
-        u0 = 1 if u0 is None else u0
-        v0 = 1 if v0 is None else v0
-        if flavor == "infinity" and (u0 % prime == 0 or v0 % prime == 0):
-            raise ValueError("infinity flavor needs invertible u0, v0")
+    u0, v0 = _scalar_point(flavor, prime, u0, v0)
     _check_point(prime, lam0, mu0)
     budget = _budget_from_env(budget)
     start = time.monotonic()
@@ -672,7 +664,7 @@ def augmentation_number(b: BraidWord, flavor: str, prime: int, lam0: int,
         split = _auto_split(b)
     rels, nvars, _ = packed_relations(b, flavor, prime, lam0, mu0, u0, v0,
                                       split=split, lam_override=lam_override)
-    return _count_packed(rels, nvars, prime, no_elim, budget, start)
+    return _count_packed(rels, nvars, prime, budget, start)
 
 
 # ---------------------------------------------------------------------------

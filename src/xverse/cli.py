@@ -109,7 +109,7 @@ def _cmd_aug_count(parser, args) -> int:
     b = _parse_braid_arg(args)
     res = augmentation_number(b, args.flavor, args.prime, args.lam, args.mu,
                               u0=args.u0, v0=args.v0, split=args.split,
-                              no_elim=args.no_elim, budget=args.budget)
+                              budget=args.budget)
     payload = {"count": res.count, "flavor": args.flavor,
                "prime": args.prime, "lam": args.lam, "mu": args.mu,
                "u0": args.u0, "v0": args.v0}
@@ -258,8 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", type=int, default=None,
                    help="cut position in the letter sequence; by default "
                         "the program picks it, and 0 counts the whole word")
-    p.add_argument("--no-elim", action="store_true",
-                   help="disable the linear pre-elimination pass")
     p.add_argument("--budget", type=_int_at_least(0), default=None)
 
     p = augsub.add_parser("poly", help="two-strand augmentation polynomial")

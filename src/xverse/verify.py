@@ -77,7 +77,9 @@ def _random_conjugation(b: BraidWord, rng: random.Random) -> tuple[BraidWord, st
 def _check_jobs(spec: CheckSpec) -> list[tuple]:
     """The check's (desc, left, right) pairs, in sample and grid order.
     Each side is a count query (b, flavor, p, l0, m0, u0, v0,
-    lam_override); right is None when the left count must be 0."""
+    lam_override), hashable, with a Lam override as a tuple of
+    (sign, L exponent, m exponent) tuples; right is None when the left
+    count must be 0."""
     if spec.check not in CHECKS:
         raise ValueError(f"unknown check {spec.check!r}; choose from {CHECKS}")
     if spec.samples < 1:
@@ -162,16 +164,9 @@ def _check_jobs(spec: CheckSpec) -> list[tuple]:
             for l0, m0 in ((g[0], g[1]) for g in spec.grid):
                 pair(f"override#{s} @({l0},{m0})",
                      (b, "hat", p, l0, m0, None, None, None),
-                     (b, "hat", p, l0, m0, None, None, entries))
+                     (b, "hat", p, l0, m0, None, None, tuple(entries)))
 
     return jobs
-
-
-def _query_key(query: tuple) -> tuple:
-    """A hashable key for a count query; equal keys give equal counts."""
-    b, flavor, p, l0, m0, u0, v0, override = query
-    return (b.letters, b.strands, flavor, p, l0, m0, u0, v0,
-            None if override is None else tuple(map(tuple, override)))
 
 
 def run_check(spec: CheckSpec, budget: int | None = None) -> CheckReport:
@@ -184,11 +179,9 @@ def run_check(spec: CheckSpec, budget: int | None = None) -> CheckReport:
     found: dict[tuple, int] = {}
     for _, left, right in jobs:
         for query in filter(None, (left, right)):
-            key = _query_key(query)
-            if key not in found:
-                found[key] = _count(query, budget)
-    cases = [(desc, found[_query_key(left)],
-              0 if right is None else found[_query_key(right)])
+            if query not in found:
+                found[query] = _count(query, budget)
+    cases = [(desc, found[left], 0 if right is None else found[right])
              for desc, left, right in jobs]
     cases.sort(key=lambda c: c[0])
     return CheckReport(passed=all(l == r for _, l, r in cases), cases=cases)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 import sympy
@@ -11,9 +12,9 @@ import xverse.augment
 from xverse.augment import (_BITS, _EMASK, DEFAULT_BUDGET, POLY_RING, PRIMES,
                             AugQuery, BudgetError, CommPoly,
                             EliminationError, _abelianize, _count_packed,
-                            _fold, _mono_mul, _normalized,
+                            _Counter, _fold, _normalized,
                             _packed_phi_matrices, _poly_mul,
-                            _single_linear_var,
+                            _single_linear_var, _variable_order,
                             augmentation_number,
                             augmentation_polynomial_index2,
                             count_augmentations,
@@ -81,12 +82,6 @@ def test_pruned_equals_exhaustive_small():
                     count_augmentations_exhaustive(q).count
 
 
-def test_no_elim_does_not_change_counts():
-    for b in (TREFOIL, FIG8):
-        base = augmentation_number(b, "hat", 3, 2, 1).count
-        assert augmentation_number(b, "hat", 3, 2, 1, no_elim=True).count == base
-
-
 def test_fast_construction_matches_symbolic():
     for b in (TREFOIL, FIG8, parse_braid("-1 -1 -1 -2 1 -2")):
         for flavor, u0, v0 in (("hat", 0, 1), ("minus", 1, 1),
@@ -133,12 +128,23 @@ TABLE_SEARCH = [
     ("-2 -3 -1 -2 4 3 4 3 2 1 2 1 2 1 4 3 4 3", (1, 1), 1, 68363),
 ]
 
+# the same for the five sample braids of the criterion-7 property suite,
+# which are short words: the counts are those of the whole word
+SAMPLE_SEARCH = [
+    ("1 1 1", (2, 1), 0, 28),
+    ("1 -2 1 -2", (2, 1), 1, 0),
+    ("-1 -1 -1", (2, 1), 1, 0),
+    ("1 1 1 2 -1 2", (2, 1), 0, 67),
+    ("-2 1 -2 1 1 1", (2, 1), 0, 89),
+]
+
 
 def test_table_search_is_pinned():
-    """Counts and evaluations of the 21 table braids are the recorded
-    ones, so a change to the search or to Phi extraction fails here."""
+    """Counts and evaluations of the 21 table braids and the five sample
+    braids are the recorded ones, so a change to the search, to the cut
+    or to Phi extraction fails here."""
     assert sum(e for _, _, _, e in TABLE_SEARCH) == 795_400
-    for text, (l0, m0), count, evals in TABLE_SEARCH:
+    for text, (l0, m0), count, evals in TABLE_SEARCH + SAMPLE_SEARCH:
         if text.startswith("reverse:"):
             b = braid_transform(parse_braid(text[len("reverse:"):]), "reverse")
         else:
@@ -244,13 +250,12 @@ def folded_pairs(draw):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(folded_pairs())
 def test_swar_product_matches_per_field_fold(case):
-    """The one-add product with its branch-free fold, alone and inlined in
-    _poly_mul, equals folding each field's sum on its own."""
+    """The one-add product with its branch-free fold, as _poly_mul runs
+    it, equals folding each field's sum on its own."""
     p, nvars, e1, e2 = case
     expected = _pack([_fold(a + b, p) for a, b in zip(e1, e2)])
     assert max(_unpack(expected, nvars)) <= p - 1
     k1, k2 = _pack(e1), _pack(e2)
-    assert _mono_mul(k1, k2, nvars, p) == expected
     assert _poly_mul({k1: 1}, {k2: 1}, nvars, p) == {expected: 1}
 
 
@@ -313,14 +318,15 @@ def _enumerate_solutions(rels, nvars, p):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(packed_systems())
 def test_dfs_count_matches_enumeration(case):
-    """The DFS count, with and without pre-elimination, equals plain
+    """The DFS count, after pre-elimination and on its own, equals plain
     enumeration, including the factor p per variable left in no relation."""
     p, nvars, rels = case
     expected = _enumerate_solutions(rels, nvars, p)
-    for no_elim in (False, True):
-        result = _count_packed([dict(r) for r in rels], nvars, p, no_elim,
-                               DEFAULT_BUDGET, 0.0)
-        assert result.count == expected
+    result = _count_packed([dict(r) for r in rels], nvars, p,
+                           DEFAULT_BUDGET, 0.0)
+    assert result.count == expected
+    counter = _Counter(p, _variable_order(rels, nvars), DEFAULT_BUDGET)
+    assert counter.count([dict(r) for r in rels], counter.ones) == expected
 
 
 def _override_for(b):
@@ -407,10 +413,25 @@ def test_input_validation():
         augmentation_number(TREFOIL, "hat", 3, 1, 1).count
 
 
+def test_count_augmentations_checks_the_scalar_point():
+    """The reference count refuses the (u0, v0) that augmentation_number
+    refuses, with the same message, instead of ignoring or dividing by
+    it."""
+    for flavor, u0, v0 in (("hat", 2, 1), ("doublehat", 0, 1),
+                           ("infinity", 3, 1), ("infinity", 1, 0)):
+        with pytest.raises(ValueError) as want:
+            augmentation_number(TREFOIL, flavor, 3, 1, 1, u0=u0, v0=v0)
+        q = AugQuery(ht0_relations(TREFOIL, flavor), 3, 1, 1, u0, v0)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            count_augmentations(q)
+        with pytest.raises(ValueError):
+            count_augmentations_exhaustive(q)
+
+
 def test_budget_error():
     b = parse_braid("3 3 -2 3 2 -1 2 1 1")
     with pytest.raises(BudgetError) as exc:
-        augmentation_number(b, "hat", 3, 2, 1, no_elim=True, budget=50)
+        augmentation_number(b, "hat", 3, 2, 1, budget=50)
     assert exc.value.budget == 50
     assert exc.value.tested > 50
 
@@ -451,7 +472,7 @@ def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("XVERSE_BUDGET", "40")
     b = parse_braid("3 3 -2 3 2 -1 2 1 1")
     with pytest.raises(BudgetError):
-        augmentation_number(b, "hat", 3, 2, 1, no_elim=True)
+        augmentation_number(b, "hat", 3, 2, 1)
 
 
 def test_packed_relations_shape():

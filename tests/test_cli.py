@@ -68,8 +68,7 @@ def test_aug_count_byte_identical(capsys):
 def test_aug_count_budget_exit_code(capsys):
     code, out, err = run(capsys, "aug", "count", "--braid",
                          "3 3 -2 3 2 -1 2 1 1", "--prime", "3",
-                         "--lam", "2", "--mu", "1", "--no-elim",
-                         "--budget", "50")
+                         "--lam", "2", "--mu", "1", "--budget", "50")
     assert code == 3
     assert err.count("budget exceeded") == 1
     assert out == ""
@@ -168,6 +167,8 @@ def test_usage_errors_exit_2(capsys):
                   "--lam", "1", "--mu", "1", "--budget", "-1"],
                  ["aug", "count", "--braid", "1", "--prime", "3",
                   "--lam", "1", "--mu", "1", "--threads", "2"],
+                 ["aug", "count", "--braid", "1", "--prime", "3",
+                  "--lam", "1", "--mu", "1", "--no-elim"],
                  ["aug", "poly", "--braid", "1 1 1", "--budget", "5"],
                  ["ht0", "--braid", "1 1 1", "--split", "7"],
                  ["table", "--prime", "5"],
@@ -219,12 +220,12 @@ def test_zero_grid_point_rejected_before_counting(monkeypatch, capsys):
 def test_verify_budget_exit_code(capsys):
     """The first count over the budget stops the check with exit 3 and
     one message."""
-    code, out, err = run(capsys, "verify", "--braid", "1 -2 1 -2",
+    code, out, err = run(capsys, "verify", "--braid", "1 1 1",
                          "--check", "conjugation", "--seed", "0",
                          "--budget", "1")
     assert code == 3
     assert out == ""
-    assert err == "budget exceeded: 8 > 1 incremental evaluations\n"
+    assert err == "budget exceeded: 3 > 1 incremental evaluations\n"
 
 
 @pytest.mark.parametrize("value", ["-1", "abc"])
