@@ -27,10 +27,13 @@ where only the Phi matrices are built by a packed extractor of their own,
 `_packed_phi_matrices`.  Phi does not depend on the scalars, so it is
 cached per (braid word, prime) and shared, read only, by every build on
 that word.  `augmentation_number` cuts the word at its middle
-(`_auto_split`) unless told a cut.  The count runs a linear pre-elimination
-pass, then one depth-first search: a variable forced by a single-variable
-relation is a branch with one value, and a branch dies as soon as a
-relation becomes a nonzero constant.
+(`_auto_split`) unless told a cut.  The count is one depth-first search
+over every nonzero relation: a variable forced by a single-variable
+relation is a branch with one value, a branch rewrites only the
+relations that hold its variable and passes the others on as they are,
+and a branch dies as soon as a relation becomes a nonzero constant.  The
+budget counts the terms the search rewrites, so it covers all counting
+work after the relations are built.
 
 Polynomial: for a 2-braid knot the infinity-flavor presentation reduces
 to polynomials in the single variable x = a12 over the Laurent scalars;
@@ -289,13 +292,18 @@ class _Counter:
         Branches on the first variable that a single-variable relation
         forces to one root, with that one value, else on the first live
         variable of the static order, with every value; variables of rem
-        that no relation uses are free."""
+        that no relation uses are free.  Only the relations that hold the
+        branch variable are rewritten (and charged to the budget); the
+        others pass to the child as they are, in their place."""
         p = self.p
-        support = branch = 0
+        masks = []
         for rel in rels:
             keys = 0
             for k in rel:
                 keys |= k
+            masks.append(keys)
+        support = branch = 0
+        for rel, keys in zip(rels, masks):
             live = _fields(keys, self.ones) & rem
             if not live:
                 if keys:
@@ -318,10 +326,14 @@ class _Counter:
             branch = next(bit for bit in self.order if live & bit)
             values = range(p)
         sh = branch.bit_length() - 1
+        field = _EMASK << sh
         total = 0
         for a in values:
             new_rels = []
-            for rel in rels:
+            for rel, keys in zip(rels, masks):
+                if not keys & field:
+                    new_rels.append(rel)
+                    continue
                 nr = self._subst_value(rel, sh, a)
                 if nr:
                     if len(nr) == 1 and 0 in nr:
@@ -408,57 +420,12 @@ def _prepare(q: AugQuery) -> tuple[list[dict[int, int]], int]:
     return [r for r in rels if r], len(variables)
 
 
-def _pre_eliminate(rels: list[dict[int, int]], nvars: int, p: int
-                   ) -> tuple[list[dict[int, int]], int] | None:
-    """Substitute out variables appearing in some relation only as a bare
-    linear monomial with nonzero coefficient.  Returns the relations left
-    and the mask of the eliminated variables, or None when a relation
-    becomes a nonzero constant (no solutions)."""
-    ones = _ones(nvars)
-    eliminated = 0
-    changed = True
-    while changed:
-        changed = False
-        for ri, rel in enumerate(rels):
-            # variables in more than one term of rel
-            seen = repeated = 0
-            for k in rel:
-                nz = _fields(k, ones)
-                repeated |= seen & nz
-                seen |= nz
-            for k, c in rel.items():
-                v = _single_linear_var(k)
-                if v is not None and not k & (eliminated | repeated):
-                    break
-            else:
-                continue
-            inv = pow(c, -1, p)
-            expr = {kk: (-inv * cc) % p for kk, cc in rel.items() if kk != k}
-            new_rels = []
-            for rj, other in enumerate(rels):
-                if rj == ri:
-                    continue
-                nr = _subst_many(other, {v: expr}, nvars, p)
-                if nr:
-                    if len(nr) == 1 and 0 in nr:
-                        return None
-                    new_rels.append(nr)
-            rels = new_rels
-            eliminated |= k
-            changed = True
-            break
-    return rels, eliminated
-
-
 def _count_packed(rels: list[dict[int, int]], nvars: int, prime: int,
                   budget: int, start: float) -> AugResult:
-    """Count the solutions of rels within the resolved budget."""
-    out = _pre_eliminate(rels, nvars, prime)
-    if out is None:
-        return AugResult(0, 0, time.monotonic() - start)
-    rels, eliminated = out
+    """Count the solutions of rels, every variable live, by one search
+    whose rewritten terms are charged to the resolved budget."""
     counter = _Counter(prime, _variable_order(rels, nvars), budget)
-    count = counter.count(rels, counter.ones & ~eliminated)
+    count = counter.count(rels, counter.ones)
     return AugResult(count, counter.tested, time.monotonic() - start)
 
 
@@ -519,8 +486,9 @@ class _PackedPoly:
     """A packed F_p polynomial as a matrix entry for `cd_relations`.
 
     Sums and products keep the key order of the dict arithmetic above, so
-    the relations come out in the order pre-elimination expects.  A
-    constant factor only scales the other factor's coefficients."""
+    the relations and their terms come out in a fixed order, which fixes
+    the search's static variable order and its evaluations.  A constant
+    factor only scales the other factor's coefficients."""
 
     __slots__ = ("terms", "nvars", "p")
 
@@ -637,9 +605,9 @@ def packed_relations(b: BraidWord, flavor: str, prime: int, lam0: int,
 
 def _auto_split(b: BraidWord) -> int:
     """The cut `augmentation_number` takes by default: the middle of the
-    word, where the factor matrices stay small and the relations sparse
-    enough for pre-elimination to bite.  By the chain rule for PhiL and
-    PhiR every cut gives the same count."""
+    word, where the factor matrices stay small and the relations sparse,
+    so the search has fewer terms to rewrite.  By the chain rule for PhiL
+    and PhiR every cut gives the same count."""
     return len(b.letters) // 2
 
 

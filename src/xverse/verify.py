@@ -10,13 +10,14 @@ infinity count is invariant under the alpha-rescaling of all four
 scalars, and the count depends on the diagonal scaling matrix only
 through its determinant.
 
-`run_check` counts each distinct query of a check once, serially in
-order of first appearance, and reuses the count for every pair that asks
-it; the memo lives for one call only.  The budget bounds each count on
-its own, so the first count over it stops the check.  Every count, here
-and in the table, is cut where `augment.augmentation_number` cuts it by
-default.  The packed Phi matrices behind the counts are cached per (braid
-word, prime) in `augment`.
+`run_check` checks every grid point against the check's flavor, then
+counts each distinct query of the check once, serially in order of first
+appearance, and reuses the count for every pair that asks it; the memo
+lives for one call only.  The budget bounds each count on its own, so
+the first count over it stops the check.  Every count, here and in the
+table, is cut where `augment.augmentation_number` cuts it by default.
+The packed Phi matrices behind the counts are cached per (braid word,
+prime) in `augment`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .augment import BudgetError, _budget_from_env, augmentation_number
+from .augment import (BudgetError, _budget_from_env, _check_point,
+                      _scalar_point, augmentation_number)
 # re-exported only for the pinned acceptance tests, which import it from here
 from .augment import _auto_split  # noqa: F401
 from .braid import BraidWord, braid_stats, braid_transform, markov_move
@@ -32,6 +34,7 @@ from .ncpoly import pow_mod
 
 CHECKS = ("conjugation", "stab_pos", "stab_neg_infinity", "mirror",
           "op_swap", "rescale", "doublehat_stab", "lam_override")
+INFINITY_CHECKS = ("stab_neg_infinity", "op_swap", "rescale")
 
 
 @dataclass
@@ -57,13 +60,25 @@ def _count(query: tuple, budget: int | None) -> int:
                                lam_override=lam_override, budget=budget).count
 
 
-def _point4(point):
-    """Fill a grid point up to (lam0, mu0, u0, v0) for the infinity flavor."""
-    if len(point) == 2:
-        return (point[0], point[1], 1, 1)
-    if len(point) == 4:
-        return tuple(point)
-    raise ValueError(f"grid point needs 2 or 4 entries, got {point}")
+def _grid_points(spec: CheckSpec) -> list[tuple]:
+    """The grid as the check's flavor takes it, every point checked before
+    any count runs: (lam0, mu0) for a hat or double-hat check, whose
+    flavor fixes (U, V), and (lam0, mu0, u0, v0) with u0, v0 invertible
+    and 1 unless given for an infinity check."""
+    infinity = spec.check in INFINITY_CHECKS
+    points = []
+    for point in spec.grid:
+        if len(point) not in (2, 4):
+            raise ValueError(f"grid point needs 2 or 4 entries, got {point}")
+        if len(point) == 4 and not infinity:
+            raise ValueError(f"the {spec.check} check fixes (U, V): a grid "
+                             f"point is (lam0, mu0), got {point}")
+        _check_point(spec.prime, point[0], point[1])
+        if infinity:
+            point = (*point, 1, 1)[:4]
+            _scalar_point("infinity", spec.prime, point[2], point[3])
+        points.append(tuple(point))
+    return points
 
 
 def _random_conjugation(b: BraidWord, rng: random.Random) -> tuple[BraidWord, str]:
@@ -84,6 +99,7 @@ def _check_jobs(spec: CheckSpec) -> list[tuple]:
         raise ValueError(f"unknown check {spec.check!r}; choose from {CHECKS}")
     if spec.samples < 1:
         raise ValueError("samples must be >= 1")
+    points = _grid_points(spec)
     rng = random.Random(spec.seed)
     b = spec.braid
     p = spec.prime
@@ -98,7 +114,7 @@ def _check_jobs(spec: CheckSpec) -> list[tuple]:
             if spec.check == "stab_pos":
                 moved = markov_move(moved, "stab_pos")
                 desc += "+stab_pos"
-            for l0, m0 in ((g[0], g[1]) for g in spec.grid):
+            for l0, m0 in points:
                 pair(f"{desc} @({l0},{m0})",
                      (b, "hat", p, l0, m0, None, None, None),
                      (moved, "hat", p, l0, m0, None, None, None))
@@ -107,20 +123,18 @@ def _check_jobs(spec: CheckSpec) -> list[tuple]:
             moved, desc = _random_conjugation(b, rng)
             moved = markov_move(moved, "stab_neg")
             desc += "+stab_neg"
-            for g in spec.grid:
-                l0, m0, u0, v0 = _point4(g)
+            for l0, m0, u0, v0 in points:
                 pair(f"{desc} @({l0},{m0},{u0},{v0})",
                      (b, "infinity", p, l0, m0, u0, v0, None),
                      (moved, "infinity", p, l0, m0, u0, v0, None))
     elif spec.check == "mirror":
         rev = braid_transform(b, "reverse")
-        for l0, m0 in ((g[0], g[1]) for g in spec.grid):
+        for l0, m0 in points:
             pair(f"reverse @({l0},{m0})",
                  (b, "hat", p, l0, m0, None, None, None),
                  (rev, "hat", p, l0, m0, None, None, None))
     elif spec.check == "op_swap":
-        for g in spec.grid:
-            l0, m0, u0, v0 = _point4(g)
+        for l0, m0, u0, v0 in points:
             li, mi = pow_mod(l0, -1, p), pow_mod(m0, -1, p)
             pair(f"swap @({l0},{m0},{u0},{v0})",
                  (b, "infinity", p, l0, m0, u0, v0, None),
@@ -129,8 +143,7 @@ def _check_jobs(spec: CheckSpec) -> list[tuple]:
         sl = braid_stats(b).self_linking
         for s in range(spec.samples):
             alpha = rng.randrange(1, p)
-            for g in spec.grid:
-                l0, m0, u0, v0 = _point4(g)
+            for l0, m0, u0, v0 in points:
                 ai = pow_mod(alpha, -1, p)
                 l1 = l0 * pow_mod(alpha, -sl, p) % p
                 pair(f"alpha={alpha} @({l0},{m0},{u0},{v0})",
@@ -141,7 +154,7 @@ def _check_jobs(spec: CheckSpec) -> list[tuple]:
         for s in range(spec.samples):
             moved, desc = _random_conjugation(b, rng)
             moved = markov_move(moved, "stab_neg")
-            for l0, m0 in ((g[0], g[1]) for g in spec.grid):
+            for l0, m0 in points:
                 pair(f"{desc}+stab_neg @({l0},{m0})",
                      (moved, "doublehat", p, l0, m0, None, None, None),
                      None)
@@ -161,7 +174,7 @@ def _check_jobs(spec: CheckSpec) -> list[tuple]:
                 lsum += le
                 msum += me
             entries.append((csign, 1 - lsum, -w - msum))
-            for l0, m0 in ((g[0], g[1]) for g in spec.grid):
+            for l0, m0 in points:
                 pair(f"override#{s} @({l0},{m0})",
                      (b, "hat", p, l0, m0, None, None, None),
                      (b, "hat", p, l0, m0, None, None, tuple(entries)))

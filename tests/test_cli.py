@@ -197,7 +197,11 @@ def test_usage_errors_exit_2(capsys):
                   "--lam", "1", "--mu", "1", "--flavor", "doublehat",
                   "--v0", "1"],
                  ["check", "lemma29", "--braid", "1 -2 1 -2",
-                  "--flavor", "hat"]):
+                  "--flavor", "hat"],
+                 ["verify", "--braid", "1 1 1", "--check", "conjugation",
+                  "--grid", "2,1,2,2", "--seed", "0"],
+                 ["verify", "--braid", "1 1 1", "--check", "op_swap",
+                  "--grid", "1,1,1,1;2,1,3,1", "--seed", "0"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
@@ -215,6 +219,25 @@ def test_zero_grid_point_rejected_before_counting(monkeypatch, capsys):
     assert exc.value.code == 2
     assert "lam0 and mu0 must be nonzero in the field" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check, grid, message", [
+    ("conjugation", "2,1,2,2", "the conjugation check fixes (U, V)"),
+    ("op_swap", "1,1,1,1;2,1,3,1", "infinity flavor needs invertible u0, v0"),
+])
+def test_off_flavor_grid_point_rejected_before_counting(monkeypatch, capsys,
+                                                        check, grid, message):
+    """A hat check refuses a point that sets (U, V), and an infinity check
+    a point with u0 or v0 zero in the field, before the first count."""
+    def never(*args, **kwargs):
+        raise AssertionError("counted before the grid was checked")
+
+    monkeypatch.setattr("xverse.verify.augmentation_number", never)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--braid", "1 1 1", "--check", check, "--grid", grid,
+              "--seed", "0"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_verify_budget_exit_code(capsys):
