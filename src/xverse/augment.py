@@ -28,12 +28,13 @@ where only the Phi matrices are built by a packed extractor of their own,
 cached per (braid word, prime) and shared, read only, by every build on
 that word.  `augmentation_number` cuts the word at its middle
 (`_auto_split`) unless told a cut.  The count is one depth-first search
-over every nonzero relation: a variable forced by a single-variable
-relation is a branch with one value, a branch rewrites only the
-relations that hold its variable and passes the others on as they are,
-and a branch dies as soon as a relation becomes a nonzero constant.  The
-budget counts the terms the search rewrites, so it covers all counting
-work after the relations are built.
+over every nonzero relation.  Each node branches on the lowest live
+variable of the first relation with the fewest live variables, with only
+that relation's roots when it has one live variable.  A branch rewrites
+only the relations that hold its variable and passes the others on as
+they are, and dies as soon as a relation becomes a nonzero constant.
+The budget counts the terms the search rewrites, so it covers all
+counting work after the relations are built.
 
 Polynomial: for a 2-braid knot the infinity-flavor presentation reduces
 to polynomials in the single variable x = a12 over the Laurent scalars;
@@ -242,10 +243,9 @@ class _Counter:
     """DFS state: relations are lists of packed dicts; a set of variables
     is a mask with bit 4v set for each variable v in it."""
 
-    def __init__(self, p: int, order: list[int], budget: int):
+    def __init__(self, p: int, nvars: int, budget: int):
         self.p = p
-        self.order = [1 << (_BITS * v) for v in order]
-        self.ones = sum(self.order)  # order holds every variable
+        self.ones = _ones(nvars)
         self.budget = budget
         self.tested = 0
         self.pows = {a: [pow(a, e, p) if e else 1 for e in range(7)]
@@ -289,43 +289,36 @@ class _Counter:
     def count(self, rels: list[dict[int, int]], rem: int) -> int:
         """Solutions of rels in the variables of the mask rem.
 
-        Branches on the first variable that a single-variable relation
-        forces to one root, with that one value, else on the first live
-        variable of the static order, with every value; variables of rem
-        that no relation uses are free.  Only the relations that hold the
-        branch variable are rewritten (and charged to the budget); the
-        others pass to the child as they are, in their place."""
+        Branches fail-first (Haralick and Elliott 1980) on the lowest live
+        variable of the first relation with the fewest live variables:
+        with only its roots when that relation has one live variable (none
+        ends the branch), else with every value.  Variables of rem that no
+        relation uses are free.  Only the relations that hold the branch
+        variable are rewritten (and charged to the budget); the others
+        pass to the child as they are, in their place."""
         p = self.p
         masks = []
+        support = 0
+        fewest = rem.bit_count() + 1
         for rel in rels:
             keys = 0
             for k in rel:
                 keys |= k
-            masks.append(keys)
-        support = branch = 0
-        for rel, keys in zip(rels, masks):
             live = _fields(keys, self.ones) & rem
             if not live:
                 if keys:
                     raise AssertionError("stale variable in relation")
                 return 0  # nonzero constant
-            if not live & (live - 1):
-                sols = self._single_var_solutions(rel, live.bit_length() - 1)
-                if not sols:
-                    return 0
-                if len(sols) == 1:
-                    branch, values = live, sols
-                    break
+            if live.bit_count() < fewest:
+                fewest, smallest, branch = live.bit_count(), rel, live & -live
+            masks.append(keys)
             support |= keys
-        if branch:
-            live = rem  # forcing splits off no free variables
-        elif not rels:
+        if not rels:
             return p ** rem.bit_count()
-        else:
-            live = _fields(support, self.ones) & rem
-            branch = next(bit for bit in self.order if live & bit)
-            values = range(p)
         sh = branch.bit_length() - 1
+        values = (self._single_var_solutions(smallest, sh)
+                  if fewest == 1 else range(p))
+        live = _fields(support, self.ones) & rem
         field = _EMASK << sh
         total = 0
         for a in values:
@@ -342,44 +335,6 @@ class _Counter:
             else:
                 total += self.count(new_rels, live ^ branch)
         return total * p ** (rem & ~live).bit_count()
-
-
-def _variable_order(rels: list[dict[int, int]], nvars: int) -> list[int]:
-    """Static branching order: repeatedly take the variables of the
-    relation with the smallest remaining support, most frequent first."""
-    ones = _ones(nvars)
-    freq = [0] * nvars
-    supports = []
-    for rel in rels:
-        # keys per support, supports in order of first appearance
-        shapes: dict[int, int] = {}
-        for k in rel:
-            nz = _fields(k, ones)
-            shapes[nz] = shapes.get(nz, 0) + 1
-        s = set()
-        for nz, n in shapes.items():
-            while nz:
-                low = nz & -nz
-                i = low.bit_length() // _BITS
-                s.add(i)
-                freq[i] += n
-                nz ^= low
-        supports.append(s)
-    order: list[int] = []
-    placed: set[int] = set()
-    pending = [set(s) for s in supports]
-    while True:
-        live = [s - placed for s in pending if s - placed]
-        if not live:
-            break
-        smallest = min(live, key=len)
-        for v in sorted(smallest, key=lambda v: -freq[v]):
-            order.append(v)
-            placed.add(v)
-    for v in range(nvars):
-        if v not in placed:
-            order.append(v)
-    return order
 
 
 def _check_point(prime: int, lam0: int, mu0: int) -> None:
@@ -424,7 +379,7 @@ def _count_packed(rels: list[dict[int, int]], nvars: int, prime: int,
                   budget: int, start: float) -> AugResult:
     """Count the solutions of rels, every variable live, by one search
     whose rewritten terms are charged to the resolved budget."""
-    counter = _Counter(prime, _variable_order(rels, nvars), budget)
+    counter = _Counter(prime, nvars, budget)
     count = counter.count(rels, counter.ones)
     return AugResult(count, counter.tested, time.monotonic() - start)
 
@@ -486,9 +441,10 @@ class _PackedPoly:
     """A packed F_p polynomial as a matrix entry for `cd_relations`.
 
     Sums and products keep the key order of the dict arithmetic above, so
-    the relations and their terms come out in a fixed order, which fixes
-    the search's static variable order and its evaluations.  A constant
-    factor only scales the other factor's coefficients."""
+    the relations and their terms come out in a fixed order.  The order
+    of the relations breaks the search's ties and so fixes its
+    evaluations; the order of terms does not.  A constant factor only
+    scales the other factor's coefficients."""
 
     __slots__ = ("terms", "nvars", "p")
 
