@@ -23,11 +23,11 @@ field of s reached p.  The nonzero fields of a key k are the 1s of
 The relations come from one construction, `ht0.cd_relations`, run over
 two entry types: symbolic `NCPoly` entries abelianized afterwards
 (`count_augmentations`), or packed entries throughout (`packed_relations`),
-where only the Phi matrices are built by a packed extractor of their own,
-`_packed_phi_matrices`.  Phi does not depend on the scalars, so it is
-cached per (braid word, prime) and shared, read only, by every build on
-that word.  `augmentation_number` cuts the word at its middle
-(`_auto_split`) unless told a cut.  The count is one depth-first search
+where the Phi matrices are `phi.phi_matrices`' chain-rule loop over
+packed entries, `_packed_phi_matrices`.  Phi does not depend on the
+scalars, so it is cached per (braid word, prime) and shared, read only,
+by every build on that word.  `augmentation_number` cuts the word at its
+middle (`_auto_split`) unless told a cut.  The count is one depth-first search
 over every nonzero relation.  Each node branches on the lowest live
 variable of the first relation with the fewest live variables, with only
 that relation's roots when it has one live variable.  A branch rewrites
@@ -62,8 +62,8 @@ from sympy.printing.str import StrPrinter
 from .braid import BraidWord, braid_stats
 from .ht0 import (Ht0Presentation, a_variables, cd_relations, ht0_relations,
                   reduced_relations)
-from .ncpoly import GenMatrix, Generator, NCPoly, gen, pow_mod
-from .phi import sigma_images
+from .ncpoly import GenMatrix, Generator, NCPoly, pow_mod
+from .phi import phi_matrices, sigma_images
 
 PRIMES = (2, 3, 5, 7)
 DEFAULT_BUDGET = 10 ** 8
@@ -195,48 +195,11 @@ def _poly_mul(a: dict[int, int], b: dict[int, int], nvars: int, p: int) -> dict[
 
 
 def _poly_pow(a: dict[int, int], e: int, nvars: int, p: int) -> dict[int, int]:
-    out = {0: 1}
-    for _ in range(e):
+    """a^e for e >= 1; a itself when e is 1."""
+    out = a
+    for _ in range(e - 1):
         out = _poly_mul(out, a, nvars, p)
     return out
-
-
-def _subst_many(poly: dict[int, int], images: dict[int, dict[int, int]],
-                nvars: int, p: int) -> dict[int, int]:
-    """Replace each variable v by the polynomial images[v], all at once."""
-    out: dict[int, int] = {}
-    powcache: dict[tuple[int, int], dict[int, int]] = {}
-    touched = 0
-    for v in images:
-        touched |= _EMASK << (_BITS * v)
-    for key, c in poly.items():
-        if not key & touched:
-            c2 = (out.get(key, 0) + c) % p
-            if c2:
-                out[key] = c2
-            elif key in out:
-                del out[key]
-            continue
-        prod = None
-        for v, img in images.items():
-            e = (key >> (_BITS * v)) & _EMASK
-            if not e:
-                continue
-            f = powcache.get((v, e))
-            if f is None:
-                f = _poly_pow(img, e, nvars, p)
-                powcache[(v, e)] = f
-            prod = f if prod is None else _poly_mul(prod, f, nvars, p)
-        _mul_add(out, key & ~touched, c, prod, nvars, p)
-    return out
-
-
-def _single_linear_var(key: int) -> int | None:
-    """The index of x if key is x^1 (a power of 16), else None."""
-    top = key.bit_length() - 1
-    if key and not key & (key - 1) and not top % _BITS:
-        return top // _BITS
-    return None
 
 
 class _Counter:
@@ -438,7 +401,8 @@ def count_augmentations_exhaustive(q: AugQuery) -> AugResult:
 
 
 class _PackedPoly:
-    """A packed F_p polynomial as a matrix entry for `cd_relations`.
+    """A packed F_p polynomial as a matrix entry for `cd_relations` and
+    `phi.phi_matrices`.
 
     Sums and products keep the key order of the dict arithmetic above, so
     the relations and their terms come out in a fixed order.  The order
@@ -473,6 +437,41 @@ class _PackedPoly:
     def __sub__(self, other: "_PackedPoly") -> "_PackedPoly":
         return self._combine(other, -1)
 
+    def __neg__(self) -> "_PackedPoly":
+        return _PackedPoly({k: self.p - c for k, c in self.terms.items()},
+                           self.nvars, self.p)
+
+    def substitute(self, subst: tuple[int, dict[int, dict[int, int]]]
+                   ) -> "_PackedPoly":
+        """Replace each variable v by the polynomial images[v], all at
+        once, for subst = (touched, images) with touched the mask of the
+        fields of those variables; self when no term holds one."""
+        nvars, p = self.nvars, self.p
+        touched, images = subst
+        if not any(key & touched for key in self.terms):
+            return self
+        out: dict[int, int] = {}
+        powcache: dict[tuple[int, int], dict[int, int]] = {}
+        for key, c in self.terms.items():
+            if not key & touched:
+                c2 = (out.get(key, 0) + c) % p
+                if c2:
+                    out[key] = c2
+                elif key in out:
+                    del out[key]
+                continue
+            prod = None
+            for v, img in images.items():
+                e = (key >> (_BITS * v)) & _EMASK
+                if not e:
+                    continue
+                f = powcache.get((v, e))
+                if f is None:
+                    f = powcache[(v, e)] = _poly_pow(img, e, nvars, p)
+                prod = f if prod is None else _poly_mul(prod, f, nvars, p)
+            _mul_add(out, key & ~touched, c, prod, nvars, p)
+        return _PackedPoly(out, nvars, p)
+
     def __mul__(self, other: "_PackedPoly") -> "_PackedPoly":
         a, b, p = self.terms, other.terms, self.p
         if len(b) == 1 and 0 in b:
@@ -486,57 +485,40 @@ class _PackedPoly:
 
 
 @functools.lru_cache(maxsize=None)
-def _packed_sigma_images(n: int, p: int):
-    """images[(k, inverse)] as packed substitution maps on n + 1 strands,
-    read only; cached because they cost as much as the rest of a small
-    build.  The n-strand variables come first, in `a_variables(n)` order,
-    then the marked a_{l,n+1} and then the marked a_{n+1,l}, l = 1..n."""
-    marked = ([gen("a", ell, n + 1) for ell in range(1, n + 1)]
-              + [gen("a", n + 1, ell) for ell in range(1, n + 1)])
-    var_index = {g: i for i, g in enumerate(a_variables(n) + marked)}
+def _packed_sigma_images(n: int, p: int) -> dict[int, tuple[int, dict]]:
+    """The sigma images of every letter on n strands as packed
+    substitution maps, (touched, images) for `_PackedPoly.substitute`,
+    with variable v at its place in `a_variables(n)`.  Read only, and
+    cached because they cost as much as the rest of a small build."""
+    var_index = {g: i for i, g in enumerate(a_variables(n))}
     maps = {}
-    for k in range(1, n + 1):
-        for inverse in (False, True):
-            imgs = sigma_images(k, n + 1, inverse)
-            maps[(k, inverse)] = {
-                var_index[g]: _abelianize(img, var_index, p, (1, 1, 1, 1))
-                for g, img in imgs.items()}
+    for k in range(1, n):
+        for letter in (k, -k):
+            images = {var_index[g]: _abelianize(img, var_index, p, (1, 1, 1, 1))
+                      for g, img in sigma_images(k, n, letter < 0).items()}
+            touched = sum(_EMASK << (_BITS * v) for v in images)
+            maps[letter] = (touched, images)
     return maps
 
 
 @functools.lru_cache(maxsize=_PHI_CACHE_SIZE)
 def _packed_phi_matrices(b: BraidWord, p: int) -> tuple[GenMatrix, GenMatrix]:
-    """PhiL, PhiR over the base variable universe, entries packed.
-
-    Phi_b(a_{i,n+1}) = sum_l (PhiL)_{il} a_{l,n+1} and Phi_b(a_{n+1,i}) =
-    sum_l a_{n+1,l} (PhiR)_{li} on n + 1 strands.  In the variable order of
-    `_packed_sigma_images` a term's marked variable is the key above the
-    base fields and its entry key is the base fields themselves.
+    """PhiL, PhiR with packed entries: `phi_matrices`' chain-rule loop over
+    `_PackedPoly` entries and `_packed_sigma_images`.
 
     Phi depends only on the word and the prime (the scalars enter later,
-    through `lift`), so it is cached per (word, prime).  The matrices are
-    shared and read only: `cd_relations` only combines them with `@` and
-    `-`, which build new entries and new dicts."""
+    in `packed_relations`), so it is cached per (word, prime).  The
+    matrices are shared and read only: `cd_relations` only combines them
+    with `@` and `-`, which build new entries and new dicts."""
     n = b.strands
-    nvars = n * (n - 1)
-    base = (1 << (_BITS * nvars)) - 1
-    maps = _packed_sigma_images(n, p)
-    phi = ([[{} for _ in range(n)] for _ in range(n)],
-           [[{} for _ in range(n)] for _ in range(n)])
-    for side in (0, 1):
-        for i in range(n):
-            img = {1 << (_BITS * (nvars + side * n + i)): 1}
-            for letter in reversed(b.letters):
-                img = _subst_many(img, maps[(abs(letter), letter < 0)],
-                                  nvars + 2 * n, p)
-            for key, c in img.items():
-                j = _single_linear_var(key >> (_BITS * nvars))
-                if j is None or j // n != side:
-                    raise RuntimeError("malformed extra-strand image")
-                row, col = (i, j % n) if side == 0 else (j % n, i)
-                phi[side][row][col][key & base] = c
-    return tuple(GenMatrix(n, [[_PackedPoly(e, nvars, p) for e in row]
-                               for row in rows]) for rows in phi)
+    variables = a_variables(n)
+    var_index = {g: i for i, g in enumerate(variables)}
+
+    def lift(e: NCPoly) -> _PackedPoly:
+        return _PackedPoly(_abelianize(e, var_index, p, (1, 1, 1, 1)),
+                           len(variables), p)
+
+    return phi_matrices(b, lift, _packed_sigma_images(n, p))
 
 
 def packed_relations(b: BraidWord, flavor: str, prime: int, lam0: int,

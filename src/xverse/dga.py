@@ -75,34 +75,21 @@ class StructuredMatrices(Degree0Matrices):
 
 
 def _diag_override(entries, n: int, writhe: int) -> tuple[GenMatrix, GenMatrix]:
-    """Validate a Lam override: unit monomials in L, m whose product is
-    L m^-w, and return (Lam, LamInv)."""
+    """Validate a Lam override, n (sign, L exponent, m exponent) tuples:
+    units +-L^a m^b whose product is L m^-w.  Returns (Lam, LamInv)."""
     if len(entries) != n:
         raise DgaError(f"Lam override needs {n} entries")
-    polys = []
+    lam, inv = [], []
     det = (1, 0, 0)  # coeff sign, L exp, m exp
-    for e in entries:
-        if isinstance(e, NCPoly):
-            p = e
-        else:
-            coeff, lexp, mexp = e
-            p = NCPoly.scalar(coeff, lam=lexp, mu=mexp)
-        terms = list(p.terms.items())
-        if len(terms) != 1:
-            raise DgaError("Lam override entries must be unit monomials")
-        (word, base), coeff = terms[0]
-        if word or coeff not in (1, -1) or base[2] or base[3]:
+    for coeff, lexp, mexp in entries:
+        if coeff not in (1, -1):
             raise DgaError("Lam override entries must be unit monomials in L, m")
-        det = (det[0] * coeff, det[1] + base[0], det[2] + base[1])
-        polys.append(p)
+        det = (det[0] * coeff, det[1] + lexp, det[2] + mexp)
+        lam.append(NCPoly.scalar(coeff, lam=lexp, mu=mexp))
+        inv.append(NCPoly.scalar(coeff, lam=-lexp, mu=-mexp))
     if det != (1, 1, -writhe):
         raise DgaError("det Lam mismatch")
-    lam = GenMatrix.diagonal(polys)
-    inv = []
-    for p in polys:
-        (word, base), coeff = next(iter(p.terms.items()))
-        inv.append(NCPoly.scalar(coeff, lam=-base[0], mu=-base[1]))
-    return lam, GenMatrix.diagonal(inv)
+    return GenMatrix.diagonal(lam), GenMatrix.diagonal(inv)
 
 
 def _triangles(n: int, family: str, diag: NCPoly) -> tuple[GenMatrix, GenMatrix]:
@@ -187,18 +174,17 @@ def _all_indices(n):
     return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
 
 
-def _assemble(b: BraidWord, flavor: str, lam_override, matrices,
-              blocks) -> DgaPresentation:
+def _assemble(b: BraidWord, flavor: str, matrices, blocks) -> DgaPresentation:
     """Check the flavor and that b closes to a knot, build its matrices
-    (`matrices(b, lam_override)`) and Phi, and list the generators and
-    differentials that `blocks(m, phi_l, phi_r)` yields as (family,
-    differential matrix, positions), specialized to the flavor."""
+    (`matrices(b)`) and Phi, and list the generators and differentials
+    that `blocks(m, phi_l, phi_r)` yields as (family, differential matrix,
+    positions), specialized to the flavor."""
     if flavor not in FLAVORS:
         raise DgaError(f"unknown flavor {flavor!r}")
     stats = braid_stats(b)
     if not stats.is_knot:
         raise DgaError("links unsupported")
-    m = matrices(b, lam_override)
+    m = matrices(b)
     phi_l, phi_r = phi_matrices(b)
     generators: list[Generator] = []
     diff: dict[Generator, NCPoly] = {}
@@ -232,11 +218,11 @@ def build_dga(b: BraidWord, flavor: str = "minus", lam_override=None) -> DgaPres
         return [("a", GenMatrix(n), _offdiag(n)), ("b", dB, _offdiag(n)),
                 ("c", dC, full), ("d", dD, full), ("e", dE, full),
                 ("f", dF, full)]
-    return _assemble(b, flavor, lam_override, structured_matrices, blocks)
+    return _assemble(b, flavor, lambda b: structured_matrices(b, lam_override),
+                     blocks)
 
 
-def build_modified_dga(b: BraidWord, flavor: str = "minus",
-                       lam_override=None) -> DgaPresentation:
+def build_modified_dga(b: BraidWord, flavor: str = "minus") -> DgaPresentation:
     """The smaller presentation without b-generators: a, c, d plus
     e_{ij} for i <= j and f_{ij} for j <= i."""
     def blocks(m, phi_l, phi_r):
@@ -263,7 +249,7 @@ def build_modified_dga(b: BraidWord, flavor: str = "minus",
                 ("d", dD, full),
                 ("e", dE, [(i, j) for i, j in full if i <= j]),
                 ("f", dF, [(i, j) for i, j in full if j <= i])]
-    return _assemble(b, flavor, lam_override, degree0_matrices, blocks)
+    return _assemble(b, flavor, degree0_matrices, blocks)
 
 
 def differential(dga: DgaPresentation, p: NCPoly) -> NCPoly:

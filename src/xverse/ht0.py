@@ -141,8 +141,7 @@ def _iter_linear_unit_terms(r: NCPoly, flavor: str):
             yield x, coeff, base
 
 
-def b_consequences(b: BraidWord, flavor: str = "minus",
-                   lam_override=None) -> list[NCPoly]:
+def b_consequences(b: BraidWord, flavor: str = "minus") -> list[NCPoly]:
     """The off-diagonal entries of A - Lam . phi_B(A) . Lam^-1, row-major.
 
     These are the b-generator differentials of the full DGA; its degree-0
@@ -150,7 +149,7 @@ def b_consequences(b: BraidWord, flavor: str = "minus",
     ideal and may be added freely when simplifying a presentation.
     """
     stats = braid_stats(b)
-    m = degree0_matrices(b, lam_override)
+    m = degree0_matrices(b)
     block = db_block(b, m.A_lower + m.A_upper, m.Lam, m.LamInv)
     return [block.at(a.row, a.col).specialize(flavor, stats.self_linking)
             for a in a_variables(b.strands)]

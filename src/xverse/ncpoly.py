@@ -388,9 +388,6 @@ class GenMatrix:
     def at(self, i: int, j: int) -> NCPoly:
         return self.rows[i - 1][j - 1]
 
-    def set(self, i: int, j: int, value: NCPoly) -> None:
-        self.rows[i - 1][j - 1] = value
-
     def __add__(self, other: "GenMatrix") -> "GenMatrix":
         if self.n != other.n:
             raise ValueError("size mismatch")

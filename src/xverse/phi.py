@@ -1,5 +1,5 @@
 """The representation of the braid group on the degree-0 part of the free
-algebra, and the left/right matrices extracted from the extra-strand trick.
+algebra, and the matrices PhiL and PhiR of a braid.
 
 For a single positive generator sigma_k the images on the a-generators are
 
@@ -18,17 +18,18 @@ which the chain rules
     PhiL_{B1 B2} = PhiL_{B2}(phi_{B1} A) . PhiL_{B1}
     PhiR_{B1 B2} = PhiR_{B1} . PhiR_{B2}(phi_{B1} A)
 
-hold in the stated form.
+hold in the stated form (Ng, "Knot and braid invariants from contact
+homology I", Geom. Topol. 2005).  `phi_matrices` builds PhiL and PhiR by
+them, one letter at a time from the last, over symbolic or packed entries.
 
 The braid is walked in two directions.  `push` moves values of the
 a-generators from the front, each letter evaluating its sigma images once
 for all generators: `phi_images` (phi_B of every a, for dB and the chain
 rules), the sampled factorization check and its degree bound are that one
-pass over polynomials, residue matrices and word lengths.  A polynomial is
-rewritten from the back (`apply_phi`, and the packed Phi of `augment`), one
-sigma substitution per letter, because substituting whole images into long
-words expands far before it cancels, and on the marked generators of
-`phi_matrices` and the packed Phi the per-letter pass measures faster.
+pass over polynomials, residue matrices and word lengths.  A polynomial
+(`apply_phi`) and the entries of PhiL and PhiR are rewritten from the
+back, one sigma substitution per letter, because substituting whole
+images into long words expands far before it cancels.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ from .braid import BraidWord, braid_transform
 from .ncpoly import GenMatrix, Generator, NCPoly, gen
 
 T = TypeVar("T")
-
-
-class PhiStructureError(RuntimeError):
-    """The extra-strand extraction found a malformed word; implementation bug."""
 
 
 def _a(i: int, j: int) -> NCPoly:
@@ -120,36 +117,47 @@ def apply_phi(b: BraidWord, p: NCPoly) -> NCPoly:
     return p
 
 
-def phi_matrices(b: BraidWord) -> tuple[GenMatrix, GenMatrix]:
-    """The matrices (PhiL, PhiR) of B, via the extension to n+1 strands:
+def phi_matrices(b: BraidWord, lift: Callable[[NCPoly], T] = lambda e: e,
+                 images: Mapping[int, Mapping] | None = None
+                 ) -> tuple[GenMatrix, GenMatrix]:
+    """The matrices (PhiL, PhiR) of B by the chain rules, from the last
+    letter to the first.  For a letter l and the part B' after it, with X
+    and Y the matrices of B' at phi_l(A),
 
-        phi_B^ext(a_{i,n+1}) = sum_l (PhiL)_{il} a_{l,n+1}
-        phi_B^ext(a_{n+1,i}) = sum_l a_{n+1,l} (PhiR)_{li}
-    """
+        PhiL_{l B'} = X . PhiL_l,    PhiR_{l B'} = PhiR_l . Y,
+
+    and PhiL_l, PhiR_l differ from the identity in two columns and two
+    rows.  With (u, v) = (k, k+1) for sigma_k and (k+1, k) for its
+    inverse, the update is
+
+        PhiL col u <- X[:,v] - X[:,u] a_vu,   col v <- -X[:,u]
+        PhiR row u <- Y[v,:] - a_uv Y[u,:],   row v <- -Y[u,:].
+
+    Entries are NCPoly unless `lift` maps the constants and generators into
+    another type with +, -, unary -, * and substitute; then
+    `images[letter]` is the letter's sigma images as that type's
+    substitution map."""
     n = b.strands
-    ext = BraidWord(n + 1, b.letters)
-    phi_l = GenMatrix(n)
-    phi_r = GenMatrix(n)
-    for i in range(1, n + 1):
-        img = apply_phi(ext, _a(i, n + 1))
-        for (word, base), coeff in img.terms.items():
-            marked = [g for g in word if g.row == n + 1 or g.col == n + 1]
-            if len(marked) != 1 or word[-1] != marked[0] or marked[0].col != n + 1:
-                raise PhiStructureError(f"bad word in phi^ext(a_{i},{n+1}): {word}")
-            ell = marked[0].row
-            phi_l.set(i, ell, phi_l.at(i, ell) + NCPoly({(word[:-1], base): coeff}))
-        img = apply_phi(ext, _a(n + 1, i))
-        for (word, base), coeff in img.terms.items():
-            marked = [g for g in word if g.row == n + 1 or g.col == n + 1]
-            if len(marked) != 1 or word[0] != marked[0] or marked[0].row != n + 1:
-                raise PhiStructureError(f"bad word in phi^ext(a_{n+1},{i}): {word}")
-            ell = marked[0].col
-            phi_r.set(ell, i, phi_r.at(ell, i) + NCPoly({(word[1:], base): coeff}))
-    for i, j, e in phi_l.entries():
-        _check_a_only(e, n)
-    for i, j, e in phi_r.entries():
-        _check_a_only(e, n)
-    return phi_l, phi_r
+    if images is None:
+        images = {k: sigma_images(abs(k), n, inverse=k < 0)
+                  for k in set(b.letters)}
+    one, zero = lift(NCPoly.one()), lift(NCPoly())
+    left = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    right = [row[:] for row in left]
+    for letter in reversed(b.letters):
+        subst = images[letter]
+        left = [[e.substitute(subst) for e in row] for row in left]
+        right = [[e.substitute(subst) for e in row] for row in right]
+        u, v = abs(letter), abs(letter) + 1
+        if letter < 0:
+            u, v = v, u
+        x, y = lift(_a(v, u)), lift(_a(u, v))
+        u, v = u - 1, v - 1  # list indices
+        for row in left:
+            row[u], row[v] = row[v] - row[u] * x, -row[u]
+        right[u], right[v] = ([s - y * t for t, s in zip(right[u], right[v])],
+                              [-t for t in right[u]])
+    return GenMatrix(n, left), GenMatrix(n, right)
 
 
 def verify_chain_rules(b: BraidWord, cut: int | None = None) -> list[str]:

@@ -8,19 +8,18 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import xverse.augment
 from xverse.augment import (_BITS, _EMASK, DEFAULT_BUDGET, POLY_RING, PRIMES,
                             AugQuery, BudgetError, CommPoly,
                             EliminationError, _abelianize, _count_packed,
                             _fold, _normalized, _packed_phi_matrices,
-                            _poly_mul, _single_linear_var,
-                            augmentation_number,
+                            _poly_mul, augmentation_number,
                             augmentation_polynomial_index2,
                             count_augmentations,
                             count_augmentations_exhaustive, packed_relations,
                             sylvester_resultant)
 from xverse.braid import BraidWord, braid_stats, braid_transform, parse_braid
 from xverse.ht0 import ht0_relations
+from xverse.phi import a_variables, phi_matrices
 
 TREFOIL = parse_braid("1 1 1")
 FIG8 = parse_braid("1 -2 1 -2")
@@ -141,7 +140,7 @@ SAMPLE_SEARCH = [
 def test_table_search_is_pinned():
     """Counts and evaluations of the 21 table braids and the five sample
     braids are the recorded ones, so a change to the search, to the cut
-    or to Phi extraction fails here."""
+    or to the construction of Phi fails here."""
     assert sum(e for _, _, _, e in TABLE_SEARCH) == 569_464
     for text, (l0, m0), count, evals in TABLE_SEARCH + SAMPLE_SEARCH:
         if text.startswith("reverse:"):
@@ -152,24 +151,24 @@ def test_table_search_is_pinned():
         assert (r.count, r.assignments_tested) == (count, evals), text
 
 
-@pytest.mark.parametrize("bad", ["none", "two", "squared", "wrong side"])
-def test_malformed_extra_strand_image_raises(monkeypatch, bad):
-    """Each term of Phi_b(a_{i,n+1}) holds exactly one marked variable
-    a_{l,n+1}, to the first power; anything else is a construction bug.
-    On 2 strands the variables are a12, a21, then a13, a23, then a31,
-    a32."""
-    def x(i, e=1):
-        return e << (_BITS * i)
+_braid = st.integers(2, 4).flatmap(lambda n: st.lists(
+    st.sampled_from([s * k for k in range(1, n) for s in (1, -1)]),
+    max_size=6).map(lambda letters: BraidWord(n, tuple(letters))))
 
-    term = {"none": 0, "two": x(2) + x(3), "squared": x(2, 2),
-            "wrong side": x(4)}[bad]
-    maps = {k: dict(m)
-            for k, m in xverse.augment._packed_sigma_images(2, 3).items()}
-    maps[(1, False)][2] = {x(3): 1, term: 1}
-    monkeypatch.setattr(xverse.augment, "_packed_sigma_images",
-                        lambda n, p: maps)
-    with pytest.raises(RuntimeError, match="malformed extra-strand image"):
-        _packed_phi_matrices.__wrapped__(parse_braid("1"), 3)
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_braid)
+def test_packed_phi_is_abelianized_symbolic_phi(b):
+    """Entry by entry and for every prime, the packed Phi is the symbolic
+    Phi with the scalars at 1, abelianized."""
+    var_index = {g: i for i, g in enumerate(a_variables(b.strands))}
+    symbolic = phi_matrices(b)
+    for p in PRIMES:
+        packed = _packed_phi_matrices.__wrapped__(b, p)
+        for ms, mp in zip(symbolic, packed):
+            assert [_abelianize(e, var_index, p, (1, 1, 1, 1))
+                    for _, _, e in ms.entries()] == \
+                [e.terms for _, _, e in mp.entries()]
 
 
 @st.composite
@@ -256,31 +255,6 @@ def test_swar_product_matches_per_field_fold(case):
     assert max(_unpack(expected, nvars)) <= p - 1
     k1, k2 = _pack(e1), _pack(e2)
     assert _poly_mul({k1: 1}, {k2: 1}, nvars, p) == {expected: 1}
-
-
-@st.composite
-def packed_keys(draw):
-    """A key on 1 to 20 variables: zero, one variable to a power, or any
-    folded exponents."""
-    nvars = draw(st.integers(1, 20))
-    fields = [0] * nvars
-    kind = draw(st.sampled_from(("zero", "single", "any")))
-    if kind == "single":
-        fields[draw(st.integers(0, nvars - 1))] = draw(st.integers(1, 6))
-    elif kind == "any":
-        fields = draw(st.lists(st.integers(0, 6), min_size=nvars,
-                               max_size=nvars))
-    return nvars, fields
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(packed_keys())
-def test_single_linear_var_matches_per_field_rule(case):
-    nvars, fields = case
-    nonzero = [i for i, e in enumerate(fields) if e]
-    expected = nonzero[0] if len(nonzero) == 1 and \
-        fields[nonzero[0]] == 1 else None
-    assert _single_linear_var(_pack(fields)) == expected
 
 
 @st.composite

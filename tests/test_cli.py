@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -38,6 +39,21 @@ def test_dga_json_includes_phi(capsys):
     assert payload["phi_l"][0][1] == "-1"
     assert payload["phi_r"][0][1] == "1"
     assert payload["phi_r"][1][0] == "-1"
+
+
+@pytest.mark.parametrize("braid, digest", [
+    ("1", "6dbff4f18077fc6d31e3399caa85604e15d704ba9a3942f1f5d753b1c3573184"),
+    ("1 -2 1 -2",
+     "462d178a295215f32566a4eb9e6b0f233797d1da1d2025788658589c3860aa73"),
+    ("-2 -2 1 2 3 -2 -2",
+     "c5ad012cc4f83b59fdbb2cf3489f73f12c6d8410282bc21d948c386946559707"),
+])
+def test_dga_json_bytes_are_pinned(capsys, braid, digest):
+    """The JSON output, phi_l and phi_r included, is byte for byte the
+    one these digests were taken from."""
+    code, out, _ = run(capsys, "dga", "--braid", braid, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_ht0_reduced(capsys):

@@ -180,7 +180,7 @@ def test_sampled_phi_factorization_detects_corruption(monkeypatch):
 
     def corrupted(b):
         phi_l, phi_r = real(b)
-        phi_l.set(1, 2, phi_l.at(1, 2) + NCPoly.generator("a", 2, 1))
+        phi_l.rows[0][1] = phi_l.rows[0][1] + NCPoly.generator("a", 2, 1)
         return phi_l, phi_r
 
     monkeypatch.setattr(dga_module, "phi_matrices", corrupted)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xverse.braid import BraidWord, braid_transform, parse_braid
 from xverse.ncpoly import GenMatrix, NCPoly, gen
@@ -78,6 +80,36 @@ def test_phi_matrices_sigma1():
     assert phi_r.at(1, 2) == NCPoly.one()
     assert phi_r.at(2, 1) == NCPoly.scalar(-1)
     assert phi_r.at(2, 2).is_zero()
+    phi_l, phi_r = phi_matrices(parse_braid("-1"))
+    assert phi_l.at(1, 1).is_zero()
+    assert phi_l.at(1, 2) == NCPoly.one()
+    assert phi_l.at(2, 1) == NCPoly.scalar(-1)
+    assert phi_l.at(2, 2) == -a(1, 2)
+    assert phi_r.at(1, 1).is_zero()
+    assert phi_r.at(1, 2) == NCPoly.scalar(-1)
+    assert phi_r.at(2, 1) == NCPoly.one()
+    assert phi_r.at(2, 2) == -a(2, 1)
+
+
+_braid = st.integers(2, 4).flatmap(lambda n: st.lists(
+    st.sampled_from([s * k for k in range(1, n) for s in (1, -1)]),
+    max_size=6).map(lambda letters: BraidWord(n, tuple(letters))))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_braid)
+def test_phi_matrices_match_the_extra_strand(b):
+    """The defining property of PhiL and PhiR: on n + 1 strands,
+    phi_B(a_{i,n+1}) = sum_l PhiL_il a_{l,n+1} and
+    phi_B(a_{n+1,i}) = sum_l a_{n+1,l} PhiR_li."""
+    n = b.strands
+    ext = BraidWord(n + 1, b.letters)
+    phi_l, phi_r = phi_matrices(b)
+    for i in range(1, n + 1):
+        assert apply_phi(ext, a(i, n + 1)) == sum(
+            (phi_l.at(i, l) * a(l, n + 1) for l in range(1, n + 1)), NCPoly())
+        assert apply_phi(ext, a(n + 1, i)) == sum(
+            (a(n + 1, l) * phi_r.at(l, i) for l in range(1, n + 1)), NCPoly())
 
 
 def test_phi_matrices_identity_braid():
