@@ -13,6 +13,7 @@ cut `augmentation_number` picks, and `aug poly` takes no budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -214,7 +215,10 @@ def _add_common(sp, braid=True, strands=True):
     sp.add_argument("--json", action="store_true", help="JSON output")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged, and
+    argparse formats usage and help text only when it prints them."""
     parser = argparse.ArgumentParser(prog="xverse")
     sub = parser.add_subparsers(dest="cmd", required=True)
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .braid import BraidWord, braid_stats
-from .ncpoly import GenMatrix, Generator, NCPoly, gen, pow_mod
+from .ncpoly import GenMatrix, Generator, NCPoly, collect, gen, pow_mod
 from .phi import a_variables, phi_images, phi_matrices, push
 
 FLAVORS = ("minus", "hat", "doublehat", "infinity")
@@ -254,31 +254,24 @@ def build_modified_dga(b: BraidWord, flavor: str = "minus") -> DgaPresentation:
 
 def differential(dga: DgaPresentation, p: NCPoly) -> NCPoly:
     """Extend the generator differential by the Koszul Leibniz rule."""
-    acc: dict = {}
-    for (word, base), coeff in p.terms.items():
-        sign = 1
-        for pos, g in enumerate(word):
-            if g not in dga.diff:
-                raise DgaError(f"unknown generator {g}")
-            dg = dga.diff[g]
-            if not dg.is_zero():
-                pre = word[:pos]
-                post = word[pos + 1:]
-                c0 = sign * coeff
-                for (w2, b2), c2 in dg.terms.items():
-                    t = (pre + w2 + post,
-                         (base[0] + b2[0], base[1] + b2[1],
-                          base[2] + b2[2], base[3] + b2[3]))
-                    s = acc.get(t, 0) + c0 * c2
-                    if s:
-                        acc[t] = s
-                    elif t in acc:
-                        del acc[t]
-            if g.degree % 2:
-                sign = -sign
-    out = NCPoly.__new__(NCPoly)
-    out.terms = acc
-    return out
+    def leibniz():
+        for (word, base), coeff in p.terms.items():
+            sign = 1
+            for pos, g in enumerate(word):
+                if g not in dga.diff:
+                    raise DgaError(f"unknown generator {g}")
+                dg = dga.diff[g]
+                if dg.terms:
+                    pre = word[:pos]
+                    post = word[pos + 1:]
+                    c0 = sign * coeff
+                    for (w2, b2), c2 in dg.terms.items():
+                        yield (pre + w2 + post,
+                               (base[0] + b2[0], base[1] + b2[1],
+                                base[2] + b2[2], base[3] + b2[3])), c0 * c2
+                if g.degree % 2:
+                    sign = -sign
+    return collect(leibniz())
 
 
 def verify_d_squared(dga: DgaPresentation) -> list[tuple[Generator, NCPoly]]:

@@ -18,12 +18,15 @@ and each gi is a noncommuting generator drawn from six families:
 Internally a polynomial is a dict mapping (word, base) -> coeff, where
 word is a tuple of Generator and base is the exponent 4-tuple
 (L, m, U, V).  Zero coefficients are never stored, so dict equality is
-polynomial equality.
+polynomial equality.  Every operation whose terms can meet (sum,
+difference, product, substitution, specialization, and the Leibniz rule
+of `dga.differential`) sums them through `collect`, the one loop that
+adds coefficients and drops a term whose sum reaches 0.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 FAMILY_DEGREE = {"a": 0, "b": 1, "c": 1, "d": 1, "e": 2, "f": 2}
 
@@ -66,6 +69,24 @@ def gen(family: str, row: int, col: int) -> Generator:
 
 def word_degree(word: Word) -> int:
     return sum(g.degree for g in word)
+
+
+def collect(pairs: Iterable[tuple[Term, int]],
+            terms: dict[Term, int] | None = None) -> "NCPoly":
+    """The polynomial `terms` + sum of the (term, coeff) pairs.  `terms` is
+    taken over, not copied; a term whose coefficient sums to 0 is dropped."""
+    if terms is None:
+        terms = {}
+    get = terms.get
+    for t, c in pairs:
+        s = get(t, 0) + c
+        if s:
+            terms[t] = s
+        elif t in terms:
+            del terms[t]
+    p = NCPoly.__new__(NCPoly)
+    p.terms = terms
+    return p
 
 
 def _term_key(term: Term):
@@ -136,16 +157,7 @@ class NCPoly:
             return other
         if not other.terms:
             return self
-        new = dict(self.terms)
-        for t, c in other.terms.items():
-            s = new.get(t, 0) + c
-            if s:
-                new[t] = s
-            else:
-                del new[t]
-        p = NCPoly.__new__(NCPoly)
-        p.terms = new
-        return p
+        return collect(other.terms.items(), dict(self.terms))
 
     def __neg__(self) -> "NCPoly":
         p = NCPoly.__new__(NCPoly)
@@ -159,16 +171,8 @@ class NCPoly:
             return self
         if not self.terms:
             return -other
-        new = dict(self.terms)
-        for t, c in other.terms.items():
-            s = new.get(t, 0) - c
-            if s:
-                new[t] = s
-            else:
-                del new[t]
-        p = NCPoly.__new__(NCPoly)
-        p.terms = new
-        return p
+        return collect(((t, -c) for t, c in other.terms.items()),
+                       dict(self.terms))
 
     def __mul__(self, other) -> "NCPoly":
         if isinstance(other, int):
@@ -185,18 +189,11 @@ class NCPoly:
             return other
         if other.terms == _ONE_TERMS:
             return self
-        new: dict[Term, int] = {}
-        for (w1, b1), c1 in self.terms.items():
-            for (w2, b2), c2 in other.terms.items():
-                t = (w1 + w2, (b1[0] + b2[0], b1[1] + b2[1], b1[2] + b2[2], b1[3] + b2[3]))
-                s = new.get(t, 0) + c1 * c2
-                if s:
-                    new[t] = s
-                elif t in new:
-                    del new[t]
-        p = NCPoly.__new__(NCPoly)
-        p.terms = new
-        return p
+        right = other.terms.items()
+        return collect(
+            ((w1 + w2, (b1[0] + b2[0], b1[1] + b2[1], b1[2] + b2[2],
+                        b1[3] + b2[3])), c1 * c2)
+            for (w1, b1), c1 in self.terms.items() for (w2, b2), c2 in right)
 
     def __rmul__(self, other) -> "NCPoly":
         if isinstance(other, int):
@@ -227,22 +224,31 @@ class NCPoly:
     def substitute(self, images: Mapping[Generator, "NCPoly"]) -> "NCPoly":
         """Replace generators by polynomials (an algebra map fixing scalars).
 
-        Generators absent from `images` map to themselves.
+        Generators absent from `images` map to themselves.  One pass over
+        the terms: a term with no replaced letter is passed on as it is;
+        any other is expanded letter by letter into a list of (word, base,
+        coeff) partial products, and `collect` sums everything.
         """
-        out = NCPoly()
-        for (word, base), coeff in self.terms.items():
-            if not any(g in images for g in word):
-                out += NCPoly({(word, base): coeff})
-                continue
-            prod = NCPoly.scalar(coeff, *base)
-            for g in word:
-                img = images.get(g)
-                if img is None:
-                    prod = prod * NCPoly({((g,), _ZERO_BASE): 1})
-                else:
-                    prod = prod * img
-            out += prod
-        return out
+        def pairs():
+            for term, coeff in self.terms.items():
+                word, base = term
+                if not any(g in images for g in word):
+                    yield term, coeff
+                    continue
+                partial = [((), base, coeff)]
+                for g in word:
+                    img = images.get(g)
+                    if img is None:
+                        partial = [(w + (g,), b, c) for w, b, c in partial]
+                    else:
+                        right = img.terms.items()
+                        partial = [(w + w2, (b[0] + b2[0], b[1] + b2[1],
+                                             b[2] + b2[2], b[3] + b2[3]), c * c2)
+                                   for w, b, c in partial
+                                   for (w2, b2), c2 in right]
+                for w, b, c in partial:
+                    yield (w, b), c
+        return collect(pairs())
 
     # ---- flavor specialization ----
 
@@ -257,38 +263,20 @@ class NCPoly:
         """
         if flavor == "minus":
             return self
-        new: dict[Term, int] = {}
+        items = self.terms.items()
         if flavor == "hat":
-            for (word, b), c in self.terms.items():
-                if b[2] != 0:
-                    continue
-                t = (word, (b[0], b[1], 0, 0))
-                s = new.get(t, 0) + c
-                if s:
-                    new[t] = s
-                elif t in new:
-                    del new[t]
-        elif flavor == "doublehat":
-            for (word, b), c in self.terms.items():
-                if b[2] != 0 or b[3] != 0:
-                    continue
-                new[(word, b)] = c
-        elif flavor == "infinity":
+            return collect(((w, (b[0], b[1], 0, 0)), c)
+                           for (w, b), c in items if not b[2])
+        if flavor == "doublehat":
+            return collect((t, c) for t, c in items
+                           if not (t[1][2] or t[1][3]))
+        if flavor == "infinity":
             if sl is None or sl % 2 == 0:
                 raise ValueError("infinity flavor needs an odd self-linking number")
             k = (sl + 1) // 2
-            for (word, b), c in self.terms.items():
-                t = (word, (b[0], b[1], b[2] - b[0] * k, b[3] + b[0] * k))
-                s = new.get(t, 0) + c
-                if s:
-                    new[t] = s
-                elif t in new:
-                    del new[t]
-        else:
-            raise ValueError(f"unknown flavor {flavor!r}")
-        p = NCPoly.__new__(NCPoly)
-        p.terms = new
-        return p
+            return collect(((w, (b[0], b[1], b[2] - b[0] * k, b[3] + b[0] * k)), c)
+                           for (w, b), c in items)
+        raise ValueError(f"unknown flavor {flavor!r}")
 
     # ---- printing ----
 

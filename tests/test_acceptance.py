@@ -7,6 +7,7 @@ regressed.
 
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +71,13 @@ def test_criterion_3_trefoil_polynomial():
     r = augmentation_polynomial_index2(parse_braid("1 1 1"))
     assert str(r.poly) == TREFOIL_POLY
     assert time.monotonic() - start < 5.0
+
+
+def test_ci_smoke_step_greps_the_trefoil_polynomial():
+    """The installed script's smoke test matches the same pinned line."""
+    ci = Path(__file__).resolve().parents[1] / ".github/workflows/tests.yml"
+    assert (f'xverse aug poly --braid "1 1 1" | grep -xF "{TREFOIL_POLY}"'
+            in ci.read_text())
 
 
 def test_criterion_4_unknot_polynomial():

@@ -56,6 +56,34 @@ def test_dga_json_bytes_are_pinned(capsys, braid, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("braid, extra, flavor, digest", [
+    ("1 -2 1 -2", ("--reduced",), "minus",
+     "9feaa05d70d1b21af8f726be99258428f3c7726f2a3689cdb9cb3b5da326dce3"),
+    ("1 -2 1 -2", ("--reduced",), "hat",
+     "1f4798eae2b5e1d07817c396e017f0c3faeb9b59d3dbecf4cba0f0643e31989c"),
+    ("1 -2 1 -2", ("--reduced",), "doublehat",
+     "5bea4c064400899c740b7f3b33296989bbbc79ff1bd5e2af02c0ae65e91bebae"),
+    ("1 -2 1 -2", ("--reduced",), "infinity",
+     "533513b5dc590f6652bd1e627f79ebe523cb7f95b8f32faef400ce6d01464561"),
+    ("-2 -2 1 2 3 -2 -2", ("--split", "3"), "minus",
+     "4ee01a53d04e38c78751f571c3bbb47e09f4b4b1ae3d32a6eb7be654de0423c2"),
+    ("-2 -2 1 2 3 -2 -2", ("--split", "3"), "hat",
+     "f9cbf3d1608c4056811d4db363f455ad6f4b994455b9dcf57706cfa928c33a68"),
+    ("-2 -2 1 2 3 -2 -2", ("--split", "3"), "doublehat",
+     "651e585eae91dd0f56abf5347cb8a47410f3881ad0b2b9f0d289e7523b899104"),
+    ("-2 -2 1 2 3 -2 -2", ("--split", "3"), "infinity",
+     "d880187f15be026b4e94a9806a5cd05ee36403eb7bd73ab95cfccbbfa37e6c34"),
+])
+def test_ht0_json_bytes_are_pinned(capsys, braid, extra, flavor, digest):
+    """The HT0 relations (Phi by substitution, every flavor's
+    specialization, and the linear elimination of --reduced) print byte
+    for byte as when these digests were taken."""
+    code, out, _ = run(capsys, "ht0", "--braid", braid, *extra,
+                       "--flavor", flavor, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_ht0_reduced(capsys):
     code, out, _ = run(capsys, "ht0", "--braid", "-1", "--reduced")
     assert code == 0
@@ -222,6 +250,25 @@ def test_usage_errors_exit_2(capsys):
             main(argv)
         assert exc.value.code == 2, argv
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("usage_error", [
+    ["ht0", "--braid", "1 1 1", "--flavor", "tilde"],
+    ["ht0", "--braid", "1 1 1", "--split", "7"],
+])
+def test_one_parser_per_process_prints_the_same_usage(capsys, usage_error):
+    """The parser is built once per process; a command run in between
+    leaves the usage text of an error unchanged."""
+    errs = []
+    for argv in (usage_error, ["ht0", "--braid", "1 1 1", "--json"],
+                 usage_error):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        errs.append((code, capsys.readouterr().err))
+    assert errs[0][0] == errs[2][0] == 2 and errs[1] == (0, "")
+    assert errs[0] == errs[2] and errs[0][1].startswith("usage: xverse")
 
 
 def test_zero_grid_point_rejected_before_counting(monkeypatch, capsys):

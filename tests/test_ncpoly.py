@@ -1,6 +1,11 @@
-import pytest
+from collections import defaultdict
 
-from xverse.ncpoly import GenMatrix, NCPoly, evaluate_abelian, gen, pow_mod
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from xverse.ncpoly import (GenMatrix, NCPoly, collect, evaluate_abelian, gen,
+                           pow_mod)
 
 
 def a(i, j):
@@ -118,3 +123,114 @@ def test_gen_matrix_ops():
     assert two.at(1, 2) == 2 * a(1, 2)
     entries = list(n.entries())
     assert entries[0][:2] == (1, 1) and entries[-1][:2] == (2, 2)
+
+
+# ---- the operations against references written over plain dicts ----
+
+_GENS = (gen("a", 1, 2), gen("a", 2, 1), gen("b", 1, 3), gen("c", 2, 2))
+_ZERO = (0, 0, 0, 0)
+_exp = st.integers(-2, 2)
+_term = st.tuples(st.lists(st.sampled_from(_GENS), max_size=3).map(tuple),
+                  st.tuples(_exp, _exp, _exp, _exp))
+_pairs = st.lists(st.tuples(_term, st.integers(-3, 3).filter(bool)),
+                  max_size=6)
+
+
+def _ref_sum(pairs):
+    out = defaultdict(int)
+    for t, c in pairs:
+        out[t] += c
+    return {t: c for t, c in out.items() if c}
+
+
+@st.composite
+def _poly_pair(draw):
+    """Two polynomials; the second repeats some terms of the first with
+    the opposite sign, so sums and products cancel."""
+    p = _ref_sum(draw(_pairs))
+    back = draw(st.lists(st.sampled_from(sorted(p.items())), max_size=3)
+                ) if p else []
+    q = _ref_sum(draw(_pairs) + [(t, -c) for t, c in back])
+    return NCPoly(p), NCPoly(q)
+
+
+_poly = _pairs.map(lambda pairs: NCPoly(_ref_sum(pairs)))
+
+
+def _ref_mul(p, q):
+    return _ref_sum(((w1 + w2, tuple(x + y for x, y in zip(b1, b2))), c1 * c2)
+                    for (w1, b1), c1 in p.items()
+                    for (w2, b2), c2 in q.items())
+
+
+def _ref_substitute(p, images):
+    """Each term as a product, one letter at a time, of its scalar and the
+    images of its letters (a letter without an image stands for itself)."""
+    pairs = []
+    for (word, base), coeff in p.terms.items():
+        prod = {((), base): coeff}
+        for g in word:
+            img = images[g].terms if g in images else {((g,), _ZERO): 1}
+            prod = _ref_mul(prod, img)
+        pairs.extend(prod.items())
+    return _ref_sum(pairs)
+
+
+def _no_zero(p):
+    return all(p.terms.values())
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_poly_pair())
+def test_sum_difference_product_match_references(pq):
+    p, q = pq
+    assert (p + q).terms == _ref_sum([*p.terms.items(), *q.terms.items()])
+    assert (p - q).terms == _ref_sum(
+        [*p.terms.items(), *((t, -c) for t, c in q.terms.items())])
+    assert (p * q).terms == _ref_mul(p.terms, q.terms)
+    assert (p - p).terms == {}
+    assert all(_no_zero(r) for r in (p + q, p - q, q - p, p * q, q * p))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_poly, st.dictionaries(st.sampled_from(_GENS[:3]), _poly, max_size=3))
+@example(NCPoly({((_GENS[0], _GENS[3], _GENS[0]), (1, -1, 0, 2)): 2,
+                 ((_GENS[3],), _ZERO): -1}),
+         {_GENS[0]: NCPoly(), _GENS[1]: NCPoly.scalar(3, lam=-2, v=1)})
+@example(NCPoly({((_GENS[0], _GENS[3]), _ZERO): 1,
+                 ((_GENS[1], _GENS[3]), _ZERO): -1}),
+         {_GENS[0]: NCPoly.generator("a", 2, 1)})
+def test_substitute_matches_letter_by_letter_product(p, images):
+    """Zero images, scalar images and letters absent from the map (the
+    last generator never has an image) all occur."""
+    q = p.substitute(images)
+    assert q.terms == _ref_substitute(p, images)
+    assert _no_zero(q)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_poly, st.sampled_from((-3, -1, 1, 5)))
+@example(NCPoly({((_GENS[0],), (1, 0, 0, 1)): 2, ((_GENS[0],), (1, 0, 0, 0)): -2}),
+         1)
+def test_specialize_matches_per_term_rule(p, sl):
+    """V = 1 of the hat flavor makes terms meet, here to a zero sum."""
+    k = (sl + 1) // 2
+    rules = {
+        "minus": lambda b: b,
+        "hat": lambda b: None if b[2] else (b[0], b[1], 0, 0),
+        "doublehat": lambda b: None if b[2] or b[3] else b,
+        "infinity": lambda b: (b[0], b[1], b[2] - b[0] * k, b[3] + b[0] * k),
+    }
+    for flavor, rule in rules.items():
+        q = p.specialize(flavor, sl)
+        assert q.terms == _ref_sum(((w, rule(b)), c)
+                                   for (w, b), c in p.terms.items()
+                                   if rule(b) is not None), flavor
+        assert _no_zero(q)
+
+
+def test_collect_takes_the_dict_over():
+    terms = {((), _ZERO): 1}
+    p = collect([(((), _ZERO), -1), (((_GENS[0],), _ZERO), 2)], terms)
+    assert p.terms is terms
+    assert terms == {((_GENS[0],), _ZERO): 2}
