@@ -324,157 +324,181 @@ def verify_phi_factorization(b: BraidWord) -> list[str]:
 # products and stays below dim p^2 < 2^53, and is reduced before it is used
 # again.  The d^2 step (`_dual_step`) reduces X t before it adds D(x) s, so
 # that sum stays below dim p^2 + p; the two unreduced products together
-# would reach 2 dim p^2, about 2^55 at _MAX_DIM, and round.  A sum of
-# residues (the terms of one polynomial) adds at most _BLOCK + 1 < 2^53 / p
-# of them before it is reduced.  The sigma images that `_sigma_value`
-# evaluates for `phi.push` have coefficients +-1, no scalars and words of
-# one or two letters, so each entry of an image stays below p + dim p^2 <
-# 2^53 before its one reduction.
+# would reach 2 dim p^2, about 2^55 at _MAX_DIM, and round.  A walk adds each
+# term's coefficient c, a symmetric residue (|c| <= p / 2), times its end
+# node's value to its slot, one per (polynomial, base).  A slot is split where
+# its sum of |c| would reach 2^53 / p, and is reduced once, at the end.  Sigma
+# images (`_sigma_value`, for `phi.push`) have coefficients +-1, no scalars
+# and words of one or two letters, so an entry stays below p + dim p^2 < 2^53.
 #
-# Compilation.  A `_Trie` depends only on its polynomials, so each check
-# builds its tries once, before its trials; a trial is numpy work on blocks
-# of at most _BLOCK nodes, which bounds its temporaries.  The same walk over
-# a trie evaluates both kinds of word: a word at matrices (`evaluate`, from
-# the identity) and d(d(g)) . v (`_dual_step`, from the state (0, v), over
-# the reversed words of d(g); see `_d_squared`).  The factorization
-# check needs phi_B(M) at the point: it pushes the point through the braid
-# (`phi.push`) and evaluates M's trie there.
+# Compilation.  A check reads its polynomials once, into the flat arrays of
+# one `_Terms`; each `_Trie` takes a subset of those terms (reversed by index
+# arithmetic for d^2) and is built once, before the trials.  A trial is numpy
+# work on blocks of at most _BLOCK nodes, reduced in scratch arrays made once
+# per walk.  The same walk evaluates a word at matrices (`evaluate`, from the
+# identity) and d(d(g)) . v (`_dual_step`, from the state (0, v), over the
+# reversed words of d(g); see `_d_squared`).  The factorization check pushes
+# the point through the braid (`phi.push`) and evaluates M's trie there.
 # ---------------------------------------------------------------------------
 
 _SAMPLE_PRIME = 16777213
 _MAX_DIM = 31
 _BLOCK = 1024
+# a slot's sum of |coeff| stays below 2^53 / p (see Exactness)
+_SLOT_CAP = 2 ** 53 // _SAMPLE_PRIME - _SAMPLE_PRIME // 2
 
 
-def _word_span(p: NCPoly) -> int:
-    return max((len(word) for word, _ in p.terms), default=0)
-
-
-def _modp(arr, prime: int):
+def _modp(arr, scratch=None):
     """Reduce a float64 array of integers below 2^53 in absolute value mod
-    prime, in place.
+    p, in place, with temporaries in `scratch` (flat float64 and bool arrays
+    of at least arr.size) or, without it, in new arrays.
 
     np.mod on large float arrays is an order of magnitude slower than a
     multiply-and-floor reduction.  The floor of the rounded quotient can be
     off by one, so a single conditional correction follows."""
     import numpy as np
-    q = np.floor(arr * (1.0 / prime))
-    arr -= q * prime
-    np.add(arr, prime, out=arr, where=arr < 0)
-    np.subtract(arr, prime, out=arr, where=arr >= prime)
+    prime = _SAMPLE_PRIME
+    q, mask = scratch or (np.empty(arr.size), np.empty(arr.size, dtype=bool))
+    q, mask = (a[:arr.size].reshape(arr.shape) for a in (q, mask))
+    np.floor(np.multiply(arr, 1.0 / prime, out=q), out=q)
+    arr -= np.multiply(q, prime, out=q)
+    np.add(arr, prime, out=arr, where=np.less(arr, 0, out=mask))
+    np.subtract(arr, prime, out=arr, where=np.greater_equal(arr, prime, out=mask))
     return arr
 
 
-def _rand_point(rng, count: int, dim: int, prime: int):
-    """`count` random dim x dim matrices over F_prime, as an array
-    (count, dim, dim), drawn matrix by matrix in row-major order."""
+def _rand_point(rng, count: int, dim: int):
+    """`count` uniform random dim x dim matrices over F_p, as an array
+    (count, dim, dim) of 24-bit words cut from one `rng.randbytes` draw; the
+    draw is made again if a word is p or more (3 in 2^24 are)."""
     import numpy as np
-    return np.array([rng.randrange(prime) for _ in range(count * dim * dim)],
-                    dtype=np.float64).reshape(count, dim, dim)
+    while True:
+        words = np.frombuffer(rng.randbytes(4 * count * dim * dim), "<u4") & 0xFFFFFF
+        if (words < _SAMPLE_PRIME).all():
+            return words.astype(np.float64).reshape(count, dim, dim)
 
 
 class _Terms:
-    """Terms (index, word, coeff, base) of a list of polynomials, as arrays
-    with one entry per term: `letters` (the word's letter ids, padded with
-    len(ids)), `lens`, `polys` (the index) and the scalar part
-    coeff * L^i m^j U^k V^l, kept as the coefficient mod p and an index into
-    `bases`."""
-
-    def __init__(self, terms, ids: dict):
-        import numpy as np
-        from itertools import chain
-        words, polys, coeffs, base_ids = [], [], [], []
-        self.bases: dict = {}
-        for k, word, coeff, base in terms:
-            words.append(tuple(map(ids.__getitem__, word)))
-            polys.append(k)
-            coeffs.append(coeff % _SAMPLE_PRIME)
-            base_ids.append(self.bases.setdefault(base, len(self.bases)))
-        self.lens = np.array([len(w) for w in words], dtype=np.intp)
-        self.letters = np.full((len(words), self.lens.max(initial=0)),
-                               len(ids), dtype=np.intp)
-        self.letters[np.arange(self.letters.shape[1]) < self.lens[:, None]] = \
-            np.fromiter(chain.from_iterable(words), dtype=np.intp,
-                        count=int(self.lens.sum()))
-        self.polys = np.array(polys, dtype=np.intp)
-        self.coeffs = np.array(coeffs, dtype=np.int64)
-        self.base_ids = np.array(base_ids, dtype=np.intp)
-
-    def values(self, scalars):
-        """Each term's scalar part at `scalars`, as float64 residues."""
-        import numpy as np
-        units = np.array([math.prod(pow_mod(s, e, _SAMPLE_PRIME)
-                                    for s, e in zip(scalars, b)) % _SAMPLE_PRIME
-                          for b in self.bases], dtype=np.int64)
-        return (self.coeffs * units[self.base_ids]
-                % _SAMPLE_PRIME).astype(np.float64)
-
-
-class _Trie:
-    """The words of a list of polynomials, merged on shared prefixes.
-
-    A node is (parent, letter) and stands for the word on its path from the
-    root, the empty word.  `walk` gives each node a value, computed for the
-    nodes of one depth at once from the values of their parents, and adds
-    each term's scalar part times the value of its end node to its
-    polynomial.  Letters are ids into the arrays the steps read."""
+    """The terms of a list of polynomials, in order, as arrays with one entry
+    per term: `letters` (int32 letter ids, padded with len(ids)), `lens`,
+    `polys` (the polynomial's index), `coeffs` (symmetric residues mod p) and
+    `base_ids` (indices into `bases`, the distinct exponents of L, m, U, V).
+    `spans` holds each polynomial's longest word."""
 
     def __init__(self, polys: list[NCPoly], ids: dict):
         import numpy as np
+        from itertools import chain
+        keys = list(chain.from_iterable(p.terms for p in polys))
+        words = list(map(operator.itemgetter(0), keys))
         self.size = len(polys)
-        self.terms = t = _Terms(((k, word, coeff, base)
-                                 for k, p in enumerate(polys)
-                                 for (word, base), coeff in p.terms.items()),
-                                ids)
-        bound = len(ids)
-        node = np.zeros(len(t.lens), dtype=np.intp)  # each term's node
+        self.polys = np.repeat(np.arange(self.size), [len(p.terms) for p in polys])
+        self.lens = np.fromiter(map(len, words), np.int32, len(words))
+        self.letters = np.full((len(words), self.lens.max(initial=0)), len(ids), np.int32)
+        self.letters[np.arange(self.letters.shape[1]) < self.lens[:, None]] = np.fromiter(
+            map(ids.__getitem__, chain.from_iterable(words)), np.int32, self.lens.sum())
+        residues = np.fromiter(map(_SAMPLE_PRIME.__rmod__, chain.from_iterable(
+            p.terms.values() for p in polys)), dtype=np.int64, count=len(keys))
+        self.coeffs = residues - _SAMPLE_PRIME * (residues > _SAMPLE_PRIME // 2)
+        bases: dict = {}
+        self.base_ids = np.fromiter((bases.setdefault(b, len(bases))
+                                     for _, b in keys), np.intp, len(keys))
+        self.bases = list(bases)
+        self.spans = np.zeros(self.size, dtype=np.int32)
+        np.maximum.at(self.spans, self.polys, self.lens)
+
+
+def _sum_runs(out, target, values):
+    """out[t] += the sum of the values whose (sorted) target is t."""
+    import numpy as np
+    runs = np.flatnonzero(np.diff(target, prepend=-1))
+    out[target[runs]] += np.add.reduceat(values, runs) if len(runs) else 0
+
+
+class _Trie:
+    """The words of some terms of a `_Terms`, reversed or not, merged on
+    shared prefixes.  A node is (parent, letter) and stands for the word on
+    its path from the root, the empty word; letters are ids into the arrays
+    the steps read.  A slot is a polynomial and one of its bases, split where
+    its sum of |coeff| would reach _SLOT_CAP.  `walk` gives each node a value,
+    computed for one depth at once from the values of the parents, adds each
+    term's coefficient times its end node's value to its slot, and at the
+    end reduces each slot, multiplies it by its base's value and adds it to
+    its polynomial."""
+
+    def __init__(self, terms: _Terms, sel=None, reverse: bool = False):
+        import numpy as np
+        self.terms = terms
+        sel = np.arange(len(terms.lens)) if sel is None else sel
+        # one slot per run of (polynomial, base) in sorted order, cut where
+        # the running sum of |coeff| crosses a multiple of _SLOT_CAP
+        key = terms.polys[sel] * len(terms.bases) + terms.base_ids[sel]
+        order = np.argsort(key, kind="stable")
+        sel, key = sel[order], key[order]
+        coeffs = terms.coeffs[sel]
+        part = np.cumsum(np.abs(coeffs)) // _SLOT_CAP
+        new = (np.diff(key, prepend=-1) != 0) | (np.diff(part, prepend=-1) != 0)
+        slot = np.cumsum(new) - 1
+        self.slot_poly, self.slot_base = terms.polys[sel[new]], terms.base_ids[sel[new]]
+        lens, letters = terms.lens[sel], terms.letters[sel]
+        if reverse and letters.shape[1]:
+            # letter j is at lens - 1 - j, mod the width: padding past the end
+            cols = lens[:, None] - 1 - np.arange(letters.shape[1])
+            letters = np.take_along_axis(letters, cols % letters.shape[1], 1)
+        bound = int(letters.max(initial=0)) + 1
+        node = np.zeros(len(sel), dtype=np.intp)  # each term's node
         keys = node[:0]  # the root, depth 0, has no parent or letter
         # per depth: parent and letter of each node, and the terms that end
-        # there (in term order, which is polynomial order) with their nodes
+        # there (in slot order) as coefficients, slots and nodes
         self.levels = []
-        for depth in range(t.letters.shape[1] + 1):
+        for depth in range(letters.shape[1] + 1):
             if depth:
-                act = np.flatnonzero(t.lens >= depth)
+                act = np.flatnonzero(lens >= depth)
                 keys, node[act] = np.unique(
-                    node[act] * bound + t.letters[act, depth - 1],
+                    node[act] * bound + letters[act, depth - 1],
                     return_inverse=True)
-            ends = np.flatnonzero(t.lens == depth)
-            self.levels.append((keys // bound, keys % bound, ends, node[ends]))
+            ends = np.flatnonzero(lens == depth)
+            self.levels.append((keys // bound, keys % bound, coeffs[ends].astype(
+                np.float64), slot[ends], node[ends]))
 
     def walk(self, root, step, scalars):
-        """The polynomials at a point, as an array (len(polys),) +
-        root.shape: the root has the value `root`, and step(values,
-        letters) gives the values, reduced mod p, of the children by
+        """The polynomials at a point, as an array (terms.size,) + root.shape:
+        the root has the value `root`, and step(values, letters, scratch)
+        gives the values, reduced by `_modp` in `scratch`, of the children by
         `letters` of nodes whose values are `values`."""
         import numpy as np
-        coeffs = self.terms.values(scalars)
-        out = np.zeros((self.size,) + root.shape)
+        shape, lift = root.shape, (slice(None),) + (None,) * root.ndim
+        size = root.size * min(_BLOCK, max(max(len(parents), len(slots))
+                                           for parents, _, _, slots, _ in self.levels))
+        scratch = (np.empty(size), np.empty(size, dtype=bool))
+        acc = np.zeros((len(self.slot_poly),) + shape)
         level = root[None]
-        for depth, (parents, letters, ends, nodes) in enumerate(self.levels):
+        for depth, (parents, letters, coeffs, slots, nodes) in enumerate(self.levels):
             if depth:
                 # residues < p < 2^24 are exact in float32, which halves
                 # the memory of the widest levels
-                prev, level = level, np.empty((len(parents),) + root.shape,
-                                              dtype=np.float32)
+                prev, level = level, np.empty((len(parents),) + shape, np.float32)
                 for lo in range(0, len(parents), _BLOCK):
                     blk = slice(lo, lo + _BLOCK)
-                    level[blk] = step(prev[parents[blk]], letters[blk])
-            for lo in range(0, len(ends), _BLOCK):
-                term, node = ends[lo:lo + _BLOCK], nodes[lo:lo + _BLOCK]
-                target = self.terms.polys[term]
-                runs = np.flatnonzero(np.diff(target, prepend=-1))
-                out[target[runs]] = _modp(out[target[runs]] + np.add.reduceat(
-                    _modp(coeffs[(term,) + (None,) * root.ndim] * level[node],
-                          _SAMPLE_PRIME), runs), _SAMPLE_PRIME)
-        return out
+                    level[blk] = step(prev[parents[blk]], letters[blk], scratch)
+            for lo in range(0, len(slots), _BLOCK):
+                blk = slice(lo, lo + _BLOCK)
+                _sum_runs(acc, slots[blk], coeffs[blk][lift] * level[nodes[blk]])
+        # each base's value at the scalars
+        units = np.array([math.prod(pow_mod(s, e, _SAMPLE_PRIME) for s, e in
+                                    zip(scalars, b)) % _SAMPLE_PRIME
+                          for b in self.terms.bases], dtype=np.float64)
+        out = np.zeros((self.terms.size,) + shape)
+        _sum_runs(out, self.slot_poly,
+                  _modp(_modp(acc) * units[self.slot_base][lift]))
+        return _modp(out)
 
     def evaluate(self, mats, scalars):
         """The polynomials at the point that sends letter id k to mats[k]
-        and the base scalars to `scalars`: an array (len(polys), dim, dim).
+        and the base scalars to `scalars`: an array (terms.size, dim, dim).
         A node's value is its parent's times its letter's matrix."""
         import numpy as np
-        return self.walk(np.eye(mats.shape[-1]), lambda values, letters: _modp(
-            values @ mats[letters], _SAMPLE_PRIME), scalars)
+        return self.walk(np.eye(mats.shape[-1]), lambda values, letters, scratch:
+                         _modp(values @ mats[letters], scratch), scalars)
 
 
 def _dual_step(mats, dmats, signs):
@@ -483,11 +507,10 @@ def _dual_step(mats, dmats, signs):
     [[(-1)^|x| X, D(x)], [0, X]] with X = mats[x], D(x) = dmats[x] and
     (-1)^|x| = signs[x].  X t is reduced before D(x) s is added to it (see
     Exactness above)."""
-    def step(values, letters):
-        out = _modp(mats[letters] @ values, _SAMPLE_PRIME)
-        out[:, :, 0] = _modp(signs[letters, None] * out[:, :, 0]
-                             + (dmats[letters] @ values[:, :, 1:])[:, :, 0],
-                             _SAMPLE_PRIME)
+    def step(values, letters, scratch):
+        out = _modp(mats[letters] @ values, scratch)
+        out[:, :, 0] = _modp(signs[letters, None] * out[:, :, 0] + (
+            dmats[letters] @ values[:, :, 1:])[:, :, 0], scratch)
         return out
     return step
 
@@ -497,38 +520,34 @@ def _d_squared(dga: DgaPresentation):
 
     d of a word is the top right block of the word at the dual matrices of
     `_dual_step`, so d(d(g)) . v is the walk from the state (0, v) over the
-    reversed words of d(g).  `rows` holds the reversed terms with a hot
-    letter, one whose differential D(x) is nonzero; a second trie
-    evaluates the D(x) of the hot letters they hold.
+    reversed words of d(g).  One `_Terms` holds every differential; `rows`
+    is the trie of its reversed terms with a hot letter, one whose
+    differential D(x) is nonzero, and a second trie over the terms of the
+    hot letters they hold evaluates those D(x).
 
     Returns the word degree of d(d(g)), blind to cancellation, and a
     function of (point, scalars, v) that gives every d(d(g)) . v as an
     array (len(generators), dim)."""
     import numpy as np
     gens = dga.generators
-    ids = {g: k for k, g in enumerate(gens)}
-    hot = {g for g in gens if not dga.diff[g].is_zero()}
-    rows = _Trie([NCPoly({(word[::-1], base): coeff
-                          for (word, base), coeff in dga.diff[g].terms.items()
-                          if not hot.isdisjoint(word)}) for g in gens], ids)
-    t = rows.terms
+    terms = _Terms([dga.diff[g] for g in gens], {g: k for k, g in enumerate(gens)})
     # per letter id, then looked up at every position; padding is id
     # len(gens), not hot, of span 0
-    is_hot = np.array([g in hot for g in gens] + [False])[t.letters]
-    span = np.array([_word_span(dga.diff[g]) for g in gens] + [0])
+    is_hot = np.append(np.bincount(terms.polys, minlength=len(gens)) > 0,
+                       False)[terms.letters]
+    rows = _Trie(terms, np.flatnonzero(is_hot.any(axis=1)), reverse=True)
     # a word of d(g) with one hot letter replaced by a word of that
     # letter's differential
-    degree = int(((t.lens[:, None] - 1 + span[t.letters]) * is_hot)
-                 .max(initial=0))
-    used = np.unique(t.letters[is_hot])
-    hot_trie = _Trie([dga.diff[gens[k]] for k in used], ids)
+    degree = int(((terms.lens[:, None] - 1 + np.append(terms.spans, 0)[
+        terms.letters]) * is_hot).max(initial=0))
+    used = np.unique(terms.letters[is_hot])
+    hot_trie = _Trie(terms, np.flatnonzero(np.isin(terms.polys, used)))
     signs = np.array([(-1.0) ** g.degree for g in gens])
 
     def apply(point, scalars, v):
-        dmats = np.zeros_like(point)
-        dmats[used] = hot_trie.evaluate(point, scalars)
         return rows.walk(np.stack([np.zeros_like(v), v], axis=-1),
-                         _dual_step(point, dmats, signs), scalars)[:, :, 0]
+                         _dual_step(point, hot_trie.evaluate(point, scalars),
+                                    signs), scalars)[:, :, 0]
     return degree, apply
 
 
@@ -536,8 +555,7 @@ def _sigma_value(image: NCPoly, values: dict):
     """A sigma image at the residue matrices `values`, for `phi.push`."""
     return _modp(sum(coeff * reduce(operator.matmul,
                                     map(values.__getitem__, word))
-                     for (word, _), coeff in image.terms.items()),
-                 _SAMPLE_PRIME)
+                     for (word, _), coeff in image.terms.items()))
 
 
 def _phi_degree_bound(b: BraidWord) -> int:
@@ -568,10 +586,9 @@ def verify_d_squared_sampled(dga: DgaPresentation, seed: int = 0,
     rng = random.Random(seed)
     failures = []
     for _ in range(trials):
-        point = _rand_point(rng, len(dga.generators), dim, prime)
+        point = _rand_point(rng, len(dga.generators), dim)
         scalars = tuple(rng.randrange(1, prime) for _ in range(4))
-        v = np.array([rng.randrange(prime) for _ in range(dim)],
-                     dtype=np.float64)
+        v = np.array([rng.randrange(prime) for _ in range(dim)], dtype=np.float64)
         res = apply(point, scalars, v)
         for k in np.flatnonzero(res.any(axis=1)):
             if dga.generators[k] not in failures:
@@ -582,9 +599,7 @@ def verify_d_squared_sampled(dga: DgaPresentation, seed: int = 0,
 def _block_product(x, y):
     """The product of two block matrices of residues, each an array
     (n, n, dim, dim) of n x n blocks."""
-    prime = _SAMPLE_PRIME
-    return _modp(sum(_modp(x[:, k, None] @ y[None, k], prime)
-                     for k in range(len(x))), prime)
+    return _modp(sum(_modp(x[:, k, None] @ y[None, k]) for k in range(len(x))))
 
 
 def verify_phi_factorization_sampled(b: BraidWord, seed: int = 0,
@@ -596,20 +611,19 @@ def verify_phi_factorization_sampled(b: BraidWord, seed: int = 0,
     n = b.strands
     m = degree0_matrices(b)
     phi_l, phi_r = phi_matrices(b)
-    span_l = max(_word_span(e) for _, _, e in phi_l.entries())
-    span_r = max(_word_span(e) for _, _, e in phi_r.entries())
-    dim = _sample_dim(max(span_l + 1 + span_r, _phi_degree_bound(b)))
     avars = a_variables(n)
     ids = {a: k for k, a in enumerate(avars)}
     names = ("A_lower", "A_upper", "Ahat", "Acheck")
-    entries = lambda *ms: [e for M in ms for _, _, e in M.entries()]
-    outer = _Trie(entries(phi_l, phi_r), ids)
-    inner = _Trie(entries(*(getattr(m, name) for name in names)), ids)
+    trie = lambda *ms: _Trie(_Terms([e for M in ms for _, _, e in M.entries()], ids))
+    outer = trie(phi_l, phi_r)
+    inner = trie(*(getattr(m, name) for name in names))
+    spans = outer.terms.spans.reshape(2, -1).max(axis=1)
+    dim = _sample_dim(max(int(spans.sum()) + 1, _phi_degree_bound(b)))
     blocks = lambda arr: arr.reshape(-1, n, n, dim, dim)
     rng = random.Random(seed)
     failures = []
     for _ in range(trials):
-        point = _rand_point(rng, len(avars), dim, prime)
+        point = _rand_point(rng, len(avars), dim)
         scalars = tuple(rng.randrange(1, prime) for _ in range(4))
         left, right = blocks(outer.evaluate(point, scalars))
         mids = blocks(inner.evaluate(point, scalars))

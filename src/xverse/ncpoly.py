@@ -227,8 +227,13 @@ class NCPoly:
         Generators absent from `images` map to themselves.  One pass over
         the terms: a term with no replaced letter is passed on as it is;
         any other is expanded letter by letter into a list of (word, base,
-        coeff) partial products, and `collect` sums everything.
+        coeff) partial products, and `collect` sums everything.  The lone
+        generator g with a replaced image returns images[g] itself.
         """
+        if len(self.terms) == 1:
+            ((word, base), coeff), = self.terms.items()
+            if coeff == 1 and base == _ZERO_BASE and len(word) == 1 and word[0] in images:
+                return images[word[0]]
         def pairs():
             for term, coeff in self.terms.items():
                 word, base = term

@@ -236,27 +236,55 @@ _term = st.tuples(
     st.lists(st.sampled_from(LETTERS), max_size=5).map(tuple),
     st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 3),
               st.integers(0, 3)),
-    st.integers(-4, 4).filter(bool))
+    st.one_of(st.integers(-4, 4), st.integers(-2 ** 70, 2 ** 70),
+              st.integers(-2 ** 46, 2 ** 46).map(lambda k: k * P)).filter(bool))
 _poly = st.lists(_term, max_size=6).map(
     lambda ts: sum((NCPoly({(w, b): c}) for w, b, c in ts), NCPoly()))
 # every word of length 5 over the letters: more nodes and terms than a block
 _ALL_WORDS = NCPoly({(tuple(LETTERS[(k // 5 ** i) % 5] for i in range(5)),
                       (k % 3 - 1, 0, 0, 0)): 1 for k in range(5 ** 5)})
+# 400 words of one base whose coefficients are congruent to (P - 1) / 2, the
+# largest symmetric residue: one unsplit slot would sum about 2^54.6
+_HEAVY = NCPoly({(tuple(LETTERS[(k // 5 ** i) % 5] for i in range(4)),
+                  (1, 0, 0, 0)): (P - 1) // 2 + k % 3 * P for k in range(400)})
+
+
+def _slot_sums(trie):
+    """The sum of |coeff| over the terms of each slot of a trie."""
+    sums = np.zeros(len(trie.slot_poly))
+    for _, _, coeffs, slots, _ in trie.levels:
+        np.add.at(sums, slots, np.abs(coeffs))
+    return sums
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(polys=st.lists(_poly, min_size=1, max_size=4),
        dim=st.integers(1, 4), seed=st.integers(0, 2 ** 32))
 @example(polys=[_ALL_WORDS, NCPoly.one()], dim=2, seed=0)
+@example(polys=[NCPoly.one(), _HEAVY], dim=2, seed=1)
 def test_trie_evaluation_matches_term_by_term_reference(polys, dim, seed):
     rng = random.Random(seed)
     point, mats = _random_point(rng, LETTERS, dim)
     scalars = tuple(rng.randrange(1, P) for _ in range(4))
-    trie = dga_module._Trie(polys, {g: k for k, g in enumerate(LETTERS)})
+    trie = dga_module._Trie(dga_module._Terms(
+        polys, {g: k for k, g in enumerate(LETTERS)}))
+    # every slot sum stays exact in float64: sum |c| * (P - 1) < 2^53
+    assert (_slot_sums(trie) * P < 2 ** 53).all()
     want = [ref_eval(p, mats, scalars, dim).tolist() for p in polys]
     assert _as_ints(trie.evaluate(point, scalars)) == want
     with mock.patch.object(dga_module, "_BLOCK", 3):
         assert _as_ints(trie.evaluate(point, scalars)) == want
+
+
+def test_heavy_slot_is_split():
+    trie = dga_module._Trie(dga_module._Terms(
+        [NCPoly.one(), _HEAVY], {g: k for k, g in enumerate(LETTERS)}))
+    # one slot for 1, and _HEAVY's one (polynomial, base) pair cut into the
+    # fewest slots that keep each sum below 2^53 / P: 400 (P - 1) / 2 needs 7
+    assert trie.slot_poly.tolist() == [0] + [1] * 7
+    sums = _slot_sums(trie)
+    assert sums[1:].sum() == 400 * (P - 1) // 2
+    assert (sums * P < 2 ** 53).all()
 
 
 def _scrambled(dga, rng):
@@ -301,6 +329,29 @@ def test_vector_pass_matches_symbolic_d_squared():
                     assert _as_ints(got) == want, (b, flavor, block)
 
 
+# the five braids of the benchmark's identity workload, and the sampling
+# dimension of each one's d^2 check
+IDENTITY_DIMS = {"1 -2 1 -2": 5, "-2 -2 1 2 3 -2 -2": 8,
+                 "-1 -1 -1 3 -2 1 1": 11, "3 2 -1 1 2 -1 2": 17,
+                 "-1 3 2 -1 -2 3 3": 16}
+
+
+def test_sampling_degree_bounds_every_d_squared_word():
+    rng = random.Random(9)
+    for b in (UNKNOT, TREFOIL, FIG8):
+        for flavor in FLAVORS:
+            true = build_dga(b, flavor)
+            for dga in (true, _scrambled(true, rng)):
+                degree, _ = dga_module._d_squared(dga)
+                longest = max((len(word) for g in dga.generators
+                               for word, _ in differential(
+                                   dga, dga.diff[g]).terms), default=0)
+                assert degree >= longest, (b, flavor)
+    for word, dim in IDENTITY_DIMS.items():
+        degree, _ = dga_module._d_squared(build_dga(parse_braid(word)))
+        assert dga_module._sample_dim(degree) == dim, word
+
+
 def test_trie_steps_are_exact_at_max_dim():
     # the largest residues at the largest dimension: a product sums dim
     # terms near p^2, and the dual step adds D(x) s to the reduced X t.  The
@@ -309,8 +360,8 @@ def test_trie_steps_are_exact_at_max_dim():
     dim, top = dga_module._MAX_DIM, P - 1
     mats = np.full((2, dim, dim), float(top))
     x, y = LETTERS[:2]
-    trie = dga_module._Trie([NCPoly({((x, y), (0, 0, 0, 0)): 1})],
-                            {x: 0, y: 1})
+    trie = dga_module._Trie(dga_module._Terms(
+        [NCPoly({((x, y), (0, 0, 0, 0)): 1})], {x: 0, y: 1}))
     assert _as_ints(trie.evaluate(mats, (1, 1, 1, 1))) == \
         [[[dim * top * top % P] * dim] * dim]
     state = np.full((2, dim, 2), top, dtype=np.float32)
@@ -318,8 +369,26 @@ def test_trie_steps_are_exact_at_max_dim():
     # letter 0 even, letter 1 odd
     step = dga_module._dual_step(mats, mats, np.array([1.0, -1.0]))
     xt, xs = dim * top * top, dim * top * (top - 1)
-    assert _as_ints(step(state, np.array([0, 1]))) == \
+    assert _as_ints(step(state, np.array([0, 1]), None)) == \
         [[[(xt + xs) % P, xs % P]] * dim, [[(xs - xt) % P, xs % P]] * dim]
+
+
+def test_substituting_lone_generators_shares_the_images():
+    for b in (TREFOIL, FIG8, parse_braid("-2 -2 1 2 3 -2 -2")):
+        images = phi_images(b)
+        A = structured_matrices(b).A
+        for i, j, e in A.substitute(images).entries():
+            if i == j:
+                assert e == A.at(i, i)
+                continue
+            a = NCPoly.generator("a", i, j)
+            assert e is images[gen("a", i, j)]
+            assert e == apply_phi(b, a)
+            # 2 a takes the general path, through `collect`
+            assert (a * 2).substitute(images) == e * 2
+        # the sum of lone generators takes the general path
+        assert (A.at(1, 2) + A.at(2, 1)).substitute(images) == \
+            images[gen("a", 1, 2)] + images[gen("a", 2, 1)]
 
 
 def test_hat_matrices_coincide_at_units():
@@ -399,12 +468,12 @@ def test_push_matches_references(b, dim, seed):
     # a bound, not the degree: sigma_1 sigma_1^-1 folds to 2, its images
     # have degree 1
     assert dga_module._phi_degree_bound(b) >= max(
-        dga_module._word_span(p) for p in images.values())
+        len(word) for p in images.values() for word, _ in p.terms)
     rng = random.Random(seed)
     point, _ = _random_point(rng, avars, dim)
     scalars = tuple(rng.randrange(1, P) for _ in range(4))
     pushed = push(b, dict(zip(avars, point)), dga_module._sigma_value)
-    trie = dga_module._Trie([images[a] for a in avars],
-                            {a: k for k, a in enumerate(avars)})
+    trie = dga_module._Trie(dga_module._Terms(
+        [images[a] for a in avars], {a: k for k, a in enumerate(avars)}))
     assert _as_ints(np.array([pushed[a] for a in avars])) == \
         _as_ints(trie.evaluate(point, scalars))
