@@ -434,7 +434,7 @@ class _Trie:
         key = terms.polys[sel] * len(terms.bases) + terms.base_ids[sel]
         order = np.argsort(key, kind="stable")
         sel, key = sel[order], key[order]
-        coeffs = terms.coeffs[sel]
+        coeffs = terms.coeffs[sel].astype(np.float64)  # exact: |c| < 2^23
         part = np.cumsum(np.abs(coeffs)) // _SLOT_CAP
         new = (np.diff(key, prepend=-1) != 0) | (np.diff(part, prepend=-1) != 0)
         slot = np.cumsum(new) - 1
@@ -457,8 +457,8 @@ class _Trie:
                     node[act] * bound + letters[act, depth - 1],
                     return_inverse=True)
             ends = np.flatnonzero(lens == depth)
-            self.levels.append((keys // bound, keys % bound, coeffs[ends].astype(
-                np.float64), slot[ends], node[ends]))
+            self.levels.append((keys // bound, keys % bound, coeffs[ends],
+                                slot[ends], node[ends]))
 
     def walk(self, root, step, scalars):
         """The polynomials at a point, as an array (terms.size,) + root.shape:
@@ -467,8 +467,8 @@ class _Trie:
         `letters` of nodes whose values are `values`."""
         import numpy as np
         shape, lift = root.shape, (slice(None),) + (None,) * root.ndim
-        size = root.size * min(_BLOCK, max(max(len(parents), len(slots))
-                                           for parents, _, _, slots, _ in self.levels))
+        size = root.size * min(_BLOCK, max(
+            max(len(parents), len(slots)) for parents, _, _, slots, _ in self.levels))
         scratch = (np.empty(size), np.empty(size, dtype=bool))
         acc = np.zeros((len(self.slot_poly),) + shape)
         level = root[None]
