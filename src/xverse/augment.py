@@ -484,17 +484,26 @@ class _PackedPoly:
         return _PackedPoly(out, self.nvars, p)
 
 
+def _lift(n: int, p: int, scalars: tuple[int, int, int, int] = (1, 1, 1, 1)):
+    """(var_index, lift): the field of each variable of `a_variables(n)`
+    in a packed key, and the map from a symbolic entry to its packed F_p
+    entry with the scalars at `scalars`."""
+    var_index = {g: i for i, g in enumerate(a_variables(n))}
+    return var_index, lambda e: _PackedPoly(
+        _abelianize(e, var_index, p, scalars), len(var_index), p)
+
+
 @functools.lru_cache(maxsize=None)
 def _packed_sigma_images(n: int, p: int) -> dict[int, tuple[int, dict]]:
     """The sigma images of every letter on n strands as packed
     substitution maps, (touched, images) for `_PackedPoly.substitute`,
     with variable v at its place in `a_variables(n)`.  Read only, and
     cached because they cost as much as the rest of a small build."""
-    var_index = {g: i for i, g in enumerate(a_variables(n))}
+    var_index, lift = _lift(n, p)
     maps = {}
     for k in range(1, n):
         for letter in (k, -k):
-            images = {var_index[g]: _abelianize(img, var_index, p, (1, 1, 1, 1))
+            images = {var_index[g]: lift(img).terms
                       for g, img in sigma_images(k, n, letter < 0).items()}
             touched = sum(_EMASK << (_BITS * v) for v in images)
             maps[letter] = (touched, images)
@@ -511,14 +520,7 @@ def _packed_phi_matrices(b: BraidWord, p: int) -> tuple[GenMatrix, GenMatrix]:
     matrices are shared and read only: `cd_relations` only combines them
     with `@` and `-`, which build new entries and new dicts."""
     n = b.strands
-    variables = a_variables(n)
-    var_index = {g: i for i, g in enumerate(variables)}
-
-    def lift(e: NCPoly) -> _PackedPoly:
-        return _PackedPoly(_abelianize(e, var_index, p, (1, 1, 1, 1)),
-                           len(variables), p)
-
-    return phi_matrices(b, lift, _packed_sigma_images(n, p))
+    return phi_matrices(b, _lift(n, p)[1], _packed_sigma_images(n, p))
 
 
 def packed_relations(b: BraidWord, flavor: str, prime: int, lam0: int,
@@ -527,18 +529,11 @@ def packed_relations(b: BraidWord, flavor: str, prime: int, lam0: int,
     """The nonzero degree-0 relations as packed F_p polynomials: ht0's
     construction over abelianized entries, with the scalars at (lam0, mu0,
     u0, v0) and Phi built without any symbolic intermediate."""
-    variables = a_variables(b.strands)
-    var_index = {g: i for i, g in enumerate(variables)}
-    nvars = len(variables)
-    scalars = (lam0, mu0, u0, v0)
-
-    def lift(e: NCPoly) -> _PackedPoly:
-        return _PackedPoly(_abelianize(e, var_index, prime, scalars),
-                           nvars, prime)
-
+    var_index, lift = _lift(b.strands, prime, (lam0, mu0, u0, v0))
     entries = cd_relations(b, flavor, lambda w: _packed_phi_matrices(w, prime),
                            lift, lam_override, split)
-    return [e.terms for e in entries if e.terms], nvars, variables
+    return ([e.terms for e in entries if e.terms], len(var_index),
+            list(var_index))
 
 
 def _auto_split(b: BraidWord) -> int:

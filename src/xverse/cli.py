@@ -149,10 +149,7 @@ def _cmd_aug_compare(parser, args) -> int:
 
 def _cmd_verify(parser, args) -> int:
     b = _parse_braid_arg(args)
-    if args.grid is not None:
-        grid = _parse_grid(args.grid)
-    else:
-        grid = ((2, 1),) if args.prime > 2 else ((1, 1),)
+    grid = None if args.grid is None else _parse_grid(args.grid)
     spec = CheckSpec(braid=b, check=args.check, prime=args.prime,
                      grid=grid, samples=args.samples, seed=args.seed)
     report = run_check(spec, budget=args.budget)

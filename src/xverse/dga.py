@@ -316,7 +316,9 @@ def verify_phi_factorization(b: BraidWord) -> list[str]:
 # about degree/p.  The d^2 check applies d(d(g)) to a random vector v instead
 # of forming the matrix; by Freivalds (1977) a nonzero matrix kills a uniform
 # v with probability at most 1/p.  A failure therefore escapes one trial
-# with probability at most about (degree + 1)/p, and trials are independent.
+# with probability at most about (degree + 1)/p, and the _TRIALS = 2
+# independent trials of a check with about ((degree + 1)/p)^2, below 2^-36
+# at the largest degree _MAX_DIM allows.
 #
 # Exactness.  Arithmetic runs in float64 so that products hit BLAS, and it is
 # exact: operands are residues below p < 2^24, so each entry of a product of
@@ -342,6 +344,7 @@ def verify_phi_factorization(b: BraidWord) -> list[str]:
 # ---------------------------------------------------------------------------
 
 _SAMPLE_PRIME = 16777213
+_TRIALS = 2  # independent points per check (see Error bound)
 _MAX_DIM = 31
 _BLOCK = 1024
 # a slot's sum of |coeff| stays below 2^53 / p (see Exactness)
@@ -574,8 +577,8 @@ def _sample_dim(span: int) -> int:
     return dim
 
 
-def verify_d_squared_sampled(dga: DgaPresentation, seed: int = 0,
-                             trials: int = 2) -> list[Generator]:
+def verify_d_squared_sampled(dga: DgaPresentation,
+                             seed: int = 0) -> list[Generator]:
     """Check d(d(g)) = 0 for every generator by evaluation at random
     matrices, applied to a random vector; returns the generators whose image
     fails to vanish."""
@@ -585,7 +588,7 @@ def verify_d_squared_sampled(dga: DgaPresentation, seed: int = 0,
     dim = _sample_dim(degree)
     rng = random.Random(seed)
     failures = []
-    for _ in range(trials):
+    for _ in range(_TRIALS):
         point = _rand_point(rng, len(dga.generators), dim)
         scalars = tuple(rng.randrange(1, prime) for _ in range(4))
         v = np.array([rng.randrange(prime) for _ in range(dim)], dtype=np.float64)
@@ -602,8 +605,7 @@ def _block_product(x, y):
     return _modp(sum(_modp(x[:, k, None] @ y[None, k]) for k in range(len(x))))
 
 
-def verify_phi_factorization_sampled(b: BraidWord, seed: int = 0,
-                                     trials: int = 2) -> list[str]:
+def verify_phi_factorization_sampled(b: BraidWord, seed: int = 0) -> list[str]:
     """The factorization identities of verify_phi_factorization, checked
     by evaluation at random matrices instead of symbolic expansion."""
     import numpy as np
@@ -622,7 +624,7 @@ def verify_phi_factorization_sampled(b: BraidWord, seed: int = 0,
     blocks = lambda arr: arr.reshape(-1, n, n, dim, dim)
     rng = random.Random(seed)
     failures = []
-    for _ in range(trials):
+    for _ in range(_TRIALS):
         point = _rand_point(rng, len(avars), dim)
         scalars = tuple(rng.randrange(1, prime) for _ in range(4))
         left, right = blocks(outer.evaluate(point, scalars))

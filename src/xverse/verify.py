@@ -10,6 +10,12 @@ infinity count is invariant under the alpha-rescaling of all four
 scalars, and the count depends on the diagonal scaling matrix only
 through its determinant.
 
+A check is one row of `_TABLE`: its flavor and its move, which maps the
+left count query at a grid point to the right one.  `_check_jobs` runs
+the move once per sample (once in all for mirror and op_swap, which draw
+nothing) and applies it at every grid point.  The default grid is
+((2, 1),), and ((1, 1),) at p = 2.
+
 `run_check` checks every grid point against the check's flavor, then
 counts each distinct query of the check once, serially in order of first
 appearance, and reuses the count for every pair that asks it; the memo
@@ -22,6 +28,7 @@ prime) in `augment`.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -32,17 +39,13 @@ from .augment import _auto_split  # noqa: F401
 from .braid import BraidWord, braid_stats, braid_transform, markov_move
 from .ncpoly import pow_mod
 
-CHECKS = ("conjugation", "stab_pos", "stab_neg_infinity", "mirror",
-          "op_swap", "rescale", "doublehat_stab", "lam_override")
-INFINITY_CHECKS = ("stab_neg_infinity", "op_swap", "rescale")
-
 
 @dataclass
 class CheckSpec:
     braid: BraidWord
     check: str
     prime: int = 3
-    grid: tuple = ((2, 1),)
+    grid: tuple | None = None
     samples: int = 5
     seed: int = 0
 
@@ -53,21 +56,81 @@ class CheckReport:
     cases: list[tuple[str, int, int]] = field(default_factory=list)
 
 
-def _count(query: tuple, budget: int | None) -> int:
-    """Count one query (b, flavor, prime, lam0, mu0, u0, v0, lam_override)."""
-    b, flavor, prime, lam0, mu0, u0, v0, lam_override = query
-    return augmentation_number(b, flavor, prime, lam0, mu0, u0=u0, v0=v0,
-                               lam_override=lam_override, budget=budget).count
+def _conjugate_then(move: str | None):
+    """A random conjugation (none on one strand), then `move` if given."""
+    def sample(b, p, rng, s):
+        desc = "id"
+        if b.strands > 1:
+            k, sign = rng.randrange(1, b.strands), rng.choice((1, -1))
+            b = markov_move(b, "conjugate", k=k, sign=sign)
+            desc = f"conj(k={k},s={sign:+d})"
+        if move:
+            b, desc = markov_move(b, move), f"{desc}+{move}"
+        return desc, lambda q: (b, *q[1:])
+    return sample
+
+
+def _reverse(b, p, rng, s):
+    rev = braid_transform(b, "reverse")
+    return "reverse", lambda q: (rev, *q[1:])
+
+
+def _swap(b, p, rng, s):
+    return "swap", lambda q: (*q[:3], pow_mod(q[3], -1, p),
+                              pow_mod(q[4], -1, p), q[6], q[5], None)
+
+
+def _rescale(b, p, rng, s):
+    """(L, m, U, V) -> (alpha^-sl L, m / alpha, alpha U, V / alpha)."""
+    alpha = rng.randrange(1, p)
+    ai = pow_mod(alpha, -1, p)
+    scale = (pow_mod(alpha, -braid_stats(b).self_linking, p), ai, alpha, ai)
+    return f"alpha={alpha}", lambda q: (
+        *q[:3], *(x * f % p for x, f in zip(q[3:7], scale)), None)
+
+
+def _override(b, p, rng, s):
+    """A random diagonal Lam, n entries (sign, L exponent, m exponent)
+    whose product is L m^-writhe, the determinant of the default Lam."""
+    entries = [(rng.choice((1, -1)), rng.randrange(-2, 3),
+                rng.randrange(-2, 3)) for _ in range(b.strands - 1)]
+    entries.append((math.prod(c for c, _, _ in entries),
+                    1 - sum(le for _, le, _ in entries),
+                    -braid_stats(b).writhe - sum(me for _, _, me in entries)))
+    return f"override#{s}", lambda q: (*q[:7], tuple(entries))
+
+
+# check: (flavor, move, sampled, right side is the count 0).  A move takes
+# (braid, prime, rng, sample index) to the sample's desc and a map from the
+# left count query (b, flavor, p, l0, m0, u0, v0, lam_override) to the
+# right one.  A check that is not sampled draws nothing and makes one pass
+# over the grid; the double-hat check counts the moved braid and expects 0.
+_TABLE = {
+    "conjugation": ("hat", _conjugate_then(None), True, False),
+    "stab_pos": ("hat", _conjugate_then("stab_pos"), True, False),
+    "stab_neg_infinity": ("infinity", _conjugate_then("stab_neg"), True, False),
+    "mirror": ("hat", _reverse, False, False),
+    "op_swap": ("infinity", _swap, False, False),
+    "rescale": ("infinity", _rescale, True, False),
+    "doublehat_stab": ("doublehat", _conjugate_then("stab_neg"), True, True),
+    "lam_override": ("hat", _override, True, False),
+}
+CHECKS = tuple(_TABLE)
+INFINITY_CHECKS = tuple(c for c, row in _TABLE.items() if row[0] == "infinity")
 
 
 def _grid_points(spec: CheckSpec) -> list[tuple]:
-    """The grid as the check's flavor takes it, every point checked before
-    any count runs: (lam0, mu0) for a hat or double-hat check, whose
-    flavor fixes (U, V), and (lam0, mu0, u0, v0) with u0, v0 invertible
-    and 1 unless given for an infinity check."""
+    """The grid (by default ((2, 1),), or ((1, 1),) at p = 2, where 2 is
+    0) as the check's flavor takes it, every point checked before any
+    count runs: (lam0, mu0) for a hat or double-hat check, whose flavor
+    fixes (U, V), and (lam0, mu0, u0, v0) with u0, v0 invertible and 1
+    unless given for an infinity check."""
     infinity = spec.check in INFINITY_CHECKS
+    grid = spec.grid
+    if grid is None:
+        grid = ((2, 1),) if spec.prime > 2 else ((1, 1),)
     points = []
-    for point in spec.grid:
+    for point in grid:
         if len(point) not in (2, 4):
             raise ValueError(f"grid point needs 2 or 4 entries, got {point}")
         if len(point) == 4 and not infinity:
@@ -81,104 +144,28 @@ def _grid_points(spec: CheckSpec) -> list[tuple]:
     return points
 
 
-def _random_conjugation(b: BraidWord, rng: random.Random) -> tuple[BraidWord, str]:
-    if b.strands < 2:
-        return b, "id"
-    k = rng.randrange(1, b.strands)
-    sign = rng.choice((1, -1))
-    return markov_move(b, "conjugate", k=k, sign=sign), f"conj(k={k},s={sign:+d})"
-
-
 def _check_jobs(spec: CheckSpec) -> list[tuple]:
     """The check's (desc, left, right) pairs, in sample and grid order.
     Each side is a count query (b, flavor, p, l0, m0, u0, v0,
     lam_override), hashable, with a Lam override as a tuple of
     (sign, L exponent, m exponent) tuples; right is None when the left
     count must be 0."""
-    if spec.check not in CHECKS:
+    if spec.check not in _TABLE:
         raise ValueError(f"unknown check {spec.check!r}; choose from {CHECKS}")
     if spec.samples < 1:
         raise ValueError("samples must be >= 1")
+    flavor, move, sampled, zero = _TABLE[spec.check]
     points = _grid_points(spec)
-    rng = random.Random(spec.seed)
-    b = spec.braid
-    p = spec.prime
+    b, p, rng = spec.braid, spec.prime, random.Random(spec.seed)
     jobs: list[tuple] = []
-
-    def pair(desc, left_args, right_args):
-        jobs.append((desc, left_args, right_args))
-
-    if spec.check in ("conjugation", "stab_pos"):
-        for s in range(spec.samples):
-            moved, desc = _random_conjugation(b, rng)
-            if spec.check == "stab_pos":
-                moved = markov_move(moved, "stab_pos")
-                desc += "+stab_pos"
-            for l0, m0 in points:
-                pair(f"{desc} @({l0},{m0})",
-                     (b, "hat", p, l0, m0, None, None, None),
-                     (moved, "hat", p, l0, m0, None, None, None))
-    elif spec.check == "stab_neg_infinity":
-        for s in range(spec.samples):
-            moved, desc = _random_conjugation(b, rng)
-            moved = markov_move(moved, "stab_neg")
-            desc += "+stab_neg"
-            for l0, m0, u0, v0 in points:
-                pair(f"{desc} @({l0},{m0},{u0},{v0})",
-                     (b, "infinity", p, l0, m0, u0, v0, None),
-                     (moved, "infinity", p, l0, m0, u0, v0, None))
-    elif spec.check == "mirror":
-        rev = braid_transform(b, "reverse")
-        for l0, m0 in points:
-            pair(f"reverse @({l0},{m0})",
-                 (b, "hat", p, l0, m0, None, None, None),
-                 (rev, "hat", p, l0, m0, None, None, None))
-    elif spec.check == "op_swap":
-        for l0, m0, u0, v0 in points:
-            li, mi = pow_mod(l0, -1, p), pow_mod(m0, -1, p)
-            pair(f"swap @({l0},{m0},{u0},{v0})",
-                 (b, "infinity", p, l0, m0, u0, v0, None),
-                 (b, "infinity", p, li, mi, v0, u0, None))
-    elif spec.check == "rescale":
-        sl = braid_stats(b).self_linking
-        for s in range(spec.samples):
-            alpha = rng.randrange(1, p)
-            for l0, m0, u0, v0 in points:
-                ai = pow_mod(alpha, -1, p)
-                l1 = l0 * pow_mod(alpha, -sl, p) % p
-                pair(f"alpha={alpha} @({l0},{m0},{u0},{v0})",
-                     (b, "infinity", p, l0, m0, u0, v0, None),
-                     (b, "infinity", p, l1, m0 * ai % p,
-                      u0 * alpha % p, v0 * ai % p, None))
-    elif spec.check == "doublehat_stab":
-        for s in range(spec.samples):
-            moved, desc = _random_conjugation(b, rng)
-            moved = markov_move(moved, "stab_neg")
-            for l0, m0 in points:
-                pair(f"{desc}+stab_neg @({l0},{m0})",
-                     (moved, "doublehat", p, l0, m0, None, None, None),
-                     None)
-    elif spec.check == "lam_override":
-        w = braid_stats(b).writhe
-        n = b.strands
-        for s in range(spec.samples):
-            entries = []
-            lsum = msum = 0
-            csign = 1
-            for _ in range(n - 1):
-                c = rng.choice((1, -1))
-                le = rng.randrange(-2, 3)
-                me = rng.randrange(-2, 3)
-                entries.append((c, le, me))
-                csign *= c
-                lsum += le
-                msum += me
-            entries.append((csign, 1 - lsum, -w - msum))
-            for l0, m0 in points:
-                pair(f"override#{s} @({l0},{m0})",
-                     (b, "hat", p, l0, m0, None, None, None),
-                     (b, "hat", p, l0, m0, None, None, tuple(entries)))
-
+    for s in range(spec.samples if sampled else 1):
+        desc, moved = move(b, p, rng, s)
+        for point in points:
+            # a hat or double-hat point leaves u0 and v0 None
+            left = (b, flavor, p, *point, None, None, None)[:8]
+            at = f"{desc} @({','.join(map(str, point))})"
+            jobs.append((at, moved(left), None) if zero
+                        else (at, left, moved(left)))
     return jobs
 
 
@@ -193,7 +180,10 @@ def run_check(spec: CheckSpec, budget: int | None = None) -> CheckReport:
     for _, left, right in jobs:
         for query in filter(None, (left, right)):
             if query not in found:
-                found[query] = _count(query, budget)
+                b, flavor, p, l0, m0, u0, v0, override = query
+                found[query] = augmentation_number(
+                    b, flavor, p, l0, m0, u0=u0, v0=v0,
+                    lam_override=override, budget=budget).count
     cases = [(desc, found[left], 0 if right is None else found[right])
              for desc, left, right in jobs]
     cases.sort(key=lambda c: c[0])

@@ -185,6 +185,35 @@ def test_verify_deterministic_output(capsys):
     assert json.loads(out1)["passed"] is True
 
 
+@pytest.mark.parametrize("check, grid, digest", [
+    ("conjugation", "1,1;2,1;1,2;2,2",
+     "b6858ad3ffeb0fdf03a201fd979536bf597f25a0ba16231b71ae7bdbedd60aed"),
+    ("stab_pos", "1,1;2,1;1,2;2,2",
+     "08b8c53c0a21048c21317e308b0275e2b114041331e29deed449f5a0450ec365"),
+    ("stab_neg_infinity", "1,1,1,1;2,1,1,2;1,2,2,1;2,2,2,2",
+     "6cfaca69015bafcda79b6d7f6353ea9c070896115c990a3422b4b6f5c4bc38fd"),
+    ("mirror", "1,1;2,1;1,2;2,2",
+     "1a34dada251e8647578af13835206e2f85a174d2109c89f7ddee38965b30fc64"),
+    ("op_swap", "1,1,1,1;2,1,1,2;1,2,2,1;2,2,2,2",
+     "f6cc7f02140096d7409f5d4281bbba54d970263d37a716e15d63bef888765196"),
+    ("rescale", "1,1,1,1;2,1,1,2;1,2,2,1;2,2,2,2",
+     "355688b23e5d7cf0850d4feb8546680ac9fbc5439bd58f53c597c3e98b374f3b"),
+    ("doublehat_stab", "1,1;2,1;1,2;2,2",
+     "44a12850a1a26d08f2a84edb9443f8a68d23b15279d59bf8be25d98949221c7f"),
+    ("lam_override", "1,1;2,1;1,2;2,2",
+     "0e12e3076283720ea7ab17b409202658531e14a8ae5c9b5b65fd6fe8c0df3ee8"),
+])
+def test_verify_json_bytes_are_pinned(capsys, check, grid, digest):
+    """Each check's cases (the moves, their random draws, the grid points
+    and the counts) print byte for byte as when these digests were
+    taken, on the benchmark's grids."""
+    code, out, _ = run(capsys, "verify", "--braid", "1 1 1 2 -1 2",
+                       "--check", check, "--grid", grid, "--seed", "0",
+                       "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_table_subset(capsys):
     code, out, _ = run(capsys, "table", "--rows", "m72,9_44", "--json")
     assert code == 0

@@ -99,6 +99,17 @@ def test_markov_and_mirror_invariance_at_random_points(case):
         assert report.cases
 
 
+@pytest.mark.parametrize("check", CHECKS)
+def test_default_grid_is_nonzero_at_p2(check):
+    """Every check runs at p = 2 on the default grid, which is (1, 1)
+    there because 2 is 0 in F_2."""
+    report = run_check(CheckSpec(TREFOIL, check, prime=2, samples=2))
+    assert report.passed, report.cases
+    assert report.cases
+    assert all(desc.endswith(("@(1,1)", "@(1,1,1,1)"))
+               for desc, _, _ in report.cases)
+
+
 def test_unknown_check_rejected():
     with pytest.raises(ValueError):
         run_check(CheckSpec(TREFOIL, "flype"))
