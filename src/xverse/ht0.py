@@ -13,14 +13,20 @@ type: `ht0_relations` runs it over symbolic `NCPoly` entries, and
 the specialization and the lift into the entry type; the block formula
 itself is `dga.cd_blocks`, as the b-differentials of `b_consequences` are
 `dga.db_block`, so the DGA and its degree-0 quotient share one copy of
-each.  The variable order is `phi.a_variables`.  The relations
-are kept raw; a bounded substitution pass (eliminate a variable occurring
-linearly with unit coefficient and nowhere else in that relation) is
-available for display and for the index-2 polynomial pipeline.
+each.  The variable order is `phi.a_variables`.
+
+The relations are kept raw.  `reduced_relations` simplifies them for
+display and for the index-2 polynomial: it adjoins `b_consequences`,
+substitutes away each variable x that some relation holds only in one
+term c*x with c a unit (`eliminate_linear`), and interreduces the system
+when at most one variable is left.  A unit is +-1 times a monomial in the
+scalars the flavor's ring inverts (`_units`): L and m, and also U and V
+in the infinity flavor.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .braid import BraidWord, braid_stats, braid_transform
@@ -85,60 +91,38 @@ def ht0_relations(b: BraidWord, flavor: str = "minus", lam_override=None,
                            relations=relations)
 
 
-def _unit_base_ok(base, flavor: str) -> bool:
-    """Is L^a m^b U^c V^d invertible in the flavor's coefficient ring?"""
-    if flavor == "infinity":
-        return True
-    return base[2] == 0 and base[3] == 0
+def _units(flavor: str) -> int:
+    """How many leading scalars of a base (L, m, U, V) are units of the
+    flavor's coefficient ring: L and m always, U and V in the infinity
+    flavor only."""
+    return 4 if flavor == "infinity" else 2
 
 
-def eliminate_linear(relations: list[NCPoly], flavor: str,
-                     protect: set[Generator] | None = None
-                     ) -> tuple[list[NCPoly], dict[Generator, NCPoly]]:
+def eliminate_linear(relations: list[NCPoly], flavor: str) -> list[NCPoly]:
     """Bounded substitution pass.
 
-    Repeatedly pick a relation of the form c*x + q with c a unit monomial
-    and x not in q, solve x = -c^-1 q, substitute everywhere, and drop the
-    relation.  Variables in `protect` are never eliminated.  Returns the
-    remaining relations and the substitutions performed (closed under each
-    other, so each image is in terms of surviving variables only).
+    Repeatedly take the first relation c*x + q in which x occurs only in
+    the term c*x and c is +-1 times a unit monomial (the largest such x if
+    there are several), solve x = -c^-1 q, substitute it into the other
+    relations, and drop the relation.  Returns the nonzero relations left.
     """
+    units = _units(flavor)
     rels = [r for r in relations if not r.is_zero()]
-    subs: dict[Generator, NCPoly] = {}
-    protect = protect or set()
-    changed = True
-    while changed:
-        changed = False
+    while True:
         for idx, r in enumerate(rels):
-            # prefer eliminating the largest variable, keeping small ones
-            cands = [c for c in _iter_linear_unit_terms(r, flavor)
-                     if c[0] not in protect]
-            if not cands:
-                continue
-            found = max(cands, key=lambda c: c[0])
-            x, coeff, base = found
-            rest = r - NCPoly({((x,), base): coeff})
-            image = rest.scale_base(-base[0], -base[1], -base[2], -base[3]) * (-coeff)
-            subs[x] = image
-            del rels[idx]
-            rels = [p.substitute({x: image}) for p in rels]
-            rels = [p for p in rels if not p.is_zero()]
-            subs = {g: p.substitute({x: image}) for g, p in subs.items()}
-            changed = True
-            break
-    return rels, subs
-
-
-def _iter_linear_unit_terms(r: NCPoly, flavor: str):
-    for (word, base), coeff in r.sorted_terms():
-        if len(word) != 1 or coeff not in (1, -1):
-            continue
-        if not _unit_base_ok(base, flavor):
-            continue
-        x = word[0]
-        if not any(x in w for (w, bb), cc in r.terms.items()
-                   if (w, bb) != (word, base)):
-            yield x, coeff, base
+            uses = Counter(g for word, _ in r.terms for g in word)
+            found = max(((w[0], base, c) for (w, base), c in r.terms.items()
+                         if len(w) == 1 and uses[w[0]] == 1 and c in (1, -1)
+                         and not any(base[units:])), default=None)
+            if found:
+                break
+        else:
+            return rels
+        x, base, coeff = found
+        rest = rels.pop(idx) - NCPoly({((x,), base): coeff})
+        image = rest.scale_base(*(-e for e in base)) * -coeff
+        rels = [q for q in (p.substitute({x: image}) for p in rels)
+                if not q.is_zero()]
 
 
 def b_consequences(b: BraidWord, flavor: str = "minus") -> list[NCPoly]:
@@ -155,110 +139,75 @@ def b_consequences(b: BraidWord, flavor: str = "minus") -> list[NCPoly]:
             for a in a_variables(b.strands)]
 
 
-def _term_divides(t1, t2, flavor: str) -> bool:
-    """Does scalar term t1 = (base, coeff) divide t2 in the flavor ring?"""
-    (b1, c1), (b2, c2) = t1, t2
-    if c2 % c1 != 0:
-        return False
-    if flavor != "infinity" and (b2[2] < b1[2] or b2[3] < b1[3]):
-        return False
-    return True
+def _canonical(relations: list[NCPoly], flavor: str, key=str) -> list[NCPoly]:
+    """The distinct nonzero relations up to unit monomials, sorted by key."""
+    return sorted({normalize_unit(r, flavor) for r in relations
+                   if not r.is_zero()}, key=key)
+
+
+def _by_degree(p: NCPoly):
+    return max(len(w) for w, _ in p.terms), len(p.terms), str(p)
+
+
+def _top(p: NCPoly) -> tuple[tuple, dict]:
+    """The top word x^d of a univariate p and its coefficient {base: c}."""
+    top = max((w for w, _ in p.terms), key=len)
+    return top, {b: c for (w, b), c in p.terms.items() if w == top}
+
+
+def _cancel_top(rels: list[NCPoly], units: int) -> bool:
+    """Cancel the top of the first relation r that the first possible g
+    reduces: g's top coefficient is +-1 times one monomial dividing every
+    term of r's, and deg r >= deg g.  False if no pair qualifies."""
+    tops = [_top(p) for p in rels]
+    for gi, (gw, gtop) in enumerate(tops):
+        (gb, gc), *more = gtop.items()
+        if more or gc not in (1, -1):
+            continue
+        low = gb[units:]  # g's non-unit exponents, which r's top must reach
+        for ri, (rw, rtop) in enumerate(tops):
+            if ri != gi and len(rw) >= len(gw) and all(
+                    e >= f for b in rtop for e, f in zip(b[units:], low)):
+                # r -= (lc(r)/lc(g)) x^(deg r - deg g) g
+                quot = {(rw[len(gw):], tuple(e - f for e, f in zip(b, gb))):
+                        c * gc for b, c in rtop.items()}
+                rels[ri] = rels[ri] - NCPoly(quot) * rels[gi]
+                return True
+    return False
 
 
 def _interreduce_univariate(relations: list[NCPoly], flavor: str) -> list[NCPoly]:
-    """Polynomial interreduction for relations in a single a-generator.
+    """Polynomial interreduction for relations in at most one a-generator x.
 
-    Each relation is a genuinely commutative polynomial in one variable x
-    over the scalar ring.  Whenever some relation g has a single-term
-    leading x-coefficient that divides the whole leading coefficient of
-    another relation r (with deg r >= deg g), the top of r is cancelled.
-    Repeats to a fixed point, then dedups up to unit monomials.
+    Each relation is a commutative polynomial in x over the scalar ring.
+    Cancel tops (`_cancel_top`) until none can be: each step lowers deg r
+    or zeroes r, so the loop ends.  Returns the relations up to unit
+    monomials, by degree, then size, then string.
     """
-    xs = set()
-    for r in relations:
-        xs |= r.generators()
-    if len(xs) > 1:
-        return relations
-    x = xs.pop() if xs else None
-
-    def as_coeffs(p: NCPoly) -> dict[int, dict]:
-        out: dict[int, dict] = {}
-        for (word, base), coeff in p.terms.items():
-            out.setdefault(len(word), {})[base] = coeff
-        return out
-
-    rels = [r for r in relations if not r.is_zero()]
-    for _ in range(200):
-        rels = sorted({normalize_unit(r, flavor) for r in rels if not r.is_zero()},
-                      key=lambda p: (max(len(w) for (w, _), _ in p.terms.items()),
-                                     len(p.terms), str(p)))
-        changed = False
-        for gi, g in enumerate(rels):
-            gc = as_coeffs(g)
-            dg = max(gc)
-            if len(gc[dg]) != 1:
-                continue
-            (gb, gcf), = gc[dg].items()
-            if gcf not in (1, -1):
-                continue
-            for ri, r in enumerate(rels):
-                if ri == gi:
-                    continue
-                rc = as_coeffs(r)
-                dr = max(rc)
-                if dr < dg:
-                    continue
-                if not all(_term_divides((gb, gcf), (b, c), flavor)
-                           for b, c in rc[dr].items()):
-                    continue
-                # r -= (lc(r)/lc(g)) x^(dr-dg) g
-                quot = NCPoly({((x,) * (dr - dg),
-                                (b[0] - gb[0], b[1] - gb[1], b[2] - gb[2], b[3] - gb[3])):
-                               c // gcf for b, c in rc[dr].items()})
-                rels[ri] = r - quot * g
-                changed = True
-                break
-            if changed:
-                break
-        if not changed:
-            break
-    return sorted({normalize_unit(r, flavor) for r in rels if not r.is_zero()},
-                  key=lambda p: (max(len(w) for (w, _), _ in p.terms.items()),
-                                 len(p.terms), str(p)))
+    rels = _canonical(relations, flavor, _by_degree)
+    while _cancel_top(rels, _units(flavor)):
+        rels = _canonical(rels, flavor, _by_degree)
+    return rels
 
 
 def reduced_relations(h: Ht0Presentation) -> list[NCPoly]:
     """Display-oriented simplification of a presentation: adjoin the
     b-differential consequences, run the bounded substitution pass, and,
-    when a single variable survives, interreduce the univariate system.
+    when at most one variable survives, interreduce the univariate system.
     Returns normalized deduplicated relations."""
-    extra = b_consequences(h.braid, h.flavor)
-    rels, _ = eliminate_linear(list(h.relations) + extra, h.flavor)
-    rels = sorted({normalize_unit(r, h.flavor) for r in rels if not r.is_zero()},
-                  key=str)
-    xs = set()
-    for r in rels:
-        xs |= r.generators()
-    if len(xs) <= 1:
-        rels = _interreduce_univariate(rels, h.flavor)
-    return rels
+    rels = eliminate_linear(h.relations + b_consequences(h.braid, h.flavor),
+                            h.flavor)
+    if len(set().union(*(r.generators() for r in rels))) <= 1:
+        return _interreduce_univariate(rels, h.flavor)
+    return _canonical(rels, h.flavor)
 
 
 def normalize_unit(p: NCPoly, flavor: str) -> NCPoly:
     """Canonical representative of p up to unit monomials: shift the
-    invertible scalar exponents so their minimum is 0 and make the first
-    canonical term positive."""
+    exponents of the flavor's unit scalars (`_units`) so each minimum is 0,
+    and make the first canonical term positive."""
     if p.is_zero():
         return p
-    bases = [b for (_, b), _ in p.terms.items()]
-    lam = min(b[0] for b in bases)
-    mu = min(b[1] for b in bases)
-    u = v = 0
-    if flavor == "infinity":
-        u = min(b[2] for b in bases)
-        v = min(b[3] for b in bases)
-    q = p.scale_base(-lam, -mu, -u, -v)
-    first = q.sorted_terms()[0]
-    if first[1] < 0:
-        q = -q
-    return q
+    q = p.scale_base(*(-min(b[i] for _, b in p.terms)
+                       for i in range(_units(flavor))))
+    return -q if q.sorted_terms()[0][1] < 0 else q

@@ -121,14 +121,16 @@ INFINITY_CHECKS = tuple(c for c, row in _TABLE.items() if row[0] == "infinity")
 
 def _grid_points(spec: CheckSpec) -> list[tuple]:
     """The grid (by default ((2, 1),), or ((1, 1),) at p = 2, where 2 is
-    0) as the check's flavor takes it, every point checked before any
-    count runs: (lam0, mu0) for a hat or double-hat check, whose flavor
-    fixes (U, V), and (lam0, mu0, u0, v0) with u0, v0 invertible and 1
-    unless given for an infinity check."""
+    0; an empty grid is an error) as the check's flavor takes it, every
+    point checked before any count runs: (lam0, mu0) for a hat or
+    double-hat check, whose flavor fixes (U, V), and (lam0, mu0, u0, v0)
+    with u0, v0 invertible and 1 unless given for an infinity check."""
     infinity = spec.check in INFINITY_CHECKS
     grid = spec.grid
     if grid is None:
         grid = ((2, 1),) if spec.prime > 2 else ((1, 1),)
+    if not grid:
+        raise ValueError("the grid needs at least one point")
     points = []
     for point in grid:
         if len(point) not in (2, 4):

@@ -73,6 +73,38 @@ def test_dga_json_bytes_are_pinned(capsys, braid, digest):
      "651e585eae91dd0f56abf5347cb8a47410f3881ad0b2b9f0d289e7523b899104"),
     ("-2 -2 1 2 3 -2 -2", ("--split", "3"), "infinity",
      "d880187f15be026b4e94a9806a5cd05ee36403eb7bd73ab95cfccbbfa37e6c34"),
+    ("1 1 1", ("--reduced",), "minus",
+     "c764750c4ebf380bb4682bd225aeb751a0fc3aa2c24d4963eba4e08fb8e6f23d"),
+    ("1 1 1", ("--reduced",), "hat",
+     "5e7733e507b2c44845d7823e7e6b22577476787406e57f9edb1949523bc3d1b7"),
+    ("1 1 1", ("--reduced",), "doublehat",
+     "c0d006812bf1d192526eb92d12ec1e80d2165010a31a8bd16bbfd85509f401fa"),
+    ("1 1 1", ("--reduced",), "infinity",
+     "5a773cc1f5af153d6fe2c54b624736936c22119d6727ff55a9a085d5db9c93ef"),
+    ("-1 -1 -1", ("--reduced",), "minus",
+     "1334d928a7a76649651d66b074020ea594d178f9f552973209c3f07d32360a40"),
+    ("-1 -1 -1", ("--reduced",), "hat",
+     "076270325b12d9e3b4bf7ab1d84803d15cc17d5a88631d2aea5515aef7a43e59"),
+    ("-1 -1 -1", ("--reduced",), "doublehat",
+     "96a7b52dd3e37897d6d8e6bcfd6b7510e1ce8fb59fb7300c53c6c38179837727"),
+    ("-1 -1 -1", ("--reduced",), "infinity",
+     "8a1882e96fffeb52bf2148ba32abe6dc8889f70750313dc2edc690bf2bddd1cd"),
+    ("1 1 1 1 1", ("--reduced",), "minus",
+     "44cc224f19567d1f7ac66ff189022ef7b588766f17397b7251676e0e555e5cf6"),
+    ("1 1 1 1 1", ("--reduced",), "hat",
+     "34b768965eefd0eaadbf3cffd3b1302c9ae0fe31d88574de41507c573509aa5e"),
+    ("1 1 1 1 1", ("--reduced",), "doublehat",
+     "d32db2df146c403a2f0d65df7db2221d0df070d66585080fe958ee7055b5e238"),
+    ("1 1 1 1 1", ("--reduced",), "infinity",
+     "fea1e002611d255af3ff24750810932aedfe2b56b3d26a29760c6e7e3d134342"),
+    ("-2 -2 1 2 3 -2 -2", ("--reduced",), "minus",
+     "a97afc4c8debae1983a495f822685067256af0f8dcc848e93321bb3f7eb70823"),
+    ("-2 -2 1 2 3 -2 -2", ("--reduced",), "hat",
+     "40e577b766fff25233e16174ab8ed8c3d60f4d956d26761055680eedb98b198f"),
+    ("-2 -2 1 2 3 -2 -2", ("--reduced",), "doublehat",
+     "08134b1cf10256ac96c08da0d2a9ee377f7d771fba11aad3af1a155951b3f703"),
+    ("-2 -2 1 2 3 -2 -2", ("--reduced",), "infinity",
+     "7de329b27d91db2c569cffb8c5a2d7fb0ca2b02d7532d101582f7bebf879a860"),
 ])
 def test_ht0_json_bytes_are_pinned(capsys, braid, extra, flavor, digest):
     """The HT0 relations (Phi by substitution, every flavor's

@@ -1,12 +1,12 @@
-import random
+import itertools
 
 import pytest
 
-from xverse.braid import braid_stats, parse_braid
+from xverse.braid import parse_braid
 from xverse.dga import DgaError
 from xverse.ht0 import (b_consequences, eliminate_linear, ht0_relations,
                         normalize_unit, reduced_relations)
-from xverse.ncpoly import NCPoly, evaluate_abelian, gen
+from xverse.ncpoly import NCPoly, evaluate_abelian
 
 
 def test_relation_count_and_order():
@@ -53,6 +53,37 @@ def test_reduction_is_sound():
             assert orig_zero == red_zero
 
 
+# (u0, v0) at which each flavor's relations may be evaluated over F_3:
+# hat and double-hat fix them, and U, V are inverted in the infinity flavor
+_UV_POINTS = {"minus": list(itertools.product(range(3), repeat=2)),
+              "hat": [(0, 1)], "doublehat": [(0, 0)],
+              "infinity": list(itertools.product(range(1, 3), repeat=2))}
+
+
+@pytest.mark.parametrize("text", ["1", "-1", "1 1 1", "-1 -1 -1", "1 1 1 1 1",
+                                  "-1 -1 -1 -1 -1", "1 -2 1 -2",
+                                  "-2 1 -2 1 1 1"])
+@pytest.mark.parametrize("flavor", sorted(_UV_POINTS))
+def test_reduction_is_sound_in_every_flavor(text, flavor):
+    """Every reduced relation vanishes wherever the original relations and
+    the b-consequences all do, at every flavor-valid point over F_3.  The
+    converse fails: an eliminated variable is free in the reduced system."""
+    b = parse_braid(text)
+    h = ht0_relations(b, flavor)
+    # short relations first, so most assignments are rejected early
+    orig = sorted(h.relations + b_consequences(b, flavor),
+                  key=lambda r: len(r.terms))
+    red = reduced_relations(h)
+    for lam0, mu0, (u0, v0) in itertools.product(range(1, 3), range(1, 3),
+                                                 _UV_POINTS[flavor]):
+        point = (3, lam0, mu0, u0, v0)
+        for vals in itertools.product(range(3), repeat=len(h.variables)):
+            assign = dict(zip(h.variables, vals))
+            if all(evaluate_abelian(r, assign, *point) == 0 for r in orig):
+                assert all(evaluate_abelian(r, assign, *point) == 0
+                           for r in red), (point, vals)
+
+
 def test_split_matches_unsplit_on_counts():
     from xverse.augment import AugQuery, count_augmentations
     b = parse_braid("1 -2 1 -2")
@@ -64,27 +95,21 @@ def test_split_matches_unsplit_on_counts():
         assert cw == cs
 
 
-def test_eliminate_linear_protect():
-    x, y = gen("a", 1, 2), gen("a", 2, 1)
-    # x + y  and  y * y - y
-    r1 = NCPoly.generator("a", 1, 2) + NCPoly.generator("a", 2, 1)
-    rels, subs = eliminate_linear([r1], "minus", protect={x, y})
-    assert rels == [r1] and subs == {}
-    rels, subs = eliminate_linear([r1], "minus")
-    assert rels == []
-    assert y in subs  # the larger variable goes
+def test_eliminate_linear_drops_the_larger_variable():
+    x, y = NCPoly.generator("a", 1, 2), NCPoly.generator("a", 2, 1)
+    # x + y = 0 eliminates the larger variable y = a21 as -x
+    rels = eliminate_linear([x + y, y * y - y], "minus")
+    assert [str(r) for r in rels] == ["a12 + a12*a12"]
+    assert eliminate_linear([x + y], "minus") == []
 
 
 def test_eliminate_linear_requires_unit_coefficient():
     r = 2 * NCPoly.generator("a", 1, 2) + NCPoly.one()
-    rels, subs = eliminate_linear([r], "minus")
-    assert rels == [r] and subs == {}
+    assert eliminate_linear([r], "minus") == [r]
     # U-scaled coefficients are not units outside the infinity flavor
     r2 = NCPoly.generator("a", 1, 2).scale_base(u=1) + NCPoly.one()
-    rels, subs = eliminate_linear([r2], "minus")
-    assert rels == [r2]
-    rels, subs = eliminate_linear([r2], "infinity")
-    assert rels == []
+    assert eliminate_linear([r2], "minus") == [r2]
+    assert eliminate_linear([r2], "infinity") == []
 
 
 def test_b_consequences_vanish_on_augmentations():

@@ -115,6 +115,8 @@ def test_unknown_check_rejected():
         run_check(CheckSpec(TREFOIL, "flype"))
     with pytest.raises(ValueError):
         run_check(CheckSpec(TREFOIL, "mirror", samples=0))
+    with pytest.raises(ValueError):
+        run_check(CheckSpec(TREFOIL, "mirror", grid=()))
 
 
 def test_grid_points_infinity():
