@@ -664,13 +664,11 @@ class AugPolyResult:
     may_have_repeated_factors: bool = True
 
 
-def _nc_to_comm(p: NCPoly, x: Generator | None) -> PolyElement:
+def _nc_to_comm(p: NCPoly) -> PolyElement:
     """Infinity-flavor relation in at most one generator, with V set to 1,
     times the least monomial that clears its negative exponents."""
     terms: dict[tuple[int, ...], int] = {}
     for (word, base), coeff in p.terms.items():
-        if any(g != x for g in word):
-            raise EliminationError("relation involves more than one variable")
         key = (base[0], base[1], base[2], len(word))
         terms[key] = terms.get(key, 0) + coeff
     terms = {k: c for k, c in terms.items() if c}
@@ -692,16 +690,13 @@ def augmentation_polynomial_index2(b: BraidWord) -> AugPolyResult:
         xs |= r.generators()
     if len(xs) > 1:
         raise EliminationError("elimination failed: two variables survive")
-    x = xs.pop() if xs else None
-    polys = [_normalized(_nc_to_comm(r, x)) for r in rels]
+    polys = [_normalized(_nc_to_comm(r)) for r in rels]
     polys = sorted({p for p in polys if p},
                    key=lambda p: (p.degree(_X), len(p), _poly_str(p)))
     if not polys:
         raise EliminationError("elimination failed: empty relation set")
     with_x = [p for p in polys if p.degree(_X) > 0]
     consts = [p for p in polys if p.degree(_X) == 0]
-    if len(with_x) == 1 and not consts:
-        raise EliminationError("elimination failed: no constraints survive")
     # every pairwise resultant lies in the elimination ideal; the
     # codimension-1 part of the variety is cut out by their gcd
     results = list(consts)

@@ -163,7 +163,7 @@ def _cmd_verify(parser, args) -> int:
 
 
 def _cmd_table(parser, args) -> int:
-    rows = args.rows.split(",") if args.rows else None
+    rows = None if args.rows is None else args.rows.split(",")
     report = reproduce_table(prime=args.prime, rows=rows, budget=args.budget)
     lines = []
     for r in report.rows:

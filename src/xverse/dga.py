@@ -321,22 +321,17 @@ def verify_phi_factorization(b: BraidWord) -> list[str]:
 # at the largest degree _MAX_DIM allows.
 #
 # Exactness.  Arithmetic runs in float64 so that products hit BLAS, and it is
-# exact: operands are residues below p < 2^24, so each entry of a product of
-# two matrices, or of a matrix and a vector, sums dim <= _MAX_DIM = 31
-# products and stays below dim p^2 < 2^53, and is reduced before it is used
-# again.  The d^2 step (`_dual_step`) reduces X t before it adds D(x) s, so
-# that sum stays below dim p^2 + p; the two unreduced products together
-# would reach 2 dim p^2, about 2^55 at _MAX_DIM, and round.  A walk adds each
-# term's coefficient c, a symmetric residue (|c| <= p / 2), times its end
-# node's value to its slot, one per (polynomial, base).  A slot is split where
-# its sum of |c| would reach 2^53 / p, and is reduced once, at the end.  Sigma
-# images (`_sigma_value`, for `phi.push`) have coefficients +-1, no scalars
-# and words of one or two letters, so an entry stays below p + dim p^2 < 2^53.
+# exact: every residue is balanced, |r| < p / 2 + 2 (`_modp`), and no sum
+# reaches 2^52 before it is reduced.  The largest is the d^2 step's
+# X t + D(x) s (`_dual_step`), below 2 dim (p / 2 + 2)^2 < 2^52 at _MAX_DIM =
+# 31.  A walk adds each term's coefficient times its end node's value to a
+# slot, one per (polynomial, base), split where its sum of |coeff| would
+# reach 2^53 / p, and reduces each slot once, at the end.
 #
 # Compilation.  A check reads its polynomials once, into the flat arrays of
 # one `_Terms`; each `_Trie` takes a subset of those terms (reversed by index
 # arithmetic for d^2) and is built once, before the trials.  A trial is numpy
-# work on blocks of at most _BLOCK nodes, reduced in scratch arrays made once
+# work on blocks of at most _BLOCK nodes, reduced in a scratch array made once
 # per walk.  The same walk evaluates a word at matrices (`evaluate`, from the
 # identity) and d(d(g)) . v (`_dual_step`, from the state (0, v), over the
 # reversed words of d(g); see `_d_squared`).  The factorization check pushes
@@ -352,39 +347,36 @@ _SLOT_CAP = 2 ** 53 // _SAMPLE_PRIME - _SAMPLE_PRIME // 2
 
 
 def _modp(arr, scratch=None):
-    """Reduce a float64 array of integers below 2^53 in absolute value mod
-    p, in place, with temporaries in `scratch` (flat float64 and bool arrays
-    of at least arr.size) or, without it, in new arrays.
+    """Reduce a float64 array of integers below 2^53 in absolute value to
+    balanced residues mod p, in place, with the quotient in `scratch` (a flat
+    float64 array of at least arr.size) or, without it, in a new array.
 
-    np.mod on large float arrays is an order of magnitude slower than a
-    multiply-and-floor reduction.  The floor of the rounded quotient can be
-    off by one, so a single conditional correction follows."""
+    The computed quotient arr / p is within 2^-23 of the true one, so its
+    rounding leaves |r| < p / 2 + 2 with no correction; the product of the
+    rounded quotient and p, and the difference, are exact."""
     import numpy as np
-    prime = _SAMPLE_PRIME
-    q, mask = scratch or (np.empty(arr.size), np.empty(arr.size, dtype=bool))
-    q, mask = (a[:arr.size].reshape(arr.shape) for a in (q, mask))
-    np.floor(np.multiply(arr, 1.0 / prime, out=q), out=q)
-    arr -= np.multiply(q, prime, out=q)
-    np.add(arr, prime, out=arr, where=np.less(arr, 0, out=mask))
-    np.subtract(arr, prime, out=arr, where=np.greater_equal(arr, prime, out=mask))
+    q = np.empty(arr.shape) if scratch is None else scratch[:arr.size].reshape(arr.shape)
+    np.rint(np.multiply(arr, 1.0 / _SAMPLE_PRIME, out=q), out=q)
+    arr -= np.multiply(q, _SAMPLE_PRIME, out=q)
     return arr
 
 
 def _rand_point(rng, count: int, dim: int):
     """`count` uniform random dim x dim matrices over F_p, as an array
-    (count, dim, dim) of 24-bit words cut from one `rng.randbytes` draw; the
-    draw is made again if a word is p or more (3 in 2^24 are)."""
+    (count, dim, dim) of balanced residues: 24-bit words cut from one
+    `rng.randbytes` draw, made again if a word is p or more (3 in 2^24 are),
+    and reduced by `_modp`."""
     import numpy as np
     while True:
         words = np.frombuffer(rng.randbytes(4 * count * dim * dim), "<u4") & 0xFFFFFF
         if (words < _SAMPLE_PRIME).all():
-            return words.astype(np.float64).reshape(count, dim, dim)
+            return _modp(words.astype(np.float64).reshape(count, dim, dim))
 
 
 class _Terms:
     """The terms of a list of polynomials, in order, as arrays with one entry
     per term: `letters` (int32 letter ids, padded with len(ids)), `lens`,
-    `polys` (the polynomial's index), `coeffs` (symmetric residues mod p) and
+    `polys` (the polynomial's index), `coeffs` (balanced residues) and
     `base_ids` (indices into `bases`, the distinct exponents of L, m, U, V).
     `spans` holds each polynomial's longest word."""
 
@@ -399,9 +391,8 @@ class _Terms:
         self.letters = np.full((len(words), self.lens.max(initial=0)), len(ids), np.int32)
         self.letters[np.arange(self.letters.shape[1]) < self.lens[:, None]] = np.fromiter(
             map(ids.__getitem__, chain.from_iterable(words)), np.int32, self.lens.sum())
-        residues = np.fromiter(map(_SAMPLE_PRIME.__rmod__, chain.from_iterable(
-            p.terms.values() for p in polys)), dtype=np.int64, count=len(keys))
-        self.coeffs = residues - _SAMPLE_PRIME * (residues > _SAMPLE_PRIME // 2)
+        self.coeffs = _modp(np.fromiter(map(_SAMPLE_PRIME.__rmod__, chain.from_iterable(
+            p.terms.values() for p in polys)), dtype=np.float64, count=len(keys)))
         bases: dict = {}
         self.base_ids = np.fromiter((bases.setdefault(b, len(bases))
                                      for _, b in keys), np.intp, len(keys))
@@ -437,7 +428,7 @@ class _Trie:
         key = terms.polys[sel] * len(terms.bases) + terms.base_ids[sel]
         order = np.argsort(key, kind="stable")
         sel, key = sel[order], key[order]
-        coeffs = terms.coeffs[sel].astype(np.float64)  # exact: |c| < 2^23
+        coeffs = terms.coeffs[sel]
         part = np.cumsum(np.abs(coeffs)) // _SLOT_CAP
         new = (np.diff(key, prepend=-1) != 0) | (np.diff(part, prepend=-1) != 0)
         slot = np.cumsum(new) - 1
@@ -466,19 +457,20 @@ class _Trie:
     def walk(self, root, step, scalars):
         """The polynomials at a point, as an array (terms.size,) + root.shape:
         the root has the value `root`, and step(values, letters, scratch)
-        gives the values, reduced by `_modp` in `scratch`, of the children by
-        `letters` of nodes whose values are `values`."""
+        gives the values, reduced by `_modp` in the float64 array `scratch`,
+        of the children by `letters` of nodes whose values are `values`.
+        Every value is a balanced residue."""
         import numpy as np
         shape, lift = root.shape, (slice(None),) + (None,) * root.ndim
         size = root.size * min(_BLOCK, max(
             max(len(parents), len(slots)) for parents, _, _, slots, _ in self.levels))
-        scratch = (np.empty(size), np.empty(size, dtype=bool))
+        scratch = np.empty(size)
         acc = np.zeros((len(self.slot_poly),) + shape)
         level = root[None]
         for depth, (parents, letters, coeffs, slots, nodes) in enumerate(self.levels):
             if depth:
-                # residues < p < 2^24 are exact in float32, which halves
-                # the memory of the widest levels
+                # balanced residues are exact in float32, which halves the
+                # memory of the widest levels
                 prev, level = level, np.empty((len(parents),) + shape, np.float32)
                 for lo in range(0, len(parents), _BLOCK):
                     blk = slice(lo, lo + _BLOCK)
@@ -508,13 +500,13 @@ def _dual_step(mats, dmats, signs):
     """The step of `_Trie.walk` that multiplies a state (t, s), the columns
     of an array (dim, 2), on the left by the dual matrix of its letter x,
     [[(-1)^|x| X, D(x)], [0, X]] with X = mats[x], D(x) = dmats[x] and
-    (-1)^|x| = signs[x].  X t is reduced before D(x) s is added to it (see
-    Exactness above)."""
+    (-1)^|x| = signs[x].  With balanced operands the sum X t + D(x) s stays
+    below 2^52 unreduced, so the step reduces once (see Exactness above)."""
     def step(values, letters, scratch):
-        out = _modp(mats[letters] @ values, scratch)
-        out[:, :, 0] = _modp(signs[letters, None] * out[:, :, 0] + (
-            dmats[letters] @ values[:, :, 1:])[:, :, 0], scratch)
-        return out
+        out = mats[letters] @ values
+        out[:, :, 0] = signs[letters, None] * out[:, :, 0] + (
+            dmats[letters] @ values[:, :, 1:])[:, :, 0]
+        return _modp(out, scratch)
     return step
 
 
@@ -591,7 +583,7 @@ def verify_d_squared_sampled(dga: DgaPresentation,
     for _ in range(_TRIALS):
         point = _rand_point(rng, len(dga.generators), dim)
         scalars = tuple(rng.randrange(1, prime) for _ in range(4))
-        v = np.array([rng.randrange(prime) for _ in range(dim)], dtype=np.float64)
+        v = _modp(np.array([rng.randrange(prime) for _ in range(dim)], dtype=np.float64))
         res = apply(point, scalars, v)
         for k in np.flatnonzero(res.any(axis=1)):
             if dga.generators[k] not in failures:
@@ -634,6 +626,7 @@ def verify_phi_factorization_sampled(b: BraidWord, seed: int = 0) -> list[str]:
         lhs = blocks(inner.evaluate(phi_pt, scalars))
         for name, mid, want in zip(names, mids, lhs):
             rhs = _block_product(_block_product(left, mid), right)
-            if (rhs != want).any() and name not in failures:
+            # two balanced residues of one class can differ by p
+            if _modp(rhs - want).any() and name not in failures:
                 failures.append(name)
     return failures

@@ -8,8 +8,10 @@ For a single positive generator sigma_k the images on the a-generators are
     a_{k+1,i} -> a_{ki},   a_{i,k+1} -> a_{ik}
     a_{k,k+1} -> a_{k+1,k},  a_{k+1,k} -> a_{k,k+1}
 
-and everything else is fixed.  The inverse images are hard-coded closed
-forms (solved once from the above; the round-trip tests pin them).
+and everything else is fixed.  The inverse sigma_k^-1 has the same images
+with k and k+1 exchanged: one formula over the ordered strand pair (u, v),
+(k, k+1) or (k+1, k), gives both, as it gives PhiL and PhiR in
+`phi_matrices` (the round-trip tests pin them).
 
 Composition convention: for a word B = l1 l2 ... lm the automorphism is
 phi_B = phi_{l1} o phi_{l2} o ... o phi_{lm}.  This is the convention under
@@ -53,29 +55,30 @@ def a_variables(n: int) -> list[Generator]:
             for j in range(1, n + 1) if i != j]
 
 
+def _strand_pair(letter: int) -> tuple[int, int]:
+    """The ordered strand pair (u, v) of a letter: (k, k+1) for sigma_k and
+    (k+1, k) for its inverse."""
+    k = abs(letter)
+    return (k + 1, k) if letter < 0 else (k, k + 1)
+
+
 def sigma_images(k: int, n: int, inverse: bool = False) -> dict[Generator, NCPoly]:
     """Images of the affected a-generators under phi_{sigma_k} (or its
-    inverse) acting on n strands.  Unlisted generators are fixed."""
+    inverse) acting on n strands, from the formula of the module docstring
+    with (u, v) = `_strand_pair` in place of (k, k+1).  Unlisted generators
+    are fixed."""
     if not 1 <= k <= n - 1:
         raise ValueError(f"sigma_{k} does not act on {n} strands")
+    u, v = _strand_pair(-k if inverse else k)
     images: dict[Generator, NCPoly] = {}
-    others = [i for i in range(1, n + 1) if i not in (k, k + 1)]
-    if not inverse:
-        for i in others:
-            images[gen("a", k, i)] = -_a(k + 1, i) - _a(k + 1, k) * _a(k, i)
-            images[gen("a", i, k)] = -_a(i, k + 1) - _a(i, k) * _a(k, k + 1)
-            images[gen("a", k + 1, i)] = _a(k, i)
-            images[gen("a", i, k + 1)] = _a(i, k)
-        images[gen("a", k, k + 1)] = _a(k + 1, k)
-        images[gen("a", k + 1, k)] = _a(k, k + 1)
-    else:
-        for i in others:
-            images[gen("a", k, i)] = _a(k + 1, i)
-            images[gen("a", i, k)] = _a(i, k + 1)
-            images[gen("a", k + 1, i)] = -_a(k, i) - _a(k, k + 1) * _a(k + 1, i)
-            images[gen("a", i, k + 1)] = -_a(i, k) - _a(i, k + 1) * _a(k + 1, k)
-        images[gen("a", k, k + 1)] = _a(k + 1, k)
-        images[gen("a", k + 1, k)] = _a(k, k + 1)
+    for i in range(1, n + 1):
+        if i not in (u, v):
+            images[gen("a", u, i)] = -_a(v, i) - _a(v, u) * _a(u, i)
+            images[gen("a", i, u)] = -_a(i, v) - _a(i, u) * _a(u, v)
+            images[gen("a", v, i)] = _a(u, i)
+            images[gen("a", i, v)] = _a(i, u)
+    images[gen("a", u, v)] = _a(v, u)
+    images[gen("a", v, u)] = _a(u, v)
     return images
 
 
@@ -148,9 +151,7 @@ def phi_matrices(b: BraidWord, lift: Callable[[NCPoly], T] = lambda e: e,
         subst = images[letter]
         left = [[e.substitute(subst) for e in row] for row in left]
         right = [[e.substitute(subst) for e in row] for row in right]
-        u, v = abs(letter), abs(letter) + 1
-        if letter < 0:
-            u, v = v, u
+        u, v = _strand_pair(letter)
         x, y = lift(_a(v, u)), lift(_a(u, v))
         u, v = u - 1, v - 1  # list indices
         for row in left:

@@ -253,9 +253,12 @@ def _table_braid(text: str) -> BraidWord:
 
 def reproduce_table(prime: int = 3, rows: list[str] | None = None,
                     budget: int | None = None) -> TableReport:
-    """Recompute the reference counts.  Only Z/3 has pinned expectations."""
+    """Recompute the reference counts, of every row or of the named `rows`
+    (an empty selection is an error).  Only Z/3 has pinned expectations."""
     if prime != 3:
         raise ValueError("the reference table is pinned at prime 3")
+    if rows is not None and not rows:
+        raise ValueError("the table selection needs at least one row")
     known = {_row_key(name) for name, _, _ in TABLE_ROWS}
     for r in rows or ():
         if _row_key(r) not in known:

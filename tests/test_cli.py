@@ -278,6 +278,7 @@ def test_usage_errors_exit_2(capsys):
                  ["ht0", "--braid", "1 1 1", "--split", "7"],
                  ["table", "--prime", "5"],
                  ["table", "--rows", "m72,nosuchrow"],
+                 ["table", "--rows", ""],
                  ["verify", "--braid", "1 1 1", "--check", "mirror",
                   "--seed", "0", "--grid", "3,1"],
                  ["verify", "--braid", "1 1 1", "--check", "mirror",
@@ -389,9 +390,11 @@ def test_bad_budget_env_exit_2(monkeypatch, capsys, value):
 
 
 def test_unknown_table_row_named(capsys):
-    with pytest.raises(SystemExit):
-        main(["table", "--rows", "m72,nosuchrow"])
-    assert "'nosuchrow'" in capsys.readouterr().err
+    # an empty --rows names the one row ''
+    for rows, name in (("m72,nosuchrow", "'nosuchrow'"), ("", "''")):
+        with pytest.raises(SystemExit):
+            main(["table", "--rows", rows])
+        assert f"unknown table row {name}" in capsys.readouterr().err
 
 
 def test_internal_errors_propagate(monkeypatch, capsys):

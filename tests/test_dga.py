@@ -219,14 +219,18 @@ def ref_eval(p, mats, scalars, dim):
 
 
 def _as_ints(arr):
-    return arr.astype(np.int64).tolist()
+    """The residues mod P of an evaluator's output, each checked to be
+    balanced: |r| < P / 2 + 2."""
+    assert (np.abs(arr) < P / 2 + 2).all()
+    return (arr.astype(np.int64) % P).tolist()
 
 
 def _random_point(rng, letters, dim):
-    """A point as the float64 array the evaluators take and as object
-    matrices of Python integers for `ref_eval`."""
+    """A point as the float64 array of balanced residues the evaluators take
+    and as object matrices of Python integers for `ref_eval`."""
     entries = [[rng.randrange(P) for _ in range(dim * dim)] for _ in letters]
-    point = np.array(entries, dtype=np.float64).reshape(len(letters), dim, dim)
+    point = dga_module._modp(np.array(entries, dtype=np.float64).reshape(
+        len(letters), dim, dim))
     mats = {g: np.array(e, dtype=object).reshape(dim, dim)
             for g, e in zip(letters, entries)}
     return point, mats
@@ -324,8 +328,8 @@ def test_vector_pass_matches_symbolic_d_squared():
                 assert any(any(w) for w in want) == (dga is not true)
                 for block in (dga_module._BLOCK, 2):
                     with mock.patch.object(dga_module, "_BLOCK", block):
-                        got = apply(point, scalars,
-                                    np.array(v, dtype=np.float64))
+                        got = apply(point, scalars, dga_module._modp(
+                            np.array(v, dtype=np.float64)))
                     assert _as_ints(got) == want, (b, flavor, block)
 
 
@@ -353,24 +357,65 @@ def test_sampling_degree_bounds_every_d_squared_word():
 
 
 def test_trie_steps_are_exact_at_max_dim():
-    # the largest residues at the largest dimension: a product sums dim
-    # terms near p^2, and the dual step adds D(x) s to the reduced X t.  The
-    # vector s is p - 2 so that X t and D(x) s differ in their low bits, and
-    # adding the unreduced X t to D(x) s (near 2 dim p^2 > 2^53) rounds.
-    dim, top = dga_module._MAX_DIM, P - 1
-    mats = np.full((2, dim, dim), float(top))
+    # the balanced extremes +-h, h = (p - 1) / 2, at the largest dimension: a
+    # product sums dim terms of +-h^2, and the dual step adds X t and D(x) s
+    # unreduced, +-2 dim h^2, before its one reduction
+    dim, h = dga_module._MAX_DIM, (P - 1) // 2
+    mats = np.stack([np.full((dim, dim), h), np.full((dim, dim), -h)]).astype(float)
     x, y = LETTERS[:2]
     trie = dga_module._Trie(dga_module._Terms(
         [NCPoly({((x, y), (0, 0, 0, 0)): 1})], {x: 0, y: 1}))
     assert _as_ints(trie.evaluate(mats, (1, 1, 1, 1))) == \
-        [[[dim * top * top % P] * dim] * dim]
-    state = np.full((2, dim, 2), top, dtype=np.float32)
-    state[:, :, 1] = top - 1
-    # letter 0 even, letter 1 odd
-    step = dga_module._dual_step(mats, mats, np.array([1.0, -1.0]))
-    xt, xs = dim * top * top, dim * top * (top - 1)
+        [[[-dim * h * h % P] * dim] * dim]
+    # node 0 is (t, s) = (h, h) under the even letter 0 (X = D(x) = h), node
+    # 1 is (-h, -h) under the odd letter 1 (X = -h, D(x) = h)
+    state = np.full((2, dim, 2), h, dtype=np.float32)
+    state[1] = -h
+    step = dga_module._dual_step(mats, np.abs(mats), np.array([1.0, -1.0]))
+    top = 2 * dim * h * h
     assert _as_ints(step(state, np.array([0, 1]), None)) == \
-        [[[(xt + xs) % P, xs % P]] * dim, [[(xs - xt) % P, xs % P]] * dim]
+        [[[top % P, top // 2 % P]] * dim, [[-top % P, top // 2 % P]] * dim]
+    ends = np.array([2.0 ** 53 - 1, 1 - 2.0 ** 53])
+    assert _as_ints(dga_module._modp(ends)) == [(2 ** 53 - 1) % P, (1 - 2 ** 53) % P]
+
+
+# the first 2 x 2 matrices of `_rand_point` and, per trial, the scalars and
+# the vector v of the trefoil's sampled d^2 check, mod P, for seeds 0 and 1:
+# values recorded before residues were balanced
+PINNED_DRAWS = {
+    0: ([[[2885581, 10448830], [609452, 15140482]],
+         [[11179093, 6106932], [4742714, 2667770]]],
+        [((7912562, 11429994, 6877072, 15101140),
+          [9548127, 14676787, 8532894, 15393282]),
+         ((1071359, 13790548, 14488451, 14308595),
+          [11777675, 463369, 15150005, 8821723])]),
+    1: ([[[6664693, 12015690], [15821535, 6372912]],
+         [[8829892, 2606289], [4994108, 3140489]]],
+        [((13385046, 11661019, 8667102, 7563925),
+          [3744603, 8789506, 10880132, 515065]),
+         ((9247682, 14555176, 1189780, 12233431),
+          [1260468, 360946, 10659942, 166379])]),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_DRAWS))
+def test_sampled_draws_are_pinned(monkeypatch, seed):
+    point, trials = PINNED_DRAWS[seed]
+    assert _as_ints(dga_module._rand_point(random.Random(seed), 2, 2)) == point
+    real, seen = dga_module._d_squared, []
+
+    def spy(dga):
+        degree, apply = real(dga)
+
+        def recorded(point, scalars, v):
+            seen.append((scalars, _as_ints(v)))
+            _as_ints(point)
+            return apply(point, scalars, v)
+        return degree, recorded
+
+    monkeypatch.setattr(dga_module, "_d_squared", spy)
+    assert verify_d_squared_sampled(build_dga(TREFOIL), seed) == []
+    assert seen == trials
 
 
 def test_substituting_lone_generators_shares_the_images():

@@ -147,6 +147,15 @@ def test_table_prime_pinned():
         reproduce_table(prime=5)
 
 
+def test_table_selection_names_known_rows():
+    # an empty selection checks nothing, so it is an error, not a pass
+    with pytest.raises(ValueError, match="at least one row"):
+        reproduce_table(rows=[])
+    for rows in ([""], ["m72", "nosuchrow"]):
+        with pytest.raises(ValueError, match="unknown table row"):
+            reproduce_table(rows=rows)
+
+
 def test_table_budget_recorded_not_fatal():
     report = reproduce_table(rows=["m72"], budget=10)
     row = report.rows[0]
