@@ -62,7 +62,7 @@ from sympy.printing.str import StrPrinter
 from .braid import BraidWord, braid_stats
 from .ht0 import (Ht0Presentation, a_variables, cd_relations, ht0_relations,
                   reduced_relations)
-from .ncpoly import GenMatrix, Generator, NCPoly, pow_mod
+from .ncpoly import GenMatrix, Generator, NCPoly, base_value, flavor_rule
 from .phi import phi_matrices, sigma_images
 
 PRIMES = (2, 3, 5, 7)
@@ -134,11 +134,7 @@ def _abelianize(rel: NCPoly, var_index: dict[Generator, int], prime: int,
                 scalars: tuple[int, int, int, int]) -> dict[int, int]:
     out: dict[int, int] = {}
     for (word, base), coeff in rel.terms.items():
-        val = coeff % prime
-        for s, exp in zip(scalars, base):
-            if val == 0:
-                break
-            val = val * pow_mod(s, exp, prime) % prime
+        val = coeff % prime and coeff * base_value(base, scalars, prime) % prime
         if val == 0:
             continue
         counts: dict[Generator, int] = {}
@@ -300,39 +296,38 @@ class _Counter:
         return total * p ** (rem & ~live).bit_count()
 
 
-def _check_point(prime: int, lam0: int, mu0: int) -> None:
+def _scalar_point(flavor: str, prime: int, lam0: int, mu0: int,
+                  u0: int | None = None,
+                  v0: int | None = None) -> tuple[int, int, int, int]:
+    """The scalars (lam0, mu0, u0, v0) of a count, checked in that order:
+    the prime is one of PRIMES, lam0 and mu0 are nonzero in the field, and
+    (u0, v0) agree with the flavor's row of `ncpoly.FLAVORS`.  A flavor that
+    fixes (U, V) refuses a u0 or v0 that disagrees; otherwise each defaults
+    to 1, and a flavor that inverts U and V needs both nonzero."""
     if prime not in PRIMES:
         raise ValueError(f"prime must be one of {PRIMES}")
     if lam0 % prime == 0 or mu0 % prime == 0:
         raise ValueError("lam0 and mu0 must be nonzero in the field")
-
-
-def _scalar_point(flavor: str, prime: int, u0: int | None,
-                  v0: int | None) -> tuple[int, int]:
-    """(u0, v0) for the flavor.  The hat and double-hat flavors fix (U, V),
-    and a u0 or v0 that disagrees is an error; otherwise each defaults to
-    1, and the infinity flavor needs both invertible."""
-    fixed = {"hat": (0, 1), "doublehat": (0, 0)}.get(flavor)
+    fixed, units = flavor_rule(flavor)
     if fixed:
         if any(x not in (None, f) for x, f in zip((u0, v0), fixed)):
             raise ValueError(f"the {flavor} flavor fixes (U, V) = {fixed}, "
                              f"got u0={u0}, v0={v0}")
-        return fixed
+        return lam0, mu0, *fixed
     u0 = 1 if u0 is None else u0
     v0 = 1 if v0 is None else v0
-    if flavor == "infinity" and (u0 % prime == 0 or v0 % prime == 0):
-        raise ValueError("infinity flavor needs invertible u0, v0")
-    return u0, v0
+    if units == 4 and (u0 % prime == 0 or v0 % prime == 0):
+        raise ValueError(f"{flavor} flavor needs invertible u0, v0")
+    return lam0, mu0, u0, v0
 
 
 def _prepare(q: AugQuery) -> tuple[list[dict[int, int]], int]:
     """The nonzero abelianized relations, constants included, as
     `packed_relations` gives them."""
-    u0, v0 = _scalar_point(q.presentation.flavor, q.prime, q.u0, q.v0)
-    _check_point(q.prime, q.lam0, q.mu0)
+    scalars = _scalar_point(q.presentation.flavor, q.prime, q.lam0, q.mu0,
+                            q.u0, q.v0)
     variables = q.presentation.variables
     var_index = {g: i for i, g in enumerate(variables)}
-    scalars = (q.lam0, q.mu0, u0, v0)
     rels = [_abelianize(r, var_index, q.prime, scalars)
             for r in q.presentation.relations]
     return [r for r in rels if r], len(variables)
@@ -504,7 +499,7 @@ def _packed_sigma_images(n: int, p: int) -> dict[int, tuple[int, dict]]:
     for k in range(1, n):
         for letter in (k, -k):
             images = {var_index[g]: lift(img).terms
-                      for g, img in sigma_images(k, n, letter < 0).items()}
+                      for g, img in sigma_images(letter, n).items()}
             touched = sum(_EMASK << (_BITS * v) for v in images)
             maps[letter] = (touched, images)
     return maps
@@ -554,16 +549,15 @@ def augmentation_number(b: BraidWord, flavor: str, prime: int, lam0: int,
     evaluated), which keeps long words tractable; the result agrees with
     counting from the symbolic presentation.  The word is cut at `split`;
     by default at `_auto_split(b)`, and `split=0` is the whole word.  The
-    budget bounds the evaluations of the count at that cut.  (u0, v0) are
-    checked against the flavor by `_scalar_point`.
+    budget bounds the evaluations of the count at that cut.  The scalars
+    are checked, and (u0, v0) resolved for the flavor, by `_scalar_point`.
     """
-    u0, v0 = _scalar_point(flavor, prime, u0, v0)
-    _check_point(prime, lam0, mu0)
+    scalars = _scalar_point(flavor, prime, lam0, mu0, u0, v0)
     budget = _budget_from_env(budget)
     start = time.monotonic()
     if split is None:
         split = _auto_split(b)
-    rels, nvars, _ = packed_relations(b, flavor, prime, lam0, mu0, u0, v0,
+    rels, nvars, _ = packed_relations(b, flavor, prime, *scalars,
                                       split=split, lam_override=lam_override)
     return _count_packed(rels, nvars, prime, budget, start)
 

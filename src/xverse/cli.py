@@ -60,8 +60,9 @@ def _emit(payload: dict, as_json: bool, text_lines: list[str]) -> None:
 def _cmd_braid(parser, args) -> int:
     b = _parse_braid_arg(args)
     s = braid_stats(b)
-    print(json.dumps({"writhe": s.writhe, "strands": s.strands,
-                      "sl": s.self_linking, "knot": s.is_knot}))
+    payload = {"writhe": s.writhe, "strands": s.strands,
+               "sl": s.self_linking, "knot": s.is_knot}
+    _emit(payload, args.json, [json.dumps(payload)])
     return 0
 
 

@@ -17,9 +17,9 @@ with matrix differentials
     dF = Bcheck - D - C . PhiR . Lam^-1
 
 where Lam = diag(L m^-w, 1, ..., 1) and the hatted/checked matrices are
-built below.  Flavors specialize the coefficient ring: hat (U=0, V=1),
-double-hat (U=V=0), infinity (L^a rewritten with (U/V)^(-a(sl+1)/2),
-which turns Lam into the primed diagonal automatically).
+built below.  Flavors specialize the coefficient ring by the table
+`ncpoly.FLAVORS` (`NCPoly.specialize`); the infinity flavor's rewrite of
+L^a turns Lam into the primed diagonal automatically.
 
 The differential extends to products by the Koszul rule
 d(xy) = (dx)y + (-1)^|x| x(dy).  So d of a word x_1 ... x_k is the top
@@ -36,17 +36,14 @@ turns blocks into a specialized presentation for both `build_dga` and
 
 from __future__ import annotations
 
-import math
 import operator
 import random
 from dataclasses import dataclass
 from functools import reduce
 
 from .braid import BraidWord, braid_stats
-from .ncpoly import GenMatrix, Generator, NCPoly, collect, gen, pow_mod
+from .ncpoly import FLAVORS, GenMatrix, Generator, NCPoly, base_value, collect, gen
 from .phi import a_variables, phi_images, phi_matrices, push
-
-FLAVORS = ("minus", "hat", "doublehat", "infinity")
 
 
 class DgaError(ValueError):
@@ -69,7 +66,6 @@ class Degree0Matrices:
 @dataclass
 class StructuredMatrices(Degree0Matrices):
     A: GenMatrix
-    B: GenMatrix
     Bhat: GenMatrix
     Bcheck: GenMatrix
 
@@ -127,12 +123,12 @@ def degree0_matrices(b: BraidWord, lam_override=None) -> Degree0Matrices:
 
 
 def structured_matrices(b: BraidWord, lam_override=None) -> StructuredMatrices:
-    """The degree-0 matrices plus A, B, Bhat and Bcheck."""
+    """The degree-0 matrices plus A, Bhat and Bcheck."""
     m = degree0_matrices(b, lam_override)
     B_lower, B_upper = _triangles(m.n, "b", NCPoly.zero())
     Bhat, Bcheck = _hat_check(B_lower, B_upper)
     return StructuredMatrices(**vars(m), A=m.A_lower + m.A_upper,
-                              B=B_lower + B_upper, Bhat=Bhat, Bcheck=Bcheck)
+                              Bhat=Bhat, Bcheck=Bcheck)
 
 
 @dataclass
@@ -478,9 +474,7 @@ class _Trie:
             for lo in range(0, len(slots), _BLOCK):
                 blk = slice(lo, lo + _BLOCK)
                 _sum_runs(acc, slots[blk], coeffs[blk][lift] * level[nodes[blk]])
-        # each base's value at the scalars
-        units = np.array([math.prod(pow_mod(s, e, _SAMPLE_PRIME) for s, e in
-                                    zip(scalars, b)) % _SAMPLE_PRIME
+        units = np.array([base_value(b, scalars, _SAMPLE_PRIME)
                           for b in self.terms.bases], dtype=np.float64)
         out = np.zeros((self.terms.size,) + shape)
         _sum_runs(out, self.slot_poly,

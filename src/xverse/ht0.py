@@ -20,8 +20,8 @@ display and for the index-2 polynomial: it adjoins `b_consequences`,
 substitutes away each variable x that some relation holds only in one
 term c*x with c a unit (`eliminate_linear`), and interreduces the system
 when at most one variable is left.  A unit is +-1 times a monomial in the
-scalars the flavor's ring inverts (`_units`): L and m, and also U and V
-in the infinity flavor.
+scalars the flavor's ring inverts, the first `ncpoly.FLAVORS[flavor].units`
+of (L, m, U, V): L and m, and also U and V in the infinity flavor.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .braid import BraidWord, braid_stats, braid_transform
 from .dga import DgaError, cd_blocks, db_block, degree0_matrices
-from .ncpoly import Generator, NCPoly
+from .ncpoly import Generator, NCPoly, flavor_rule
 from .phi import a_variables, phi_matrices
 
 
@@ -91,13 +91,6 @@ def ht0_relations(b: BraidWord, flavor: str = "minus", lam_override=None,
                            relations=relations)
 
 
-def _units(flavor: str) -> int:
-    """How many leading scalars of a base (L, m, U, V) are units of the
-    flavor's coefficient ring: L and m always, U and V in the infinity
-    flavor only."""
-    return 4 if flavor == "infinity" else 2
-
-
 def eliminate_linear(relations: list[NCPoly], flavor: str) -> list[NCPoly]:
     """Bounded substitution pass.
 
@@ -106,7 +99,7 @@ def eliminate_linear(relations: list[NCPoly], flavor: str) -> list[NCPoly]:
     there are several), solve x = -c^-1 q, substitute it into the other
     relations, and drop the relation.  Returns the nonzero relations left.
     """
-    units = _units(flavor)
+    units = flavor_rule(flavor).units
     rels = [r for r in relations if not r.is_zero()]
     while True:
         for idx, r in enumerate(rels):
@@ -185,7 +178,7 @@ def _interreduce_univariate(relations: list[NCPoly], flavor: str) -> list[NCPoly
     monomials, by degree, then size, then string.
     """
     rels = _canonical(relations, flavor, _by_degree)
-    while _cancel_top(rels, _units(flavor)):
+    while _cancel_top(rels, flavor_rule(flavor).units):
         rels = _canonical(rels, flavor, _by_degree)
     return rels
 
@@ -204,10 +197,10 @@ def reduced_relations(h: Ht0Presentation) -> list[NCPoly]:
 
 def normalize_unit(p: NCPoly, flavor: str) -> NCPoly:
     """Canonical representative of p up to unit monomials: shift the
-    exponents of the flavor's unit scalars (`_units`) so each minimum is 0,
-    and make the first canonical term positive."""
+    exponents of the flavor's unit scalars (`ncpoly.FLAVORS`) so each
+    minimum is 0, and make the first canonical term positive."""
     if p.is_zero():
         return p
     q = p.scale_base(*(-min(b[i] for _, b in p.terms)
-                       for i in range(_units(flavor))))
+                       for i in range(flavor_rule(flavor).units)))
     return -q if q.sorted_terms()[0][1] < 0 else q

@@ -34,6 +34,24 @@ FAMILY_DEGREE = {"a": 0, "b": 1, "c": 1, "d": 1, "e": 2, "f": 2}
 SCALAR_NAMES = ("L", "m", "U", "V")
 
 
+class Flavor(NamedTuple):
+    fixed: tuple[int, int] | None  # the (U, V) the flavor fixes; None: free
+    units: int  # how many leading scalars of (L, m, U, V) are units
+
+
+# the flavors of the coefficient ring, in the order the CLI lists them:
+# infinity inverts U and V, which makes its counts topological invariants
+FLAVORS = {"minus": Flavor(None, 2), "hat": Flavor((0, 1), 2),
+           "doublehat": Flavor((0, 0), 2), "infinity": Flavor(None, 4)}
+
+
+def flavor_rule(flavor: str) -> Flavor:
+    """The flavor's row of `FLAVORS`; an unknown flavor is a ValueError."""
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    return FLAVORS[flavor]
+
+
 class Generator(NamedTuple):
     family: str
     row: int
@@ -258,30 +276,25 @@ class NCPoly:
     # ---- flavor specialization ----
 
     def specialize(self, flavor: str, sl: int | None = None) -> "NCPoly":
-        """Pass to a flavor of the coefficient ring.
-
-        minus      -- identity
-        hat        -- U = 0, V = 1
-        doublehat  -- U = 0, V = 0
-        infinity   -- L^a is rewritten as L^a U^(-a*(sl+1)/2) V^(a*(sl+1)/2);
-                      requires the (odd) self-linking number sl.
+        """Pass to a flavor of the coefficient ring (`FLAVORS`).  A scalar
+        the flavor fixes at 0 kills the terms that hold it, and one fixed
+        at 1 drops out.  A flavor that inverts U and V (infinity) rewrites
+        L^a as L^a U^(-a*(sl+1)/2) V^(a*(sl+1)/2), which needs the (odd)
+        self-linking number sl.
         """
-        if flavor == "minus":
-            return self
+        fixed, units = flavor_rule(flavor)
         items = self.terms.items()
-        if flavor == "hat":
-            return collect(((w, (b[0], b[1], 0, 0)), c)
-                           for (w, b), c in items if not b[2])
-        if flavor == "doublehat":
-            return collect((t, c) for t, c in items
-                           if not (t[1][2] or t[1][3]))
-        if flavor == "infinity":
+        if units == 4:
             if sl is None or sl % 2 == 0:
                 raise ValueError("infinity flavor needs an odd self-linking number")
             k = (sl + 1) // 2
             return collect(((w, (b[0], b[1], b[2] - b[0] * k, b[3] + b[0] * k)), c)
                            for (w, b), c in items)
-        raise ValueError(f"unknown flavor {flavor!r}")
+        if fixed is None:
+            return self
+        u0, v0 = fixed
+        return collect(((w, (b[0], b[1], 0, 0)), c) for (w, b), c in items
+                       if (u0 or not b[2]) and (v0 or not b[3]))
 
     # ---- printing ----
 
@@ -322,18 +335,26 @@ def pow_mod(base: int, exp: int, prime: int) -> int:
     return pow(base, exp, prime)
 
 
+def base_value(base: Base, scalars, p: int) -> int:
+    """The scalar monomial with exponents `base` at `scalars`, mod p; 0 as
+    soon as a factor is, so no later power of 0 is inverted."""
+    val = 1
+    for s, e in zip(scalars, base):
+        if e:
+            val = val * pow_mod(s, e, p) % p
+            if not val:
+                break
+    return val
+
+
 def evaluate_abelian(p: NCPoly, assign: Mapping[Generator, int], prime: int,
                      lam0: int, mu0: int, u0: int, v0: int) -> int:
     """Evaluate after abelianizing: generators become commuting field
     elements, scalars are specialized mod prime."""
-    scalars = (lam0, mu0, u0, v0)
     total = 0
     for (word, base), coeff in p.terms.items():
-        val = coeff % prime
-        for s, exp in zip(scalars, base):
-            if val == 0:
-                break
-            val = val * pow_mod(s, exp, prime) % prime
+        val = coeff % prime and coeff * base_value(
+            base, (lam0, mu0, u0, v0), prime) % prime
         for g in word:
             if val == 0:
                 break

@@ -62,14 +62,14 @@ def _strand_pair(letter: int) -> tuple[int, int]:
     return (k + 1, k) if letter < 0 else (k, k + 1)
 
 
-def sigma_images(k: int, n: int, inverse: bool = False) -> dict[Generator, NCPoly]:
-    """Images of the affected a-generators under phi_{sigma_k} (or its
-    inverse) acting on n strands, from the formula of the module docstring
-    with (u, v) = `_strand_pair` in place of (k, k+1).  Unlisted generators
-    are fixed."""
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"sigma_{k} does not act on {n} strands")
-    u, v = _strand_pair(-k if inverse else k)
+def sigma_images(letter: int, n: int) -> dict[Generator, NCPoly]:
+    """Images of the affected a-generators under phi of a letter, sigma_k
+    for k > 0 and sigma_|k|^-1 for k < 0, acting on n strands, from the
+    formula of the module docstring with (u, v) = `_strand_pair` in place of
+    (k, k+1).  Unlisted generators are fixed."""
+    if not 1 <= abs(letter) <= n - 1:
+        raise ValueError(f"sigma_{abs(letter)} does not act on {n} strands")
+    u, v = _strand_pair(letter)
     images: dict[Generator, NCPoly] = {}
     for i in range(1, n + 1):
         if i not in (u, v):
@@ -94,8 +94,7 @@ def push(b: BraidWord, values: Mapping[Generator, T],
     """phi_B(a) at `values` for every a-generator a: from the first letter
     on, each sigma image is evaluated at the current values by
     `evaluate(image, values)` and replaces its generator's value."""
-    images = {k: sigma_images(abs(k), b.strands, inverse=k < 0)
-              for k in set(b.letters)}
+    images = {k: sigma_images(k, b.strands) for k in set(b.letters)}
     values = dict(values)
     for letter in b.letters:
         # every image reads the values from before this letter
@@ -116,7 +115,7 @@ def apply_phi(b: BraidWord, p: NCPoly) -> NCPoly:
     _check_a_only(p, b.strands)
     n = b.strands
     for letter in reversed(b.letters):
-        p = p.substitute(sigma_images(abs(letter), n, inverse=letter < 0))
+        p = p.substitute(sigma_images(letter, n))
     return p
 
 
@@ -142,8 +141,7 @@ def phi_matrices(b: BraidWord, lift: Callable[[NCPoly], T] = lambda e: e,
     substitution map."""
     n = b.strands
     if images is None:
-        images = {k: sigma_images(abs(k), n, inverse=k < 0)
-                  for k in set(b.letters)}
+        images = {k: sigma_images(k, n) for k in set(b.letters)}
     one, zero = lift(NCPoly.one()), lift(NCPoly())
     left = [[one if i == j else zero for j in range(n)] for i in range(n)]
     right = [row[:] for row in left]

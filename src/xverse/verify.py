@@ -32,12 +32,12 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .augment import (BudgetError, _budget_from_env, _check_point,
-                      _scalar_point, augmentation_number)
+from .augment import (BudgetError, _budget_from_env, _scalar_point,
+                      augmentation_number)
 # re-exported only for the pinned acceptance tests, which import it from here
 from .augment import _auto_split  # noqa: F401
 from .braid import BraidWord, braid_stats, braid_transform, markov_move
-from .ncpoly import pow_mod
+from .ncpoly import FLAVORS, pow_mod
 
 
 @dataclass
@@ -116,16 +116,16 @@ _TABLE = {
     "lam_override": ("hat", _override, True, False),
 }
 CHECKS = tuple(_TABLE)
-INFINITY_CHECKS = tuple(c for c, row in _TABLE.items() if row[0] == "infinity")
 
 
 def _grid_points(spec: CheckSpec) -> list[tuple]:
     """The grid (by default ((2, 1),), or ((1, 1),) at p = 2, where 2 is
     0; an empty grid is an error) as the check's flavor takes it, every
-    point checked before any count runs: (lam0, mu0) for a hat or
-    double-hat check, whose flavor fixes (U, V), and (lam0, mu0, u0, v0)
-    with u0, v0 invertible and 1 unless given for an infinity check."""
-    infinity = spec.check in INFINITY_CHECKS
+    point checked by `augment._scalar_point` before any count runs:
+    (lam0, mu0) for a check whose flavor fixes (U, V), and (lam0, mu0, u0,
+    v0), with u0 and v0 1 unless given, for one whose flavor does not."""
+    flavor = _TABLE[spec.check][0]
+    fixed = FLAVORS[flavor].fixed
     grid = spec.grid
     if grid is None:
         grid = ((2, 1),) if spec.prime > 2 else ((1, 1),)
@@ -135,14 +135,11 @@ def _grid_points(spec: CheckSpec) -> list[tuple]:
     for point in grid:
         if len(point) not in (2, 4):
             raise ValueError(f"grid point needs 2 or 4 entries, got {point}")
-        if len(point) == 4 and not infinity:
+        if len(point) == 4 and fixed:
             raise ValueError(f"the {spec.check} check fixes (U, V): a grid "
                              f"point is (lam0, mu0), got {point}")
-        _check_point(spec.prime, point[0], point[1])
-        if infinity:
-            point = (*point, 1, 1)[:4]
-            _scalar_point("infinity", spec.prime, point[2], point[3])
-        points.append(tuple(point))
+        scalars = _scalar_point(flavor, spec.prime, *point)
+        points.append(tuple(point) if fixed else scalars)
     return points
 
 

@@ -18,7 +18,9 @@ from xverse.augment import (_BITS, _EMASK, DEFAULT_BUDGET, POLY_RING, PRIMES,
                             count_augmentations_exhaustive, packed_relations,
                             sylvester_resultant)
 from xverse.braid import BraidWord, braid_stats, braid_transform, parse_braid
+from xverse.dga import DgaError, build_dga
 from xverse.ht0 import ht0_relations
+from xverse.ncpoly import NCPoly
 from xverse.phi import a_variables, phi_matrices
 
 TREFOIL = parse_braid("1 1 1")
@@ -412,17 +414,31 @@ def test_input_validation():
             augmentation_number(TREFOIL, flavor, 3, 1, 1, u0=u0, v0=v0)
     assert augmentation_number(TREFOIL, "hat", 3, 1, 1, u0=0, v0=1).count == \
         augmentation_number(TREFOIL, "hat", 3, 1, 1).count
+    # an unknown flavor is named, by every entry point
+    for call in (lambda: NCPoly.one().specialize("tilde"),
+                 lambda: ht0_relations(TREFOIL, "tilde"),
+                 lambda: augmentation_number(TREFOIL, "tilde", 3, 1, 1)):
+        with pytest.raises(ValueError, match="unknown flavor 'tilde'"):
+            call()
+    with pytest.raises(DgaError, match="unknown flavor 'tilde'"):
+        build_dga(TREFOIL, "tilde")
+    # the prime is checked first, then (lam0, mu0), then (u0, v0)
+    with pytest.raises(ValueError, match="prime must be one of"):
+        augmentation_number(TREFOIL, "infinity", 0, 1, 1)
+    with pytest.raises(ValueError, match="lam0 and mu0 must be nonzero"):
+        augmentation_number(TREFOIL, "hat", 3, 3, 1, u0=2)
 
 
 def test_count_augmentations_checks_the_scalar_point():
-    """The reference count refuses the (u0, v0) that augmentation_number
-    refuses, with the same message, instead of ignoring or dividing by
-    it."""
-    for flavor, u0, v0 in (("hat", 2, 1), ("doublehat", 0, 1),
-                           ("infinity", 3, 1), ("infinity", 1, 0)):
+    """The reference count refuses the prime and the (u0, v0) that
+    augmentation_number refuses, with the same message, instead of
+    ignoring or dividing by them."""
+    for flavor, p, u0, v0 in (("hat", 3, 2, 1), ("doublehat", 3, 0, 1),
+                              ("infinity", 3, 3, 1), ("infinity", 3, 1, 0),
+                              ("infinity", 0, 1, 1), ("minus", 0, 1, 1)):
         with pytest.raises(ValueError) as want:
-            augmentation_number(TREFOIL, flavor, 3, 1, 1, u0=u0, v0=v0)
-        q = AugQuery(ht0_relations(TREFOIL, flavor), 3, 1, 1, u0, v0)
+            augmentation_number(TREFOIL, flavor, p, 1, 1, u0=u0, v0=v0)
+        q = AugQuery(ht0_relations(TREFOIL, flavor), p, 1, 1, u0, v0)
         with pytest.raises(ValueError, match=re.escape(str(want.value))):
             count_augmentations(q)
         with pytest.raises(ValueError):

@@ -20,6 +20,10 @@ def test_braid_json(capsys):
     assert code == 0
     assert json.loads(out) == {"writhe": 0, "strands": 2, "sl": -2,
                                "knot": False}
+    code, out, _ = run(capsys, "braid", "--braid", "1 -1", "--json")
+    assert code == 0
+    assert json.loads(out) == {"schema": 1, "writhe": 0, "strands": 2,
+                               "sl": -2, "knot": False}
 
 
 def test_dga_unknot_text(capsys):
