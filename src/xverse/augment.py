@@ -615,15 +615,13 @@ def _normalized(p: PolyElement,
 def sylvester_resultant(f: PolyElement, g: PolyElement,
                         var: str) -> PolyElement:
     """Resultant in `var` as the Sylvester determinant, computed by
-    fraction-free (Bareiss) elimination with exact division."""
+    fraction-free (Bareiss) elimination with exact division.  An input
+    constant in `var` makes the matrix diagonal, and the elimination
+    gives f^n or g^m."""
     i = _POLY_VARS.index(var)
     m, n = max(f.degree(i), 0), max(g.degree(i), 0)
     if m == 0 and n == 0:
         raise ValueError("both inputs constant in " + var)
-    if m == 0:
-        return f ** n
-    if n == 0:
-        return g ** m
     zero = POLY_RING.zero
     size = m + n
     rows = []

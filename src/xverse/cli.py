@@ -3,11 +3,15 @@
 Subcommands: braid, dga, ht0, aug (count|poly|compare), verify, table,
 check.  Output is deterministic for fixed arguments and seed; scalars are
 printed as L, m, U, V.  Exit codes: 0 for any completed computation
-(including failing verdicts), 2 for usage errors (argparse's, and any
-ValueError or EliminationError the library raises), 3 when the evaluation
-budget is exceeded.  Counts run serially in one process; `--budget` (or
-XVERSE_BUDGET) bounds the incremental evaluations of each count at the
-cut `augmentation_number` picks, and `aug poly` takes no budget.
+(including failing verdicts), 2 for usage errors, 3 when the evaluation
+budget is exceeded.  A usage error is argparse's own, or any ValueError or
+EliminationError that a command or the library raises; `main` reports
+each through the parser.  A flag that would be ignored is a usage error,
+except `verify`'s `--samples` and required `--seed`, which the unsampled
+checks (mirror, op_swap) accept and ignore.  Counts run serially in one
+process; `--budget` (or XVERSE_BUDGET) bounds the incremental evaluations
+of each count at the cut `augmentation_number` picks, and `aug poly`
+takes no budget.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ def _emit(payload: dict, as_json: bool, text_lines: list[str]) -> None:
             print(line)
 
 
-def _cmd_braid(parser, args) -> int:
+def _cmd_braid(args) -> int:
     b = _parse_braid_arg(args)
     s = braid_stats(b)
     payload = {"writhe": s.writhe, "strands": s.strands,
@@ -66,7 +70,7 @@ def _cmd_braid(parser, args) -> int:
     return 0
 
 
-def _cmd_dga(parser, args) -> int:
+def _cmd_dga(args) -> int:
     b = _parse_braid_arg(args)
     dga = build_dga(b, args.flavor)
     lines = [f"flavor: {args.flavor}", f"sl: {dga.sl}",
@@ -85,7 +89,7 @@ def _cmd_dga(parser, args) -> int:
     return 0
 
 
-def _cmd_ht0(parser, args) -> int:
+def _cmd_ht0(args) -> int:
     b = _parse_braid_arg(args)
     pres = ht0_relations(b, args.flavor, split=args.split)
     rels = reduced_relations(pres) if args.reduced else pres.relations
@@ -100,7 +104,7 @@ def _cmd_ht0(parser, args) -> int:
     return 0
 
 
-def _cmd_aug_count(parser, args) -> int:
+def _cmd_aug_count(args) -> int:
     b = _parse_braid_arg(args)
     res = augmentation_number(b, args.flavor, args.prime, args.lam, args.mu,
                               u0=args.u0, v0=args.v0, split=args.split,
@@ -112,7 +116,7 @@ def _cmd_aug_count(parser, args) -> int:
     return 0
 
 
-def _cmd_aug_poly(parser, args) -> int:
+def _cmd_aug_poly(args) -> int:
     b = _parse_braid_arg(args)
     res = augmentation_polynomial_index2(b)
     payload = {"poly": str(res.poly),
@@ -122,11 +126,11 @@ def _cmd_aug_poly(parser, args) -> int:
     return 0
 
 
-def _cmd_aug_compare(parser, args) -> int:
+def _cmd_aug_compare(args) -> int:
     ba, bb = parse_braid(args.braid_a), parse_braid(args.braid_b)
     p = args.prime
     if args.grid and (args.lam, args.mu) != (None, None):
-        parser.error("--grid sweeps every (lam, mu); it takes no --lam or --mu")
+        raise ValueError("--grid sweeps every (lam, mu); it takes no --lam or --mu")
     points = ([(l, m) for l in range(1, p) for m in range(1, p)]
               if args.grid else [(1 if args.lam is None else args.lam,
                                   1 if args.mu is None else args.mu)])
@@ -148,7 +152,7 @@ def _cmd_aug_compare(parser, args) -> int:
     return 0
 
 
-def _cmd_verify(parser, args) -> int:
+def _cmd_verify(args) -> int:
     b = _parse_braid_arg(args)
     grid = None if args.grid is None else _parse_grid(args.grid)
     spec = CheckSpec(braid=b, check=args.check, prime=args.prime,
@@ -163,7 +167,7 @@ def _cmd_verify(parser, args) -> int:
     return 0
 
 
-def _cmd_table(parser, args) -> int:
+def _cmd_table(args) -> int:
     rows = None if args.rows is None else args.rows.split(",")
     report = reproduce_table(prime=args.prime, rows=rows, budget=args.budget)
     lines = []
@@ -183,7 +187,7 @@ def _cmd_table(parser, args) -> int:
     return 0
 
 
-def _cmd_check(parser, args) -> int:
+def _cmd_check(args) -> int:
     b = _parse_braid_arg(args)
     if args.what == "d2":
         dga = build_dga(b, args.flavor or "minus")
@@ -193,7 +197,7 @@ def _cmd_check(parser, args) -> int:
         lines = [f"d2 residual at {g}" for g, _ in failures]
     else:
         if args.flavor is not None:
-            parser.error("check lemma29 takes no --flavor")
+            raise ValueError("check lemma29 takes no --flavor")
         failures = verify_phi_factorization(b)
         payload = {"check": "lemma29", "passed": not failures,
                    "failures": failures}
@@ -203,13 +207,11 @@ def _cmd_check(parser, args) -> int:
     return 0
 
 
-def _add_common(sp, braid=True, strands=True):
-    if braid:
-        sp.add_argument("--braid", required=True,
-                        help="space-separated signed generator indices")
-    if strands:
-        sp.add_argument("--strands", type=int, default=None,
-                        help="strand count override (needed for the empty word)")
+def _add_common(sp):
+    sp.add_argument("--braid", required=True,
+                    help="space-separated signed generator indices")
+    sp.add_argument("--strands", type=int, default=None,
+                    help="strand count override (needed for the empty word)")
     sp.add_argument("--json", action="store_true", help="JSON output")
 
 
@@ -236,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", type=int, default=None,
                    help="cut position in the letter sequence")
     p.add_argument("--reduced", action="store_true",
-                   help="run the bounded substitution pass first")
+                   help="simplify: adjoin the dB consequences, run the bounded "
+                        "substitution pass and interreduce")
 
     aug = sub.add_parser("aug", help="augmentation counts and polynomials")
     augsub = aug.add_subparsers(dest="augcmd", required=True)
@@ -305,7 +308,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(parser, args)
+        return args.run(args)
     except BudgetError as e:
         print(e, file=sys.stderr)
         return 3

@@ -54,7 +54,6 @@ class DgaError(ValueError):
 class Degree0Matrices:
     """The matrices the degree-0 relations (dC, dD) read."""
     n: int
-    writhe: int
     A_lower: GenMatrix
     A_upper: GenMatrix
     Ahat: GenMatrix
@@ -70,9 +69,10 @@ class StructuredMatrices(Degree0Matrices):
     Bcheck: GenMatrix
 
 
-def _diag_override(entries, n: int, writhe: int) -> tuple[GenMatrix, GenMatrix]:
-    """Validate a Lam override, n (sign, L exponent, m exponent) tuples:
-    units +-L^a m^b whose product is L m^-w.  Returns (Lam, LamInv)."""
+def _lam_matrices(entries, n: int, writhe: int) -> tuple[GenMatrix, GenMatrix]:
+    """(Lam, LamInv) from n diagonal entries, each a (sign, L exponent,
+    m exponent) tuple, checked to be units +-L^a m^b whose product is
+    L m^-w.  The default entries and every override pass through here."""
     if len(entries) != n:
         raise DgaError(f"Lam override needs {n} entries")
     lam, inv = [], []
@@ -107,18 +107,16 @@ def _hat_check(lower: GenMatrix, upper: GenMatrix) -> tuple[GenMatrix, GenMatrix
 
 def degree0_matrices(b: BraidWord, lam_override=None) -> Degree0Matrices:
     """A_lower, A_upper, Ahat, Acheck, Lam and Lam^-1 of the braid, and
-    nothing else: all the degree-0 relations read."""
+    nothing else: all the degree-0 relations read.  Lam is `lam_override`,
+    or by default diag(L m^-w, 1, ..., 1)."""
     n = b.strands
     w = braid_stats(b).writhe
-    A_lower, A_upper = _triangles(n, "a", NCPoly.scalar(-1))
     if lam_override is None:
-        lam_entries = [NCPoly.scalar(1, lam=1, mu=-w)] + [NCPoly.one()] * (n - 1)
-        inv_entries = [NCPoly.scalar(1, lam=-1, mu=w)] + [NCPoly.one()] * (n - 1)
-        Lam, LamInv = GenMatrix.diagonal(lam_entries), GenMatrix.diagonal(inv_entries)
-    else:
-        Lam, LamInv = _diag_override(lam_override, n, w)
+        lam_override = [(1, 1, -w)] + [(1, 0, 0)] * (n - 1)
+    Lam, LamInv = _lam_matrices(lam_override, n, w)
+    A_lower, A_upper = _triangles(n, "a", NCPoly.scalar(-1))
     Ahat, Acheck = _hat_check(A_lower, A_upper)
-    return Degree0Matrices(n=n, writhe=w, A_lower=A_lower, A_upper=A_upper,
+    return Degree0Matrices(n=n, A_lower=A_lower, A_upper=A_upper,
                            Ahat=Ahat, Acheck=Acheck, Lam=Lam, LamInv=LamInv)
 
 
@@ -170,17 +168,18 @@ def _all_indices(n):
     return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
 
 
-def _assemble(b: BraidWord, flavor: str, matrices, blocks) -> DgaPresentation:
-    """Check the flavor and that b closes to a knot, build its matrices
-    (`matrices(b)`) and Phi, and list the generators and differentials
-    that `blocks(m, phi_l, phi_r)` yields as (family, differential matrix,
-    positions), specialized to the flavor."""
+def _assemble(b: BraidWord, flavor: str, blocks,
+              lam_override=None) -> DgaPresentation:
+    """Check the flavor and that b closes to a knot, build its
+    `structured_matrices` and Phi, and list the generators and
+    differentials that `blocks(m, phi_l, phi_r)` yields as (family,
+    differential matrix, positions), specialized to the flavor."""
     if flavor not in FLAVORS:
         raise DgaError(f"unknown flavor {flavor!r}")
     stats = braid_stats(b)
     if not stats.is_knot:
         raise DgaError("links unsupported")
-    m = matrices(b)
+    m = structured_matrices(b, lam_override)
     phi_l, phi_r = phi_matrices(b)
     generators: list[Generator] = []
     diff: dict[Generator, NCPoly] = {}
@@ -214,8 +213,7 @@ def build_dga(b: BraidWord, flavor: str = "minus", lam_override=None) -> DgaPres
         return [("a", GenMatrix(n), _offdiag(n)), ("b", dB, _offdiag(n)),
                 ("c", dC, full), ("d", dD, full), ("e", dE, full),
                 ("f", dF, full)]
-    return _assemble(b, flavor, lambda b: structured_matrices(b, lam_override),
-                     blocks)
+    return _assemble(b, flavor, blocks, lam_override)
 
 
 def build_modified_dga(b: BraidWord, flavor: str = "minus") -> DgaPresentation:
@@ -245,7 +243,7 @@ def build_modified_dga(b: BraidWord, flavor: str = "minus") -> DgaPresentation:
                 ("d", dD, full),
                 ("e", dE, [(i, j) for i, j in full if i <= j]),
                 ("f", dF, [(i, j) for i, j in full if j <= i])]
-    return _assemble(b, flavor, degree0_matrices, blocks)
+    return _assemble(b, flavor, blocks)
 
 
 def differential(dga: DgaPresentation, p: NCPoly) -> NCPoly:

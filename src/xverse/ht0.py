@@ -55,8 +55,9 @@ def cd_relations(b: BraidWord, flavor: str, phi, lift,
         Acheck . PhiR_{b1^-1} - Ahat . PhiR_{b2} . Lam^-1
 
     with Lam built from the writhe of the product; the factor matrices stay
-    much smaller than those of the product word.  Without a cut (or at cut
-    0) PhiL_{b1^-1} and PhiR_{b1^-1} are the identity.
+    much smaller than those of the product word.  No cut means cut 0, the
+    whole word: b1 is empty, its Phi is the identity, and the left sides
+    are Ahat and Acheck, as in dC and dD.
     """
     stats = braid_stats(b)
     if not stats.is_knot:
@@ -70,13 +71,10 @@ def cd_relations(b: BraidWord, flavor: str, phi, lift,
         for M in (m.Ahat, m.Acheck, m.Lam, m.LamInv))
     n = b.strands
     phi_l, phi_r = phi(BraidWord(n, b.letters[cut:]))
-    c_left, d_left = ahat, acheck
-    if cut:
-        l1inv, r1inv = phi(braid_transform(BraidWord(n, b.letters[:cut]),
-                                           "inverse"))
-        c_left, d_left = l1inv @ ahat, acheck @ r1inv
-    c_block, d_block = cd_blocks(c_left, d_left, ahat, acheck, lam, lam_inv,
-                                 phi_l, phi_r)
+    l1inv, r1inv = phi(braid_transform(BraidWord(n, b.letters[:cut]),
+                                       "inverse"))
+    c_block, d_block = cd_blocks(l1inv @ ahat, acheck @ r1inv, ahat, acheck,
+                                 lam, lam_inv, phi_l, phi_r)
     return [e for block in (c_block, d_block) for _, _, e in block.entries()]
 
 

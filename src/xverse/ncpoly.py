@@ -131,8 +131,6 @@ class NCPoly:
 
     @staticmethod
     def scalar(coeff: int, lam: int = 0, mu: int = 0, u: int = 0, v: int = 0) -> "NCPoly":
-        if coeff == 0:
-            return NCPoly()
         return NCPoly({((), (lam, mu, u, v)): coeff})
 
     @staticmethod
@@ -381,10 +379,7 @@ class GenMatrix:
 
     @staticmethod
     def identity(n: int) -> "GenMatrix":
-        m = GenMatrix(n)
-        for i in range(n):
-            m.rows[i][i] = NCPoly.one()
-        return m
+        return GenMatrix.diagonal([NCPoly.one()] * n)
 
     @staticmethod
     def diagonal(entries: list[NCPoly]) -> "GenMatrix":

@@ -537,6 +537,14 @@ def test_resultant_common_root():
 def test_resultant_constant_inputs():
     with pytest.raises(ValueError):
         sylvester_resultant(POLY_RING.one, POLY_RING(2), "x")
+    # one input constant in x: the Sylvester matrix is diagonal, and the
+    # resultant is that input to the other's degree, in either order
+    f, c = X ** 3 - L * X + 2, L * M - 3
+    assert sylvester_resultant(f, c, "x") == c ** 3
+    assert sylvester_resultant(c, f, "x") == c ** 3
+    assert sylvester_resultant(X - M, U, "x") == U
+    assert not sylvester_resultant(f, POLY_RING.zero, "x")
+    assert not sylvester_resultant(POLY_RING.zero, f, "x")
 
 
 def test_resultant_matches_random_specialization():

@@ -2,11 +2,11 @@ import itertools
 
 import pytest
 
-from xverse.braid import parse_braid
-from xverse.dga import DgaError
+from xverse.braid import BraidWord, parse_braid
+from xverse.dga import FLAVORS, DgaError, build_dga
 from xverse.ht0 import (b_consequences, eliminate_linear, ht0_relations,
                         normalize_unit, reduced_relations)
-from xverse.ncpoly import NCPoly, evaluate_abelian
+from xverse.ncpoly import NCPoly, evaluate_abelian, gen
 
 
 def test_relation_count_and_order():
@@ -15,6 +15,21 @@ def test_relation_count_and_order():
     assert len(h.relations) == 2 * n * n
     assert [str(v) for v in h.variables] == ["a12", "a21"]
     assert h.sl == 1
+
+
+@pytest.mark.parametrize("b", [BraidWord(1), parse_braid("1"),
+                               parse_braid("1 1 1"), parse_braid("-1 -1 -1"),
+                               parse_braid("1 -2 1 -2"),
+                               parse_braid("1 1 1 2 -1 2"),
+                               parse_braid("1 -2 3")])
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_relations_are_the_c_and_d_differentials(b, flavor):
+    """HT0 is presented by dC then dD of the DGA, row-major."""
+    dga = build_dga(b, flavor)
+    n = b.strands
+    want = [dga.diff[gen(family, i, j)] for family in "cd"
+            for i in range(1, n + 1) for j in range(1, n + 1)]
+    assert ht0_relations(b, flavor).relations == want
 
 
 def test_links_rejected():
