@@ -51,7 +51,6 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-import time
 from dataclasses import dataclass
 
 from sympy.polys.domains import ZZ
@@ -121,7 +120,6 @@ class AugQuery:
 class AugResult:
     count: int
     assignments_tested: int
-    elapsed: float
 
 
 def _fold(e: int, p: int) -> int:
@@ -334,24 +332,22 @@ def _prepare(q: AugQuery) -> tuple[list[dict[int, int]], int]:
 
 
 def _count_packed(rels: list[dict[int, int]], nvars: int, prime: int,
-                  budget: int, start: float) -> AugResult:
+                  budget: int) -> AugResult:
     """Count the solutions of rels, every variable live, by one search
     whose rewritten terms are charged to the resolved budget."""
     counter = _Counter(prime, nvars, budget)
     count = counter.count(rels, counter.ones)
-    return AugResult(count, counter.tested, time.monotonic() - start)
+    return AugResult(count, counter.tested)
 
 
 def count_augmentations(q: AugQuery) -> AugResult:
     budget = _budget_from_env(q.budget)
-    start = time.monotonic()
     rels, nvars = _prepare(q)
-    return _count_packed(rels, nvars, q.prime, budget, start)
+    return _count_packed(rels, nvars, q.prime, budget)
 
 
 def count_augmentations_exhaustive(q: AugQuery) -> AugResult:
     """Plain enumeration of every assignment; the oracle for small cases."""
-    start = time.monotonic()
     rels, nvars = _prepare(q)
     p = q.prime
     count = 0
@@ -384,7 +380,7 @@ def count_augmentations_exhaustive(q: AugQuery) -> AugResult:
                 break
         if ok:
             count += 1
-    return AugResult(count, tested, time.monotonic() - start)
+    return AugResult(count, tested)
 
 
 # ---------------------------------------------------------------------------
@@ -520,15 +516,15 @@ def _packed_phi_matrices(b: BraidWord, p: int) -> tuple[GenMatrix, GenMatrix]:
 
 def packed_relations(b: BraidWord, flavor: str, prime: int, lam0: int,
                      mu0: int, u0: int, v0: int, split: int | None = None,
-                     lam_override=None):
-    """The nonzero degree-0 relations as packed F_p polynomials: ht0's
+                     lam_override=None) -> tuple[list[dict[int, int]], int]:
+    """(rels, nvars): the nonzero degree-0 relations as packed F_p
+    polynomials in the nvars variables of `a_variables`, by ht0's
     construction over abelianized entries, with the scalars at (lam0, mu0,
     u0, v0) and Phi built without any symbolic intermediate."""
     var_index, lift = _lift(b.strands, prime, (lam0, mu0, u0, v0))
     entries = cd_relations(b, flavor, lambda w: _packed_phi_matrices(w, prime),
                            lift, lam_override, split)
-    return ([e.terms for e in entries if e.terms], len(var_index),
-            list(var_index))
+    return [e.terms for e in entries if e.terms], len(var_index)
 
 
 def _auto_split(b: BraidWord) -> int:
@@ -554,12 +550,11 @@ def augmentation_number(b: BraidWord, flavor: str, prime: int, lam0: int,
     """
     scalars = _scalar_point(flavor, prime, lam0, mu0, u0, v0)
     budget = _budget_from_env(budget)
-    start = time.monotonic()
     if split is None:
         split = _auto_split(b)
-    rels, nvars, _ = packed_relations(b, flavor, prime, *scalars,
-                                      split=split, lam_override=lam_override)
-    return _count_packed(rels, nvars, prime, budget, start)
+    rels, nvars = packed_relations(b, flavor, prime, *scalars,
+                                   split=split, lam_override=lam_override)
+    return _count_packed(rels, nvars, prime, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -612,24 +607,22 @@ def _normalized(p: PolyElement,
     return _shifted(p, low)
 
 
-def sylvester_resultant(f: PolyElement, g: PolyElement,
-                        var: str) -> PolyElement:
-    """Resultant in `var` as the Sylvester determinant, computed by
+def sylvester_resultant(f: PolyElement, g: PolyElement) -> PolyElement:
+    """Resultant in x as the Sylvester determinant, computed by
     fraction-free (Bareiss) elimination with exact division.  An input
-    constant in `var` makes the matrix diagonal, and the elimination
-    gives f^n or g^m."""
-    i = _POLY_VARS.index(var)
-    m, n = max(f.degree(i), 0), max(g.degree(i), 0)
+    constant in x makes the matrix diagonal, and the elimination gives
+    f^n or g^m."""
+    m, n = max(f.degree(_X), 0), max(g.degree(_X), 0)
     if m == 0 and n == 0:
-        raise ValueError("both inputs constant in " + var)
+        raise ValueError("both inputs constant in x")
     zero = POLY_RING.zero
     size = m + n
     rows = []
     for k in range(n):
-        rows.append([zero] * k + [f.coeff_wrt(i, m - j) for j in range(m + 1)]
+        rows.append([zero] * k + [f.coeff_wrt(_X, m - j) for j in range(m + 1)]
                     + [zero] * (size - k - m - 1))
     for k in range(m):
-        rows.append([zero] * k + [g.coeff_wrt(i, n - j) for j in range(n + 1)]
+        rows.append([zero] * k + [g.coeff_wrt(_X, n - j) for j in range(n + 1)]
                     + [zero] * (size - k - n - 1))
     sign = 1
     prev = POLY_RING.one
@@ -693,7 +686,7 @@ def augmentation_polynomial_index2(b: BraidWord) -> AugPolyResult:
     # codimension-1 part of the variety is cut out by their gcd
     results = list(consts)
     for f, g in itertools.combinations(with_x, 2):
-        r = sylvester_resultant(f, g, "x")
+        r = sylvester_resultant(f, g)
         if r:
             results.append(r)
     if not results:

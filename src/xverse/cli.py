@@ -4,14 +4,16 @@ Subcommands: braid, dga, ht0, aug (count|poly|compare), verify, table,
 check.  Output is deterministic for fixed arguments and seed; scalars are
 printed as L, m, U, V.  Exit codes: 0 for any completed computation
 (including failing verdicts), 2 for usage errors, 3 when the evaluation
-budget is exceeded.  A usage error is argparse's own, or any ValueError or
-EliminationError that a command or the library raises; `main` reports
-each through the parser.  A flag that would be ignored is a usage error,
-except `verify`'s `--samples` and required `--seed`, which the unsampled
-checks (mirror, op_swap) accept and ignore.  Counts run serially in one
-process; `--budget` (or XVERSE_BUDGET) bounds the incremental evaluations
-of each count at the cut `augmentation_number` picks, and `aug poly`
-takes no budget.
+budget is exceeded, except in `table`, which records a count over the
+budget (`?`, a `budget:` line and a failing row) and exits 0.  A usage
+error is argparse's own, or any ValueError or EliminationError that a
+command or the library raises; `main` reports each through the parser.
+A flag that would be ignored is a usage error, except `verify`'s
+`--samples` and required `--seed`, which the unsampled checks (mirror,
+op_swap) accept and ignore.  Counts run serially in one process;
+`--budget` (or XVERSE_BUDGET) bounds the incremental evaluations of each
+count at the cut `augmentation_number` picks, and the library checks
+both; `aug poly` takes no budget.
 """
 
 from __future__ import annotations
@@ -26,23 +28,14 @@ from .augment import (PRIMES, BudgetError, EliminationError,
 from .braid import BraidWord, braid_stats, parse_braid
 from .dga import FLAVORS, build_dga, verify_d_squared, verify_phi_factorization
 from .ht0 import ht0_relations, reduced_relations
-from .verify import CHECKS, CheckSpec, reproduce_table, run_check
+from .verify import (CHECKS, TABLE_PRIME, CheckSpec, reproduce_table,
+                     run_check)
 
 JSON_SCHEMA_VERSION = 1
 
 
 def _parse_braid_arg(args) -> BraidWord:
     return parse_braid(args.braid, strands=args.strands)
-
-
-def _int_at_least(low: int):
-    """argparse type for an integer flag with a lower bound."""
-    def integer(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
-    return integer
 
 
 def _parse_grid(text: str):
@@ -169,7 +162,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_table(args) -> int:
     rows = None if args.rows is None else args.rows.split(",")
-    report = reproduce_table(prime=args.prime, rows=rows, budget=args.budget)
+    report = reproduce_table(rows=rows, budget=args.budget)
     lines = []
     for r in report.rows:
         got = " ".join("?" if c is None else str(c) for c in r.computed)
@@ -178,7 +171,7 @@ def _cmd_table(args) -> int:
         lines.append(f"{r.name:11s} @{r.point} expected [{want}] got [{got}] {status}")
         lines += [f"  budget: {err}" for err in r.errors]
     lines.append("pass" if report.passed else "fail")
-    payload = {"prime": report.prime, "passed": report.passed,
+    payload = {"prime": TABLE_PRIME, "passed": report.passed,
                "rows": [{"name": r.name, "point": list(r.point),
                          "expected": r.expected, "computed": r.computed,
                          "errors": r.errors, "passed": r.passed}
@@ -256,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", type=int, default=None,
                    help="cut position in the letter sequence; by default "
                         "the program picks it, and 0 counts the whole word")
-    p.add_argument("--budget", type=_int_at_least(0), default=None)
+    p.add_argument("--budget", type=int, default=None)
 
     p = augsub.add_parser("poly", help="two-strand augmentation polynomial")
     p.set_defaults(run=_cmd_aug_poly)
@@ -272,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=int, default=None, help="default 1")
     p.add_argument("--grid", action="store_true",
                    help="sweep all nonzero (lam, mu) pairs")
-    p.add_argument("--budget", type=_int_at_least(0), default=None)
+    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="invariance checks on counts")
@@ -285,14 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None,
                    help="semicolon-separated points 'l,m', or 'l,m,u,v' "
                         "for the infinity checks")
-    p.add_argument("--budget", type=_int_at_least(0), default=None)
+    p.add_argument("--budget", type=int, default=None)
 
     p = sub.add_parser("table", help="reproduce the reference count table")
     p.set_defaults(run=_cmd_table)
-    p.add_argument("--prime", type=int, default=3, choices=PRIMES)
     p.add_argument("--rows", default=None,
                    help="comma-separated row names, e.g. m72,9_48")
-    p.add_argument("--budget", type=_int_at_least(0), default=None)
+    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("check", help="symbolic identity checks")

@@ -120,9 +120,10 @@ def degree0_matrices(b: BraidWord, lam_override=None) -> Degree0Matrices:
                            Ahat=Ahat, Acheck=Acheck, Lam=Lam, LamInv=LamInv)
 
 
-def structured_matrices(b: BraidWord, lam_override=None) -> StructuredMatrices:
-    """The degree-0 matrices plus A, Bhat and Bcheck."""
-    m = degree0_matrices(b, lam_override)
+def structured_matrices(b: BraidWord) -> StructuredMatrices:
+    """The degree-0 matrices, with the default Lam, plus A, Bhat and
+    Bcheck."""
+    m = degree0_matrices(b)
     B_lower, B_upper = _triangles(m.n, "b", NCPoly.zero())
     Bhat, Bcheck = _hat_check(B_lower, B_upper)
     return StructuredMatrices(**vars(m), A=m.A_lower + m.A_upper,
@@ -168,8 +169,7 @@ def _all_indices(n):
     return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
 
 
-def _assemble(b: BraidWord, flavor: str, blocks,
-              lam_override=None) -> DgaPresentation:
+def _assemble(b: BraidWord, flavor: str, blocks) -> DgaPresentation:
     """Check the flavor and that b closes to a knot, build its
     `structured_matrices` and Phi, and list the generators and
     differentials that `blocks(m, phi_l, phi_r)` yields as (family,
@@ -179,7 +179,7 @@ def _assemble(b: BraidWord, flavor: str, blocks,
     stats = braid_stats(b)
     if not stats.is_knot:
         raise DgaError("links unsupported")
-    m = structured_matrices(b, lam_override)
+    m = structured_matrices(b)
     phi_l, phi_r = phi_matrices(b)
     generators: list[Generator] = []
     diff: dict[Generator, NCPoly] = {}
@@ -197,7 +197,7 @@ def _gen_matrix(n: int, family: str) -> GenMatrix:
     return GenMatrix.build(n, lambda i, j: NCPoly.generator(family, i, j))
 
 
-def build_dga(b: BraidWord, flavor: str = "minus", lam_override=None) -> DgaPresentation:
+def build_dga(b: BraidWord, flavor: str = "minus") -> DgaPresentation:
     def blocks(m, phi_l, phi_r):
         n = m.n
         dB = db_block(b, m.A, m.Lam, m.LamInv)
@@ -213,7 +213,7 @@ def build_dga(b: BraidWord, flavor: str = "minus", lam_override=None) -> DgaPres
         return [("a", GenMatrix(n), _offdiag(n)), ("b", dB, _offdiag(n)),
                 ("c", dC, full), ("d", dD, full), ("e", dE, full),
                 ("f", dF, full)]
-    return _assemble(b, flavor, blocks, lam_override)
+    return _assemble(b, flavor, blocks)
 
 
 def build_modified_dga(b: BraidWord, flavor: str = "minus") -> DgaPresentation:

@@ -159,13 +159,12 @@ def phi_matrices(b: BraidWord, lift: Callable[[NCPoly], T] = lambda e: e,
     return GenMatrix(n, left), GenMatrix(n, right)
 
 
-def verify_chain_rules(b: BraidWord, cut: int | None = None) -> list[str]:
-    """Check the chain rules and matrix inverses on a factorization
-    b = b1 b2 (cut at the middle by default).  Returns failure labels;
-    empty means every identity holds."""
+def verify_chain_rules(b: BraidWord) -> list[str]:
+    """Check the chain rules and matrix inverses on the factorization
+    b = b1 b2 cut at the middle.  Returns failure labels; empty means
+    every identity holds."""
     n = b.strands
-    if cut is None:
-        cut = len(b.letters) // 2
+    cut = len(b.letters) // 2
     b1 = BraidWord(n, b.letters[:cut])
     b2 = BraidWord(n, b.letters[cut:])
     phi_l, phi_r = phi_matrices(b)

@@ -195,6 +195,8 @@ def run_check(spec: CheckSpec, budget: int | None = None) -> CheckReport:
 # tell apart (or fail to), with the scalar point and expected values.
 # ---------------------------------------------------------------------------
 
+TABLE_PRIME = 3
+
 TABLE_ROWS: list[tuple[str, tuple[int, int], list[tuple[str, int]]]] = [
     ("m(7_2)", (2, 1), [("3 3 -2 3 2 1 1 2 -1", 0),
                         ("3 3 -2 3 2 -1 2 1 1", 5)]),
@@ -232,7 +234,6 @@ class TableRowResult:
 
 @dataclass
 class TableReport:
-    prime: int
     rows: list[TableRowResult]
     passed: bool
 
@@ -248,12 +249,10 @@ def _table_braid(text: str) -> BraidWord:
     return parse_braid(text)
 
 
-def reproduce_table(prime: int = 3, rows: list[str] | None = None,
+def reproduce_table(rows: list[str] | None = None,
                     budget: int | None = None) -> TableReport:
-    """Recompute the reference counts, of every row or of the named `rows`
-    (an empty selection is an error).  Only Z/3 has pinned expectations."""
-    if prime != 3:
-        raise ValueError("the reference table is pinned at prime 3")
+    """Recompute the reference counts over Z/`TABLE_PRIME`, of every row
+    or of the named `rows` (an empty selection is an error)."""
     if rows is not None and not rows:
         raise ValueError("the table selection needs at least one row")
     known = {_row_key(name) for name, _, _ in TABLE_ROWS}
@@ -272,7 +271,7 @@ def reproduce_table(prime: int = 3, rows: list[str] | None = None,
             b = _table_braid(text)
             try:
                 computed.append(augmentation_number(
-                    b, "hat", prime, point[0], point[1], budget=budget).count)
+                    b, "hat", TABLE_PRIME, *point, budget=budget).count)
             except BudgetError as e:
                 computed.append(None)
                 errors.append(f"{text}: {e}")
@@ -280,5 +279,4 @@ def reproduce_table(prime: int = 3, rows: list[str] | None = None,
         out.append(TableRowResult(
             name=name, point=point, expected=expected, computed=computed,
             errors=errors, passed=computed == expected))
-    return TableReport(prime=prime, rows=out,
-                       passed=all(r.passed for r in out))
+    return TableReport(rows=out, passed=all(r.passed for r in out))

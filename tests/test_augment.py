@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from xverse.augment import (_BITS, _EMASK, DEFAULT_BUDGET, POLY_RING, PRIMES,
                             AugQuery, BudgetError, CommPoly,
-                            EliminationError, _abelianize, _count_packed,
-                            _fold, _normalized, _packed_phi_matrices,
+                            EliminationError, _PackedPoly, _abelianize,
+                            _count_packed, _fold, _normalized,
+                            _packed_phi_matrices,
                             _poly_mul, augmentation_number,
                             augmentation_polynomial_index2,
                             count_augmentations,
@@ -212,9 +213,9 @@ def test_packed_construction_matches_symbolic_everywhere(knot, data):
                 scalars = (lam0, mu0, u0, v0)
                 abel = [_abelianize(r, var_index, p, scalars)
                         for r in pres.relations]
-                packed, _, _ = packed_relations(b, flavor, p, *scalars,
-                                                split=cut,
-                                                lam_override=lam_override)
+                packed, _ = packed_relations(b, flavor, p, *scalars,
+                                             split=cut,
+                                             lam_override=lam_override)
                 assert packed == [r for r in abel if r]
                 if lam_override is None:
                     q = AugQuery(pres, p, *scalars)
@@ -259,6 +260,16 @@ def test_swar_product_matches_per_field_fold(case):
     assert _poly_mul({k1: 1}, {k2: 1}, nvars, p) == {expected: 1}
 
 
+def test_packed_substitute_drops_cancelled_terms():
+    """Over F_3, x0 + x1 with x1 -> 2 x0 is 3 x0 = 0, with the terms in
+    either order: the image lands on the untouched x0 term, or x0 lands
+    on the image."""
+    x0, x1 = _pack([1, 0]), _pack([0, 1])
+    subst = (_EMASK << _BITS, {1: {x0: 2}})
+    for terms in ({x0: 1, x1: 1}, {x1: 1, x0: 1}):
+        assert _PackedPoly(terms, 2, 3).substitute(subst).terms == {}
+
+
 @st.composite
 def packed_systems(draw):
     """A prime and 1 to 3 packed relations on 2 to 5 variables.  A term is
@@ -301,7 +312,7 @@ def test_dfs_count_matches_enumeration(case):
     expected = _enumerate_solutions(rels, nvars, p)
     for system in (rels, rels[::-1]):
         result = _count_packed([dict(r) for r in system], nvars, p,
-                               DEFAULT_BUDGET, 0.0)
+                               DEFAULT_BUDGET)
         assert result.count == expected
 
 
@@ -314,7 +325,7 @@ def test_budget_charges_only_rewritten_relations():
     would give 38."""
     one = _pack([0, 0, 0, 0])
     rels = [{_pack([1, 1, 0, 0]): 1, one: 1}, {_pack([0, 0, 1, 1]): 1, one: 1}]
-    result = _count_packed(rels, 4, 3, DEFAULT_BUDGET, 0.0)
+    result = _count_packed(rels, 4, 3, DEFAULT_BUDGET)
     assert (result.count, result.assignments_tested) == (4, 30)
 
 
@@ -328,7 +339,7 @@ def test_one_live_variable_branches_on_its_roots():
     terms of the first relation at each of x0 = 0, 2 and 3: 64."""
     rels = [{_pack([2, 0, 0]): 1, _pack([0, 0, 0]): 4},
             {_pack([1, 1, 0]): 1, _pack([0, 0, 1]): 1, _pack([0, 0, 0]): 1}]
-    result = _count_packed(rels, 3, 5, DEFAULT_BUDGET, 0.0)
+    result = _count_packed(rels, 3, 5, DEFAULT_BUDGET)
     assert (result.count, result.assignments_tested) == (10, 58)
 
 
@@ -493,9 +504,8 @@ def test_budget_env_override(monkeypatch):
 
 
 def test_packed_relations_shape():
-    rels, nvars, variables = packed_relations(TREFOIL, "hat", 3, 2, 1, 0, 1)
+    rels, nvars = packed_relations(TREFOIL, "hat", 3, 2, 1, 0, 1)
     assert nvars == 2
-    assert len(variables) == 2
     assert all(isinstance(r, dict) for r in rels)
 
 
@@ -526,25 +536,25 @@ def test_commpoly_normalized():
 
 
 def test_resultant_difference_of_roots():
-    r = sylvester_resultant(X - L, X - M, "x")
+    r = sylvester_resultant(X - L, X - M)
     assert r in (L - M, M - L)
 
 
 def test_resultant_common_root():
-    assert not sylvester_resultant(X * X - 1, X - 1, "x")
+    assert not sylvester_resultant(X * X - 1, X - 1)
 
 
 def test_resultant_constant_inputs():
     with pytest.raises(ValueError):
-        sylvester_resultant(POLY_RING.one, POLY_RING(2), "x")
+        sylvester_resultant(POLY_RING.one, POLY_RING(2))
     # one input constant in x: the Sylvester matrix is diagonal, and the
     # resultant is that input to the other's degree, in either order
     f, c = X ** 3 - L * X + 2, L * M - 3
-    assert sylvester_resultant(f, c, "x") == c ** 3
-    assert sylvester_resultant(c, f, "x") == c ** 3
-    assert sylvester_resultant(X - M, U, "x") == U
-    assert not sylvester_resultant(f, POLY_RING.zero, "x")
-    assert not sylvester_resultant(POLY_RING.zero, f, "x")
+    assert sylvester_resultant(f, c) == c ** 3
+    assert sylvester_resultant(c, f) == c ** 3
+    assert sylvester_resultant(X - M, U) == U
+    assert not sylvester_resultant(f, POLY_RING.zero)
+    assert not sylvester_resultant(POLY_RING.zero, f)
 
 
 def test_resultant_matches_random_specialization():
@@ -564,7 +574,7 @@ def test_resultant_matches_random_specialization():
         fx, gx = draw(), draw()
         if fx.degree(X) <= 0 and gx.degree(X) <= 0:
             continue
-        res = sylvester_resultant(fx, gx, "x")
+        res = sylvester_resultant(fx, gx)
         l0, m0 = rng.randrange(1, 5), rng.randrange(1, 5)
         subs = {sympy.Symbol("L"): l0, sympy.Symbol("m"): m0,
                 sympy.Symbol("U"): 1}
@@ -605,7 +615,7 @@ def test_resultant_matches_sympy(f, g):
         want = sympy.resultant(f.as_expr(), g.as_expr(), xs)
     else:
         want = (-1) ** (m * n) * sympy.resultant(g.as_expr(), f.as_expr(), xs)
-    assert sylvester_resultant(f, g, "x") == POLY_RING.from_expr(want)
+    assert sylvester_resultant(f, g) == POLY_RING.from_expr(want)
 
 
 # ---------------------------------------------------------------------------

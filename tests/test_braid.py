@@ -26,6 +26,8 @@ def test_parse_empty():
 def test_parse_rejects_zero():
     with pytest.raises(BraidError):
         parse_braid("1 0 2")
+    with pytest.raises(BraidError, match="bad braid letter 'x'"):
+        parse_braid("1 x")
 
 
 def test_letter_range_validation():
@@ -33,6 +35,8 @@ def test_letter_range_validation():
         BraidWord(2, (2,))
     with pytest.raises(BraidError):
         BraidWord(2, (0,))
+    with pytest.raises(BraidError, match="strand count must be >= 1"):
+        BraidWord(0)
 
 
 def test_stats_trefoil():
@@ -67,6 +71,10 @@ def test_conjugate_literal():
     assert c.letters == (1, 1, 1, 1, -1)
     with pytest.raises(BraidError):
         markov_move(b, "conjugate", k=2)
+    with pytest.raises(BraidError, match="sign must be"):
+        markov_move(b, "conjugate", k=1, sign=2)
+    with pytest.raises(BraidError, match="unknown move"):
+        markov_move(b, "flip")
 
 
 def test_stabilization_shifts_up():

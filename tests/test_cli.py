@@ -270,6 +270,7 @@ def test_check_d2_and_lemma29(capsys):
 def test_usage_errors_exit_2(capsys):
     for argv in (["braid"],
                  ["braid", "--braid", "1 0"],
+                 ["braid", "--braid", "1 x"],
                  ["aug", "count", "--braid", "1", "--prime", "9",
                   "--lam", "1", "--mu", "1"],
                  ["aug", "count", "--braid", "1", "--prime", "3",

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from xverse import dga as dga_module
 from xverse.braid import BraidWord, braid_stats, parse_braid
 from xverse.dga import (FLAVORS, DgaError, build_dga, build_modified_dga,
-                        differential, structured_matrices, verify_d_squared,
-                        verify_d_squared_sampled, verify_phi_factorization,
+                        degree0_matrices, differential, structured_matrices,
+                        verify_d_squared, verify_d_squared_sampled,
+                        verify_phi_factorization,
                         verify_phi_factorization_sampled)
 from xverse.ncpoly import NCPoly, gen
 from xverse.phi import a_variables, apply_phi, phi_images, push
@@ -354,6 +355,8 @@ def test_sampling_degree_bounds_every_d_squared_word():
     for word, dim in IDENTITY_DIMS.items():
         degree, _ = dga_module._d_squared(build_dga(parse_braid(word)))
         assert dga_module._sample_dim(degree) == dim, word
+    with pytest.raises(DgaError, match="too large for sampling"):
+        dga_module._sample_dim(2 * dga_module._MAX_DIM)
 
 
 def test_trie_steps_are_exact_at_max_dim():
@@ -489,12 +492,13 @@ def test_prop_27_identity_and_b_differentials():
 def test_lam_override_validation():
     w = braid_stats(TREFOIL).writhe
     good = [(1, 1, -w), (1, 0, 0)]
-    dga = build_dga(TREFOIL, "minus", lam_override=good)
-    assert verify_d_squared(dga) == []
+    assert degree0_matrices(TREFOIL, good).Lam == degree0_matrices(TREFOIL).Lam
     with pytest.raises(DgaError, match="det Lam mismatch"):
-        build_dga(TREFOIL, "minus", lam_override=[(1, 0, 0), (1, 0, 0)])
+        degree0_matrices(TREFOIL, [(1, 0, 0), (1, 0, 0)])
     with pytest.raises(DgaError):
-        build_dga(TREFOIL, "minus", lam_override=[(2, 1, -w), (1, 0, 0)])
+        degree0_matrices(TREFOIL, [(2, 1, -w), (1, 0, 0)])
+    with pytest.raises(DgaError, match="Lam override needs 2 entries"):
+        degree0_matrices(TREFOIL, [(1, 1, -3)])
 
 
 _braid = st.integers(2, 4).flatmap(lambda n: st.lists(

@@ -150,3 +150,5 @@ def test_normalize_unit():
     first = q.sorted_terms()[0]
     assert first[1] > 0
     assert normalize_unit(-p, "minus") == q
+    zero = NCPoly()
+    assert normalize_unit(zero, "minus") is zero

@@ -142,11 +142,6 @@ def test_table_row_key_tolerance():
         assert [r.name for r in report.rows] == ["m(7_2)"]
 
 
-def test_table_prime_pinned():
-    with pytest.raises(ValueError):
-        reproduce_table(prime=5)
-
-
 def test_table_selection_names_known_rows():
     # an empty selection checks nothing, so it is an error, not a pass
     with pytest.raises(ValueError, match="at least one row"):
