@@ -34,7 +34,10 @@ that relation's roots when it has one live variable.  A branch rewrites
 only the relations that hold its variable and passes the others on as
 they are, and dies as soon as a relation becomes a nonzero constant.
 The budget counts the terms the search rewrites, so it covers all
-counting work after the relations are built.
+counting work after the relations are built.  The oracle,
+`count_augmentations_exhaustive`, shares neither the packing nor the
+search: it enumerates every assignment, evaluates the symbolic relations
+with `ncpoly.evaluate_abelian`, and ignores `AugQuery.budget`.
 
 Polynomial: for a 2-braid knot the infinity-flavor presentation reduces
 to polynomials in the single variable x = a12 over the Laurent scalars;
@@ -61,7 +64,8 @@ from sympy.printing.str import StrPrinter
 from .braid import BraidWord, braid_stats
 from .ht0 import (Ht0Presentation, a_variables, cd_relations, ht0_relations,
                   reduced_relations)
-from .ncpoly import GenMatrix, Generator, NCPoly, base_value, flavor_rule
+from .ncpoly import (GenMatrix, Generator, NCPoly, base_value,
+                     evaluate_abelian, flavor_rule)
 from .phi import phi_matrices, sigma_images
 
 PRIMES = (2, 3, 5, 7)
@@ -205,8 +209,7 @@ class _Counter:
         self.ones = _ones(nvars)
         self.budget = budget
         self.tested = 0
-        self.pows = {a: [pow(a, e, p) if e else 1 for e in range(7)]
-                     for a in range(p)}
+        self.pows = {a: [pow(a, e, p) for e in range(7)] for a in range(p)}
 
     def _subst_value(self, rel: dict[int, int], sh: int, a: int) -> dict[int, int]:
         """Set the variable of the field at bit sh to a."""
@@ -347,38 +350,24 @@ def count_augmentations(q: AugQuery) -> AugResult:
 
 
 def count_augmentations_exhaustive(q: AugQuery) -> AugResult:
-    """Plain enumeration of every assignment; the oracle for small cases."""
-    rels, nvars = _prepare(q)
-    p = q.prime
-    count = 0
-    tested = 0
-    assign = [0] * nvars
-    total = p ** nvars
-    pows = {a: [pow(a, e, p) if e else 1 for e in range(7)] for a in range(p)}
-    for idx in range(total):
-        x = idx
-        for i in range(nvars):
-            assign[i] = x % p
-            x //= p
-        ok = True
-        for rel in rels:
-            acc = 0
-            for k, c in rel.items():
-                val = c
-                kk = k
-                i = 0
-                while kk:
-                    e = kk & _EMASK
-                    if e:
-                        val = val * pows[assign[i]][e] % p
-                    kk >>= _BITS
-                    i += 1
-                acc = (acc + val) % p
-            tested += len(rel)
-            if acc:
-                ok = False
+    """The oracle for small cases: every assignment of the presentation's
+    variables, with each nonzero symbolic relation evaluated by
+    `ncpoly.evaluate_abelian` until one is nonzero.  It shares neither the
+    packing nor the search, refuses the points `_scalar_point` refuses, and
+    ignores `AugQuery.budget`; `assignments_tested` counts the terms of the
+    relations it evaluated."""
+    scalars = _scalar_point(q.presentation.flavor, q.prime, q.lam0, q.mu0,
+                            q.u0, q.v0)
+    variables = q.presentation.variables
+    rels = [r for r in q.presentation.relations if not r.is_zero()]
+    count = tested = 0
+    for values in itertools.product(range(q.prime), repeat=len(variables)):
+        assign = dict(zip(variables, values))
+        for r in rels:
+            tested += len(r.terms)
+            if evaluate_abelian(r, assign, q.prime, *scalars):
                 break
-        if ok:
+        else:
             count += 1
     return AugResult(count, tested)
 

@@ -7,7 +7,9 @@ printed as L, m, U, V.  Exit codes: 0 for any completed computation
 budget is exceeded, except in `table`, which records a count over the
 budget (`?`, a `budget:` line and a failing row) and exits 0.  A usage
 error is argparse's own, or any ValueError or EliminationError that a
-command or the library raises; `main` reports each through the parser.
+command or the library raises; `main` reports each through the parser of
+the command that ran, so the usage line names it (`usage: xverse aug
+count ...`).
 A flag that would be ignored is a usage error, except `verify`'s
 `--samples` and required `--seed`, which the unsampled checks (mirror,
 op_swap) accept and ignore.  Counts run serially in one process;
@@ -208,6 +210,15 @@ def _add_common(sp):
     sp.add_argument("--json", action="store_true", help="JSON output")
 
 
+def _command(sub, name: str, run, help: str) -> argparse.ArgumentParser:
+    """A subcommand's parser, recording its handler and itself, so that
+    `main` reports a usage error with the usage line of the command that
+    ran."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(run=run, usage=p)
+    return p
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parsing leaves it unchanged, and
@@ -215,17 +226,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="xverse")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("braid", help="writhe, self-linking, knot/link")
-    p.set_defaults(run=_cmd_braid)
+    p = _command(sub, "braid", _cmd_braid, "writhe, self-linking, knot/link")
     _add_common(p)
 
-    p = sub.add_parser("dga", help="generators and differentials")
-    p.set_defaults(run=_cmd_dga)
+    p = _command(sub, "dga", _cmd_dga, "generators and differentials")
     _add_common(p)
     p.add_argument("--flavor", default="minus", choices=FLAVORS)
 
-    p = sub.add_parser("ht0", help="degree-0 relations")
-    p.set_defaults(run=_cmd_ht0)
+    p = _command(sub, "ht0", _cmd_ht0, "degree-0 relations")
     _add_common(p)
     p.add_argument("--flavor", default="minus", choices=FLAVORS)
     p.add_argument("--split", type=int, default=None,
@@ -237,8 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     aug = sub.add_parser("aug", help="augmentation counts and polynomials")
     augsub = aug.add_subparsers(dest="augcmd", required=True)
 
-    p = augsub.add_parser("count", help="count augmentations over Z/p")
-    p.set_defaults(run=_cmd_aug_count)
+    p = _command(augsub, "count", _cmd_aug_count, "count augmentations over Z/p")
     _add_common(p)
     p.add_argument("--flavor", default="hat", choices=FLAVORS)
     p.add_argument("--prime", type=int, required=True, choices=PRIMES)
@@ -251,12 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "the program picks it, and 0 counts the whole word")
     p.add_argument("--budget", type=int, default=None)
 
-    p = augsub.add_parser("poly", help="two-strand augmentation polynomial")
-    p.set_defaults(run=_cmd_aug_poly)
+    p = _command(augsub, "poly", _cmd_aug_poly, "two-strand augmentation polynomial")
     _add_common(p)
 
-    p = augsub.add_parser("compare", help="compare counts of two braids")
-    p.set_defaults(run=_cmd_aug_compare)
+    p = _command(augsub, "compare", _cmd_aug_compare, "compare counts of two braids")
     p.add_argument("--braid-a", required=True)
     p.add_argument("--braid-b", required=True)
     p.add_argument("--flavor", default="hat", choices=FLAVORS)
@@ -268,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("verify", help="invariance checks on counts")
-    p.set_defaults(run=_cmd_verify)
+    p = _command(sub, "verify", _cmd_verify, "invariance checks on counts")
     _add_common(p)
     p.add_argument("--check", required=True, choices=CHECKS)
     p.add_argument("--prime", type=int, default=3, choices=PRIMES)
@@ -280,15 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "for the infinity checks")
     p.add_argument("--budget", type=int, default=None)
 
-    p = sub.add_parser("table", help="reproduce the reference count table")
-    p.set_defaults(run=_cmd_table)
+    p = _command(sub, "table", _cmd_table, "reproduce the reference count table")
     p.add_argument("--rows", default=None,
                    help="comma-separated row names, e.g. m72,9_48")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("check", help="symbolic identity checks")
-    p.set_defaults(run=_cmd_check)
+    p = _command(sub, "check", _cmd_check, "symbolic identity checks")
     p.add_argument("what", choices=("d2", "lemma29"))
     _add_common(p)
     p.add_argument("--flavor", default=None, choices=FLAVORS,
@@ -307,7 +309,7 @@ def main(argv=None) -> int:
     except (ValueError, EliminationError) as e:
         # bad braids, flavors, points, rows and cuts; BraidError and
         # DgaError are ValueErrors
-        parser.error(str(e))
+        args.usage.error(str(e))
 
 
 if __name__ == "__main__":

@@ -347,8 +347,11 @@ def base_value(base: Base, scalars, p: int) -> int:
 
 def evaluate_abelian(p: NCPoly, assign: Mapping[Generator, int], prime: int,
                      lam0: int, mu0: int, u0: int, v0: int) -> int:
-    """Evaluate after abelianizing: generators become commuting field
-    elements, scalars are specialized mod prime."""
+    """The reference evaluator of a relation at a point: generators become
+    commuting field elements and scalars are specialized mod prime, term by
+    term.  The exhaustive oracle `augment.count_augmentations_exhaustive`
+    counts with it; of the packed F_p construction it shares only
+    `base_value`."""
     total = 0
     for (word, base), coeff in p.terms.items():
         val = coeff % prime and coeff * base_value(

@@ -83,6 +83,32 @@ def test_pruned_equals_exhaustive_small():
                     count_augmentations_exhaustive(q).count
 
 
+def test_exhaustive_oracle_does_not_share_abelianize(monkeypatch):
+    """The oracle evaluates the symbolic relations itself: an _abelianize
+    that drops a term of every relation with two or more terms corrupts
+    the packed count and not the oracle, so the two disagree on some
+    point of the criterion-8 braids."""
+    abelianize = _abelianize
+
+    def drop_one(*args):
+        out = abelianize(*args)
+        return dict(list(out.items())[1:]) if len(out) > 1 else out
+
+    monkeypatch.setattr("xverse.augment._abelianize", drop_one)
+    braids = ("1 -2 1 -2", "-1 2 -1 2", "1 2 1 2", "-1 -2 -1 -2",
+              "1 1 1 -2 1 -2", "1 1 1 2 -1 2")
+    disagree = []
+    for word in braids:
+        h = ht0_relations(parse_braid(word), "hat")
+        for lam0 in (1, 2):
+            for mu0 in (1, 2):
+                q = AugQuery(h, 3, lam0, mu0, 0, 1)
+                if count_augmentations(q).count != \
+                        count_augmentations_exhaustive(q).count:
+                    disagree.append((word, lam0, mu0))
+    assert disagree
+
+
 def test_fast_construction_matches_symbolic():
     for b in (TREFOIL, FIG8, parse_braid("-1 -1 -1 -2 1 -2")):
         for flavor, u0, v0 in (("hat", 0, 1), ("minus", 1, 1),

@@ -319,6 +319,18 @@ def test_usage_errors_exit_2(capsys):
         capsys.readouterr()
 
 
+def test_library_usage_error_names_the_command(capsys):
+    """A ValueError from the library is reported with the usage line of
+    the command that ran, as argparse's own errors for it are."""
+    with pytest.raises(SystemExit) as exc:
+        main(["aug", "count", "--braid", "1", "--prime", "3", "--lam", "1",
+              "--mu", "1", "--budget", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: xverse aug count")
+    assert "budget must be an integer >= 0, got -1" in err
+
+
 @pytest.mark.parametrize("usage_error", [
     ["ht0", "--braid", "1 1 1", "--flavor", "tilde"],
     ["ht0", "--braid", "1 1 1", "--split", "7"],
