@@ -7,12 +7,13 @@ checks of the invariance properties these objects satisfy.
 """
 
 from .augment import (AugPolyResult, AugQuery, AugResult, BudgetError,
-                      CommPoly, EliminationError, PRIMES,
+                      EliminationError, PRIMES,
                       augmentation_number, augmentation_polynomial_index2,
                       count_augmentations, count_augmentations_exhaustive,
                       sylvester_resultant)
 from .braid import (BraidError, BraidStats, BraidWord, braid_stats,
                     braid_transform, markov_move, parse_braid)
+from .commpoly import CommPoly
 from .dga import (DgaError, DgaPresentation, StructuredMatrices, build_dga,
                   build_modified_dga, differential, structured_matrices,
                   verify_d_squared, verify_d_squared_sampled,

@@ -37,16 +37,18 @@ The budget counts the terms the search rewrites, so it covers all
 counting work after the relations are built.  The oracle,
 `count_augmentations_exhaustive`, shares neither the packing nor the
 search: it enumerates every assignment, evaluates the symbolic relations
-with `ncpoly.evaluate_abelian`, and ignores `AugQuery.budget`.
+with the halves of `ncpoly.evaluate_abelian` (scalars once per count),
+and ignores `AugQuery.budget`.
 
 Polynomial: for a 2-braid knot the infinity-flavor presentation reduces
 to polynomials in the single variable x = a12 over the Laurent scalars;
 after setting V=1 and clearing negative exponents they are elements of
-sympy's sparse ring `POLY_RING` = ZZ[L, m, U, x].  The one-variable
-elimination is a Sylvester resultant, computed here by Bareiss
-elimination over ring entries (sympy's own resultant is far slower on
-these inputs); the gcd, content and exact division are the ring's.
-`CommPoly` only holds the result, for printing and degree queries.
+ZZ[L, m, U, x], held as `commpoly.CommPoly`: sparse dicts from packed-int
+monomials to int coefficients.  The one-variable elimination is a
+Sylvester resultant, computed here by fraction-free (Bareiss 1968)
+elimination over ring entries with `CommPoly.exquo`; the pairwise
+resultants meet in their heuristic gcd (`CommPoly.gcd`), normalized to be
+primitive with a positive leading coefficient and no monomial factor.
 """
 
 from __future__ import annotations
@@ -56,16 +58,12 @@ import itertools
 import os
 from dataclasses import dataclass
 
-from sympy.polys.domains import ZZ
-from sympy.polys.rings import PolyElement, ring
-from sympy.printing.precedence import PRECEDENCE
-from sympy.printing.str import StrPrinter
-
 from .braid import BraidWord, braid_stats
+from .commpoly import VARS, CommPoly
 from .ht0 import (Ht0Presentation, a_variables, cd_relations, ht0_relations,
                   reduced_relations)
 from .ncpoly import (GenMatrix, Generator, NCPoly, base_value,
-                     evaluate_abelian, flavor_rule)
+                     evaluate_terms, flavor_rule, scalar_terms)
 from .phi import phi_matrices, sigma_images
 
 PRIMES = (2, 3, 5, 7)
@@ -351,21 +349,23 @@ def count_augmentations(q: AugQuery) -> AugResult:
 
 def count_augmentations_exhaustive(q: AugQuery) -> AugResult:
     """The oracle for small cases: every assignment of the presentation's
-    variables, with each nonzero symbolic relation evaluated by
-    `ncpoly.evaluate_abelian` until one is nonzero.  It shares neither the
+    variables, with each nonzero symbolic relation, its scalars specialized
+    once by `ncpoly.scalar_terms`, evaluated by `ncpoly.evaluate_terms`
+    until one is nonzero.  It shares neither the
     packing nor the search, refuses the points `_scalar_point` refuses, and
     ignores `AugQuery.budget`; `assignments_tested` counts the terms of the
     relations it evaluated."""
     scalars = _scalar_point(q.presentation.flavor, q.prime, q.lam0, q.mu0,
                             q.u0, q.v0)
     variables = q.presentation.variables
-    rels = [r for r in q.presentation.relations if not r.is_zero()]
+    rels = [(scalar_terms(r, q.prime, *scalars), len(r.terms))
+            for r in q.presentation.relations if not r.is_zero()]
     count = tested = 0
     for values in itertools.product(range(q.prime), repeat=len(variables)):
         assign = dict(zip(variables, values))
-        for r in rels:
-            tested += len(r.terms)
-            if evaluate_abelian(r, assign, q.prime, *scalars):
+        for terms, size in rels:
+            tested += size
+            if evaluate_terms(terms, assign, q.prime):
                 break
         else:
             count += 1
@@ -550,71 +550,45 @@ def augmentation_number(b: BraidWord, flavor: str, prime: int, lam0: int,
 # Resultants and the index-2 augmentation polynomial, in ZZ[L, m, U, x]
 # ---------------------------------------------------------------------------
 
-_POLY_VARS = ("L", "m", "U", "x")
-POLY_RING = ring(",".join(_POLY_VARS), ZZ)[0]
-_X = _POLY_VARS.index("x")
-_PRINTER = StrPrinter()
 
-
-def _poly_str(p: PolyElement) -> str:
-    """Terms lex-descending on (L, m, U, x), as in `L^2*m - 2*U*x + 1`."""
-    return p.str(_PRINTER, PRECEDENCE, "%s^%d", "*")
-
-
-@dataclass(frozen=True)
-class CommPoly:
-    """The augmentation polynomial: a `POLY_RING` element that prints
-    itself and reports its degree in a named variable."""
-
-    element: PolyElement
-
-    def __str__(self) -> str:
-        return _poly_str(self.element)
-
-    def degree(self, name: str) -> int:
-        return self.element.degree(_POLY_VARS.index(name))
-
-
-def _shifted(terms: dict[tuple[int, ...], int], low) -> PolyElement:
+def _shifted(terms: dict[tuple[int, ...], int], low) -> CommPoly:
     """The polynomial with these terms divided by the monomial with
     exponents `low` (which may be negative)."""
-    return POLY_RING.from_dict({tuple(e - d for e, d in zip(k, low)): c
+    return CommPoly.from_terms({tuple(e - d for e, d in zip(k, low)): c
                                 for k, c in terms.items()})
 
 
-def _normalized(p: PolyElement,
-                strip: tuple[str, ...] = ()) -> PolyElement:
+def _normalized(p: CommPoly, strip: tuple[str, ...] = ()) -> CommPoly:
     """Integer-primitive form with positive leading coefficient and the
     monomial factor in the variables named in `strip` removed."""
     if not p:
         return p
-    p = p.primitive()[1]
-    if p.LC < 0:
-        p = -p
-    low = [min(k[i] for k in p) if name in strip else 0
-           for i, name in enumerate(_POLY_VARS)]
-    return _shifted(p, low)
+    p = p.primitive()
+    terms = (-p if p.LC < 0 else p).terms()
+    low = [min(k[i] for k, _ in terms) if name in strip else 0
+           for i, name in enumerate(VARS)]
+    return _shifted(dict(terms), low)
 
 
-def sylvester_resultant(f: PolyElement, g: PolyElement) -> PolyElement:
+def sylvester_resultant(f: CommPoly, g: CommPoly) -> CommPoly:
     """Resultant in x as the Sylvester determinant, computed by
     fraction-free (Bareiss) elimination with exact division.  An input
     constant in x makes the matrix diagonal, and the elimination gives
     f^n or g^m."""
-    m, n = max(f.degree(_X), 0), max(g.degree(_X), 0)
+    m, n = max(f.degree("x"), 0), max(g.degree("x"), 0)
     if m == 0 and n == 0:
         raise ValueError("both inputs constant in x")
-    zero = POLY_RING.zero
+    zero = CommPoly()
     size = m + n
     rows = []
     for k in range(n):
-        rows.append([zero] * k + [f.coeff_wrt(_X, m - j) for j in range(m + 1)]
+        rows.append([zero] * k + [f.coeff_x(m - j) for j in range(m + 1)]
                     + [zero] * (size - k - m - 1))
     for k in range(m):
-        rows.append([zero] * k + [g.coeff_wrt(_X, n - j) for j in range(n + 1)]
+        rows.append([zero] * k + [g.coeff_x(n - j) for j in range(n + 1)]
                     + [zero] * (size - k - n - 1))
     sign = 1
-    prev = POLY_RING.one
+    prev = CommPoly({0: 1})
     for k in range(size - 1):
         if not rows[k][k]:
             swap = next((r for r in range(k + 1, size) if rows[r][k]), None)
@@ -638,7 +612,7 @@ class AugPolyResult:
     may_have_repeated_factors: bool = True
 
 
-def _nc_to_comm(p: NCPoly) -> PolyElement:
+def _nc_to_comm(p: NCPoly) -> CommPoly:
     """Infinity-flavor relation in at most one generator, with V set to 1,
     times the least monomial that clears its negative exponents."""
     terms: dict[tuple[int, ...], int] = {}
@@ -646,7 +620,7 @@ def _nc_to_comm(p: NCPoly) -> PolyElement:
         key = (base[0], base[1], base[2], len(word))
         terms[key] = terms.get(key, 0) + coeff
     terms = {k: c for k, c in terms.items() if c}
-    low = [min([0] + [k[i] for k in terms]) for i in range(len(_POLY_VARS))]
+    low = [min([0] + [k[i] for k in terms]) for i in range(len(VARS))]
     return _shifted(terms, low)
 
 
@@ -666,11 +640,11 @@ def augmentation_polynomial_index2(b: BraidWord) -> AugPolyResult:
         raise EliminationError("elimination failed: two variables survive")
     polys = [_normalized(_nc_to_comm(r)) for r in rels]
     polys = sorted({p for p in polys if p},
-                   key=lambda p: (p.degree(_X), len(p), _poly_str(p)))
+                   key=lambda p: (p.degree("x"), len(p), str(p)))
     if not polys:
         raise EliminationError("elimination failed: empty relation set")
-    with_x = [p for p in polys if p.degree(_X) > 0]
-    consts = [p for p in polys if p.degree(_X) == 0]
+    with_x = [p for p in polys if p.degree("x") > 0]
+    consts = [p for p in polys if p.degree("x") == 0]
     # every pairwise resultant lies in the elimination ideal; the
     # codimension-1 part of the variety is cut out by their gcd
     results = list(consts)
@@ -680,8 +654,8 @@ def augmentation_polynomial_index2(b: BraidWord) -> AugPolyResult:
             results.append(r)
     if not results:
         raise EliminationError("elimination failed: no constraints survive")
-    result = functools.reduce(PolyElement.gcd, results)
-    if result.degree(_X) != 0:
+    result = functools.reduce(CommPoly.gcd, results)
+    if result.degree("x") != 0:
         raise EliminationError("elimination failed: x not eliminated")
     result = _normalized(result, strip=("L", "m", "U"))
-    return AugPolyResult(poly=CommPoly(result))
+    return AugPolyResult(poly=result)

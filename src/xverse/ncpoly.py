@@ -345,23 +345,35 @@ def base_value(base: Base, scalars, p: int) -> int:
     return val
 
 
+def scalar_terms(p: NCPoly, prime: int,
+                 *scalars: int) -> list[tuple[Word, int]]:
+    """p's terms with the scalars at (lam0, mu0, u0, v0) mod prime, as
+    (word, value) pairs with value nonzero."""
+    return [(word, val) for (word, base), coeff in p.terms.items()
+            if (val := coeff % prime
+                and coeff * base_value(base, scalars, prime) % prime)]
+
+
+def evaluate_terms(terms: list[tuple[Word, int]],
+                   assign: Mapping[Generator, int], prime: int) -> int:
+    """`scalar_terms` output at a point; generators commute."""
+    total = 0
+    for word, val in terms:
+        for g in word:
+            val = val * assign[g] % prime
+        total += val
+    return total % prime
+
+
 def evaluate_abelian(p: NCPoly, assign: Mapping[Generator, int], prime: int,
                      lam0: int, mu0: int, u0: int, v0: int) -> int:
-    """The reference evaluator of a relation at a point: generators become
-    commuting field elements and scalars are specialized mod prime, term by
-    term.  The exhaustive oracle `augment.count_augmentations_exhaustive`
-    counts with it; of the packed F_p construction it shares only
+    """The reference evaluator of a relation at a point: generators
+    commute and scalars are specialized mod prime.  The exhaustive oracle
+    `augment.count_augmentations_exhaustive` runs its halves, scalars once
+    per count; of the packed F_p construction they share only
     `base_value`."""
-    total = 0
-    for (word, base), coeff in p.terms.items():
-        val = coeff % prime and coeff * base_value(
-            base, (lam0, mu0, u0, v0), prime) % prime
-        for g in word:
-            if val == 0:
-                break
-            val = val * (assign[g] % prime) % prime
-        total = (total + val) % prime
-    return total
+    return evaluate_terms(scalar_terms(p, prime, lam0, mu0, u0, v0),
+                          assign, prime)
 
 
 class GenMatrix:

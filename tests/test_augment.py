@@ -7,9 +7,13 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.rings import ring
+from sympy.printing.precedence import PRECEDENCE
+from sympy.printing.str import StrPrinter
 
-from xverse.augment import (_BITS, _EMASK, DEFAULT_BUDGET, POLY_RING, PRIMES,
-                            AugQuery, BudgetError, CommPoly,
+from xverse.augment import (_BITS, _EMASK, DEFAULT_BUDGET, PRIMES,
+                            AugQuery, BudgetError,
                             EliminationError, _PackedPoly, _abelianize,
                             _count_packed, _fold, _normalized,
                             _packed_phi_matrices,
@@ -19,6 +23,7 @@ from xverse.augment import (_BITS, _EMASK, DEFAULT_BUDGET, POLY_RING, PRIMES,
                             count_augmentations_exhaustive, packed_relations,
                             sylvester_resultant)
 from xverse.braid import BraidWord, braid_stats, braid_transform, parse_braid
+from xverse.commpoly import CommPoly
 from xverse.dga import DgaError, build_dga
 from xverse.ht0 import ht0_relations
 from xverse.ncpoly import NCPoly
@@ -536,51 +541,79 @@ def test_packed_relations_shape():
 
 
 # ---------------------------------------------------------------------------
-# resultants and normalization in ZZ[L, m, U, x]
+# CommPoly, resultants and normalization in ZZ[L, m, U, x], against sympy's
+# ring of the same name as the oracle
 # ---------------------------------------------------------------------------
 
-L, M, U, X = POLY_RING.gens
+R, L, M, U, X = ring("L,m,U,x", ZZ)
+
+
+def cp(p) -> CommPoly:
+    """A sympy ring element as a CommPoly."""
+    return CommPoly.from_terms(dict(p))
+
+
+def sp(p: CommPoly):
+    """A CommPoly as a sympy ring element."""
+    return R.from_dict(dict(p.terms()))
 
 
 def test_commpoly_str_and_degree():
-    p = (X + 1) * (X - 1)
-    assert p == X ** 2 - 1
+    p = cp(X + 1) * cp(X - 1)
+    assert p == cp(X ** 2 - 1)
     assert not p - p
-    poly = CommPoly(p)
-    assert str(poly) == "x^2 - 1"
-    assert poly.degree("x") == 2 and poly.degree("L") == 0
-    assert str(CommPoly(-L * M + 3 * U * X ** 2)) == "-L*m + 3*U*x^2"
+    assert str(p) == "x^2 - 1"
+    assert p.degree("x") == 2 and p.degree("L") == 0
+    assert str(cp(-L * M + 3 * U * X ** 2)) == "-L*m + 3*U*x^2"
+    assert str(CommPoly()) == "0" and CommPoly().degree("x") == -1
 
 
 def test_commpoly_normalized():
     """Content, then sign of the lex-leading term, then the monomial."""
-    p = -2 * L * M - 2 * L * M * M
-    assert str(CommPoly(_normalized(p, strip=("L", "m")))) == "m + 1"
-    assert _normalized(p) == L * M ** 2 + L * M
-    assert _normalized(6 * U * X - 4 * L, strip=("U",)) == 2 * L - 3 * U * X
-    assert not _normalized(POLY_RING.zero)
+    p = cp(-2 * L * M - 2 * L * M * M)
+    assert str(_normalized(p, strip=("L", "m"))) == "m + 1"
+    assert _normalized(p) == cp(L * M ** 2 + L * M)
+    assert _normalized(cp(6 * U * X - 4 * L), strip=("U",)) == \
+        cp(2 * L - 3 * U * X)
+    assert not _normalized(CommPoly())
+
+
+def test_commpoly_exponent_overflow_raises():
+    """An exponent that would reach the guard bit raises, in construction,
+    products and the quotient terms of a division."""
+    with pytest.raises(OverflowError):
+        CommPoly.from_terms({(0, 0, 0, 2 ** 15): 1})
+    big = CommPoly.from_terms({(0, 0, 0, 2 ** 14): 1})
+    assert (big * cp(X ** 3)).degree("x") == 2 ** 14 + 3
+    with pytest.raises(OverflowError):
+        big * big
+    # the first quotient term m^(2^14) times m^(2^14 + 1) would overflow
+    lm = CommPoly.from_terms({(1, 2 ** 14, 0, 0): 1})
+    with pytest.raises(OverflowError):
+        lm.exquo(CommPoly.from_terms({(1, 0, 0, 0): 1,
+                                      (0, 2 ** 14 + 1, 0, 0): -1}))
 
 
 def test_resultant_difference_of_roots():
-    r = sylvester_resultant(X - L, X - M)
-    assert r in (L - M, M - L)
+    r = sylvester_resultant(cp(X - L), cp(X - M))
+    assert r in (cp(L - M), cp(M - L))
 
 
 def test_resultant_common_root():
-    assert not sylvester_resultant(X * X - 1, X - 1)
+    assert not sylvester_resultant(cp(X * X - 1), cp(X - 1))
 
 
 def test_resultant_constant_inputs():
     with pytest.raises(ValueError):
-        sylvester_resultant(POLY_RING.one, POLY_RING(2))
+        sylvester_resultant(cp(R.one), cp(R(2)))
     # one input constant in x: the Sylvester matrix is diagonal, and the
     # resultant is that input to the other's degree, in either order
     f, c = X ** 3 - L * X + 2, L * M - 3
-    assert sylvester_resultant(f, c) == c ** 3
-    assert sylvester_resultant(c, f) == c ** 3
-    assert sylvester_resultant(X - M, U) == U
-    assert not sylvester_resultant(f, POLY_RING.zero)
-    assert not sylvester_resultant(POLY_RING.zero, f)
+    assert sylvester_resultant(cp(f), cp(c)) == cp(c ** 3)
+    assert sylvester_resultant(cp(c), cp(f)) == cp(c ** 3)
+    assert sylvester_resultant(cp(X - M), cp(U)) == cp(U)
+    assert not sylvester_resultant(cp(f), CommPoly())
+    assert not sylvester_resultant(CommPoly(), cp(f))
 
 
 def test_resultant_matches_random_specialization():
@@ -590,7 +623,7 @@ def test_resultant_matches_random_specialization():
     xs = sympy.Symbol("x")
 
     def draw():
-        p = POLY_RING.zero
+        p = R.zero
         for k in range(rng.randrange(2, 4)):
             a, b = rng.randrange(2), rng.randrange(2)
             p += rng.randrange(-3, 4) * L ** a * M ** b * X ** k
@@ -600,7 +633,7 @@ def test_resultant_matches_random_specialization():
         fx, gx = draw(), draw()
         if fx.degree(X) <= 0 and gx.degree(X) <= 0:
             continue
-        res = sylvester_resultant(fx, gx)
+        res = sp(sylvester_resultant(cp(fx), cp(gx)))
         l0, m0 = rng.randrange(1, 5), rng.randrange(1, 5)
         subs = {sympy.Symbol("L"): l0, sympy.Symbol("m"): m0,
                 sympy.Symbol("U"): 1}
@@ -625,7 +658,7 @@ def polys_in_x(draw):
             mono = (draw(st.integers(0, 2)), draw(st.integers(0, 2)),
                     draw(st.integers(0, 1)), k)
             terms[mono] = draw(st.integers(-3, 3).filter(bool))
-    return POLY_RING.from_dict(terms)
+    return R.from_dict(terms)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -641,7 +674,53 @@ def test_resultant_matches_sympy(f, g):
         want = sympy.resultant(f.as_expr(), g.as_expr(), xs)
     else:
         want = (-1) ** (m * n) * sympy.resultant(g.as_expr(), f.as_expr(), xs)
-    assert sylvester_resultant(f, g) == POLY_RING.from_expr(want)
+    assert sylvester_resultant(cp(f), cp(g)) == cp(R.from_expr(want))
+
+
+@st.composite
+def polys(draw, max_terms=4, max_exp=2, coeffs=st.integers(-5, 5)):
+    """A polynomial in ZZ[L, m, U, x] of up to `max_terms` terms; the
+    constant monomial and unit coefficients are drawn often."""
+    exps = st.tuples(*[st.integers(0, max_exp)] * 4)
+    terms = draw(st.dictionaries(exps, coeffs, max_size=max_terms))
+    return R.from_dict({k: c for k, c in terms.items() if c})
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(f=polys(), g=polys(), h=polys(max_terms=3))
+def test_commpoly_gcd_matches_sympy(f, g, h):
+    """gcd(f*h, g*h) is sympy's gcd up to sign, and CommPoly's product is
+    sympy's."""
+    assume(f and g and h)
+    fh, gh = cp(f) * cp(h), cp(g) * cp(h)
+    assert fh == cp(f * h) and gh == cp(g * h)
+    want = cp((f * h).gcd(g * h))
+    assert fh.gcd(gh) in (want, -want)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(f=polys(max_terms=5), g=polys(max_terms=3))
+def test_commpoly_exquo(f, g):
+    """exquo(f*g, g) == f, and a division that leaves a remainder in
+    sympy's `div` raises."""
+    assume(g)
+    assert (cp(f) * cp(g)).exquo(cp(g)) == cp(f)
+    q, r = f.div(g)
+    if r:
+        with pytest.raises(ArithmeticError):
+            cp(f).exquo(cp(g))
+    else:
+        assert cp(f).exquo(cp(g)) == cp(q)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(p=polys(max_terms=6, max_exp=3,
+               coeffs=st.sampled_from([-1, 1]) | st.integers(-30, 30)))
+def test_commpoly_str_matches_sympy(p):
+    """The printer is sympy's `PolyElement.str` byte for byte, with the
+    constant term, unit coefficients and negative leading terms."""
+    assert str(cp(p)) == p.str(StrPrinter(), PRECEDENCE, "%s^%d", "*")
+    assert str(-cp(p)) == (-p).str(StrPrinter(), PRECEDENCE, "%s^%d", "*")
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +730,7 @@ def test_resultant_matches_sympy(f, g):
 
 def unit_equivalent(p: CommPoly, q: CommPoly) -> bool:
     strip = ("L", "m", "U")
-    return _normalized(p.element, strip) == _normalized(q.element, strip)
+    return _normalized(p, strip) == _normalized(q, strip)
 
 
 def test_trefoil_polynomial():

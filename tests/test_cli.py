@@ -1,5 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +165,33 @@ def test_aug_poly_trefoil(capsys):
     lines = out.splitlines()
     assert lines[0] == TREFOIL_POLY
     assert lines[1] == "note: repeated factors are not removed"
+
+
+def test_commands_run_without_sympy():
+    """`aug poly`, `aug count` and `table` run on the package's own
+    arithmetic: sympy, a test-only dependency, is never imported."""
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from xverse.cli import main
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            codes = [main(["aug", "poly", "--braid", "1 1 1"]),
+                     main(["aug", "count", "--braid", "1 1 1", "--prime",
+                           "3", "--lam", "1", "--mu", "2"]),
+                     main(["table", "--rows", "m72"])]
+        print(json.dumps({"codes": codes, "lines": out.getvalue().splitlines(),
+                          "sympy": "sympy" in sys.modules}))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    got = json.loads(done.stdout)
+    assert got["codes"] == [0, 0, 0]
+    assert got["lines"][0] == TREFOIL_POLY
+    assert got["lines"][-1] == "pass"
+    assert got["sympy"] is False
 
 
 def test_aug_compare_verdicts(capsys):
