@@ -8,8 +8,9 @@ dicts from packed monomials to coefficients mod p; exponents fold by
 Fermat (x^e = x^((e-1) mod (p-1) + 1) for e >= 1).
 
 Key layout: variable i owns the 4-bit field at bit 4i of an int key and
-holds its folded exponent, at most p - 1 <= 6.  A product of monomials is
-the sum of their keys, whose fields are at most 2p - 2 <= 12 < 16, so no
+holds its folded exponent, at most p - 1 <= 6; L, m, U, V own the next
+four, a unit's exponent taken mod p - 1.  A product of monomials is the
+sum of their keys, whose fields are at most 2p - 2 <= 12 < 16, so no
 field carries into the next.  Folding the sum subtracts p - 1 from every
 field that reached p, all fields at once ("SIMD within a register"), with
 ONES the key holding 1 in every field:
@@ -24,17 +25,18 @@ The relations come from one construction, `ht0.cd_relations`, run over
 two entry types: symbolic `NCPoly` entries abelianized afterwards
 (`count_augmentations`), or packed entries throughout (`packed_relations`),
 where the Phi matrices are `phi.phi_matrices`' chain-rule loop over
-packed entries, `_packed_phi_matrices`.  Phi does not depend on the
-scalars, so it is cached per (braid word, prime) and shared, read only,
-by every build on that word.  `augmentation_number` cuts the word at its
-middle (`_auto_split`) unless told a cut.  The count is one depth-first search
-over every nonzero relation.  Each node branches on the lowest live
-variable of the first relation with the fewest live variables, with only
-that relation's roots when it has one live variable.  A branch rewrites
-only the relations that hold its variable and passes the others on as
-they are, and dies as soon as a relation becomes a nonzero constant.
-The budget counts the terms the search rewrites, so it covers all
-counting work after the relations are built.  The oracle,
+packed entries, `_packed_phi_matrices`.  Both meet the scalar point in
+one pass over the terms, `_specialize`, so the packed build is cached per
+(word, flavor, prime, cut, Lam override) and Phi per (word, prime), read
+only.  `augmentation_number` cuts the word at its middle (`_auto_split`)
+unless told a cut.  The count is one depth-first search over every
+nonzero relation.  Each node branches on the lowest live variable of the
+first relation with the fewest live variables, with only that relation's
+roots when it has one live variable.  A branch rewrites only the
+relations that hold its variable and passes the others on as they are,
+and dies as soon as a relation becomes a nonzero constant.  The budget
+counts the terms the search rewrites, so it covers all counting work
+after the relations are built.  The oracle,
 `count_augmentations_exhaustive`, shares neither the packing nor the
 search: it enumerates every assignment, evaluates the symbolic relations
 with the halves of `ncpoly.evaluate_abelian` (scalars once per count),
@@ -62,7 +64,7 @@ from .braid import BraidWord, braid_stats
 from .commpoly import VARS, CommPoly
 from .ht0 import (Ht0Presentation, a_variables, cd_relations, ht0_relations,
                   reduced_relations)
-from .ncpoly import (GenMatrix, Generator, NCPoly, base_value,
+from .ncpoly import (SCALAR_NAMES, GenMatrix, Generator, NCPoly,
                      evaluate_terms, flavor_rule, scalar_terms)
 from .phi import phi_matrices, sigma_images
 
@@ -71,8 +73,9 @@ DEFAULT_BUDGET = 10 ** 8
 
 _BITS = 4
 _EMASK = 15
-# packed Phi pairs kept, one per (word, prime); a check needs at most 10
-_PHI_CACHE_SIZE = 64
+# packed Phi pairs kept, one per (word, prime), and scalar-free builds, one
+# per (word, flavor, prime, cut, Lam override); a check needs 10 and 6
+_PHI_CACHE_SIZE = _RELATIONS_CACHE_SIZE = 64
 
 
 def _budget_from_env(budget: int | None) -> int:
@@ -131,24 +134,49 @@ def _fold(e: int, p: int) -> int:
 
 
 def _abelianize(rel: NCPoly, var_index: dict[Generator, int], prime: int,
-                scalars: tuple[int, int, int, int]) -> dict[int, int]:
+                units: int = 2) -> dict[int, int]:
+    """rel packed with its scalars; the first `units` are units (L and m
+    in every flavor), and a free one with a negative exponent raises."""
     out: dict[int, int] = {}
+    shift = _BITS * len(var_index)
     for (word, base), coeff in rel.terms.items():
-        val = coeff % prime and coeff * base_value(base, scalars, prime) % prime
-        if val == 0:
-            continue
+        val = coeff % prime
         counts: dict[Generator, int] = {}
         for g in word:
             counts[g] = counts.get(g, 0) + 1
         key = 0
         for g, e in counts.items():
             key |= _fold(e, prime) << (_BITS * var_index[g])
+        for i, e in enumerate(base):
+            if i >= units and e < 0:
+                raise ValueError(f"free scalar {SCALAR_NAMES[i]}^{e}")
+            key |= _fold(e % (prime - 1) if i < units else e,
+                         prime) << (shift + _BITS * i)
         c = (out.get(key, 0) + val) % prime
         if c:
             out[key] = c
         elif key in out:
             del out[key]
     return out
+
+
+def _specialize(rels: list[dict[int, int]], nvars: int, prime: int,
+                scalars: tuple[int, int, int, int]) -> list[dict[int, int]]:
+    """The relations at the scalar point as new dicts, keys masked to the
+    nvars variables' fields; zero terms and relations dropped, order kept."""
+    shift = _BITS * nvars
+    mask = (1 << shift) - 1
+    pl, pm, pu, pv = ([pow(s, e, prime) for e in range(prime)]
+                      for s in scalars)
+    out = []
+    for rel in rels:
+        spec: dict[int, int] = {}
+        for k, c in rel.items():
+            s, k = k >> shift, k & mask
+            c *= pl[s & _EMASK] * pm[s >> 4 & _EMASK] * pu[s >> 8 & _EMASK]
+            spec[k] = (spec.get(k, 0) + c * pv[s >> 12]) % prime
+        out.append({k: c for k, c in spec.items() if c})
+    return [r for r in out if r]
 
 
 def _ones(nvars: int) -> int:
@@ -327,9 +355,10 @@ def _prepare(q: AugQuery) -> tuple[list[dict[int, int]], int]:
                             q.u0, q.v0)
     variables = q.presentation.variables
     var_index = {g: i for i, g in enumerate(variables)}
-    rels = [_abelianize(r, var_index, q.prime, scalars)
+    units = flavor_rule(q.presentation.flavor).units
+    rels = [_abelianize(r, var_index, q.prime, units)
             for r in q.presentation.relations]
-    return [r for r in rels if r], len(variables)
+    return _specialize(rels, len(variables), q.prime, scalars), len(variables)
 
 
 def _count_packed(rels: list[dict[int, int]], nvars: int, prime: int,
@@ -464,13 +493,13 @@ class _PackedPoly:
         return _PackedPoly(out, self.nvars, p)
 
 
-def _lift(n: int, p: int, scalars: tuple[int, int, int, int] = (1, 1, 1, 1)):
+def _lift(n: int, p: int, units: int = 2):
     """(var_index, lift): the field of each variable of `a_variables(n)`
     in a packed key, and the map from a symbolic entry to its packed F_p
-    entry with the scalars at `scalars`."""
+    entry, whose four scalar fields follow the variables'."""
     var_index = {g: i for i, g in enumerate(a_variables(n))}
     return var_index, lambda e: _PackedPoly(
-        _abelianize(e, var_index, p, scalars), len(var_index), p)
+        _abelianize(e, var_index, p, units), len(var_index) + 4, p)
 
 
 @functools.lru_cache(maxsize=None)
@@ -496,24 +525,35 @@ def _packed_phi_matrices(b: BraidWord, p: int) -> tuple[GenMatrix, GenMatrix]:
     `_PackedPoly` entries and `_packed_sigma_images`.
 
     Phi depends only on the word and the prime (the scalars enter later,
-    in `packed_relations`), so it is cached per (word, prime).  The
+    in `_specialize`), so it is cached per (word, prime).  The
     matrices are shared and read only: `cd_relations` only combines them
     with `@` and `-`, which build new entries and new dicts."""
     n = b.strands
     return phi_matrices(b, _lift(n, p)[1], _packed_sigma_images(n, p))
 
 
+@functools.lru_cache(maxsize=_RELATIONS_CACHE_SIZE)
+def _scalar_free_relations(b: BraidWord, flavor: str, prime: int, split,
+                           lam_override) -> tuple[dict[int, int], ...]:
+    """The nonzero packed relations, scalars in their keys: ht0's
+    construction over abelianized entries, Phi built without any symbolic
+    intermediate.  Read only; `_specialize` builds new dicts."""
+    lift = _lift(b.strands, prime, flavor_rule(flavor).units)[1]
+    entries = cd_relations(b, flavor, lambda w: _packed_phi_matrices(w, prime),
+                           lift, lam_override, split)
+    return tuple(e.terms for e in entries if e.terms)
+
+
 def packed_relations(b: BraidWord, flavor: str, prime: int, lam0: int,
                      mu0: int, u0: int, v0: int, split: int | None = None,
                      lam_override=None) -> tuple[list[dict[int, int]], int]:
     """(rels, nvars): the nonzero degree-0 relations as packed F_p
-    polynomials in the nvars variables of `a_variables`, by ht0's
-    construction over abelianized entries, with the scalars at (lam0, mu0,
-    u0, v0) and Phi built without any symbolic intermediate."""
-    var_index, lift = _lift(b.strands, prime, (lam0, mu0, u0, v0))
-    entries = cd_relations(b, flavor, lambda w: _packed_phi_matrices(w, prime),
-                           lift, lam_override, split)
-    return [e.terms for e in entries if e.terms], len(var_index)
+    polynomials in the nvars variables of `a_variables`: the key's cached
+    build specialized at (lam0, mu0, u0, v0), any Lam override a tuple."""
+    key = None if lam_override is None else tuple(map(tuple, lam_override))
+    rels = _scalar_free_relations(b, flavor, prime, split, key)
+    nvars = len(a_variables(b.strands))
+    return _specialize(rels, nvars, prime, (lam0, mu0, u0, v0)), nvars
 
 
 def _auto_split(b: BraidWord) -> int:

@@ -370,8 +370,8 @@ def evaluate_abelian(p: NCPoly, assign: Mapping[Generator, int], prime: int,
     """The reference evaluator of a relation at a point: generators
     commute and scalars are specialized mod prime.  The exhaustive oracle
     `augment.count_augmentations_exhaustive` runs its halves, scalars once
-    per count; of the packed F_p construction they share only
-    `base_value`."""
+    per count; they share no code with the packed F_p construction, whose
+    scalars meet the point in `augment._specialize`."""
     return evaluate_terms(scalar_terms(p, prime, lam0, mu0, u0, v0),
                           assign, prime)
 

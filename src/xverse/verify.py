@@ -22,8 +22,8 @@ appearance, and reuses the count for every pair that asks it; the memo
 lives for one call only.  The budget bounds each count on its own, so
 the first count over it stops the check.  Every count, here and in the
 table, is cut where `augment.augmentation_number` cuts it by default.
-The packed Phi matrices behind the counts are cached per (braid word,
-prime) in `augment`.
+Behind the counts, `augment` caches packed Phi per (word, prime) and the
+scalar-free relations per (word, flavor, prime, cut, Lam override).
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -15,9 +16,9 @@ from sympy.printing.str import StrPrinter
 from xverse.augment import (_BITS, _EMASK, DEFAULT_BUDGET, PRIMES,
                             AugQuery, BudgetError,
                             EliminationError, _PackedPoly, _abelianize,
-                            _count_packed, _fold, _normalized,
-                            _packed_phi_matrices,
-                            _poly_mul, augmentation_number,
+                            _count_packed, _fold, _nc_to_comm, _normalized,
+                            _packed_phi_matrices, _poly_mul,
+                            _scalar_free_relations, augmentation_number,
                             augmentation_polynomial_index2,
                             count_augmentations,
                             count_augmentations_exhaustive, packed_relations,
@@ -25,8 +26,8 @@ from xverse.augment import (_BITS, _EMASK, DEFAULT_BUDGET, PRIMES,
 from xverse.braid import BraidWord, braid_stats, braid_transform, parse_braid
 from xverse.commpoly import CommPoly
 from xverse.dga import DgaError, build_dga
-from xverse.ht0 import ht0_relations
-from xverse.ncpoly import NCPoly
+from xverse.ht0 import ht0_relations, reduced_relations
+from xverse.ncpoly import NCPoly, scalar_terms
 from xverse.phi import a_variables, phi_matrices
 
 TREFOIL = parse_braid("1 1 1")
@@ -194,13 +195,13 @@ _braid = st.integers(2, 4).flatmap(lambda n: st.lists(
 @given(_braid)
 def test_packed_phi_is_abelianized_symbolic_phi(b):
     """Entry by entry and for every prime, the packed Phi is the symbolic
-    Phi with the scalars at 1, abelianized."""
+    Phi abelianized."""
     var_index = {g: i for i, g in enumerate(a_variables(b.strands))}
     symbolic = phi_matrices(b)
     for p in PRIMES:
         packed = _packed_phi_matrices.__wrapped__(b, p)
         for ms, mp in zip(symbolic, packed):
-            assert [_abelianize(e, var_index, p, (1, 1, 1, 1))
+            assert [_abelianize(e, var_index, p)
                     for _, _, e in ms.entries()] == \
                 [e.terms for _, _, e in mp.entries()]
 
@@ -222,32 +223,48 @@ def knots_with_override(draw):
     return b, entries
 
 
+def _reference_packed(rel, var_index, p, scalars):
+    """rel at the scalar point by `ncpoly.scalar_terms`, each word folded
+    into a key here: a reference that shares no packing with augment."""
+    out = {}
+    for word, val in scalar_terms(rel, p, *scalars):
+        key = 0
+        for g in set(word):
+            e = (word.count(g) - 1) % (p - 1) + 1
+            key += e << (_BITS * var_index[g])
+        out[key] = (out.get(key, 0) + val) % p
+    return {k: c for k, c in out.items() if c}
+
+
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(knot=knots_with_override(), data=st.data())
 def test_packed_construction_matches_symbolic_everywhere(knot, data):
     """Packed relations are the abelianized symbolic ones for every prime,
     flavor and cut, every cut counts like the whole word, and the whole
-    word counts like exhaustive enumeration where that is small."""
+    word counts like exhaustive enumeration where that is small.  The
+    free scalars of `minus` may be 0, where U^0 and U^e differ."""
     b, override = knot
     cuts = [None] + list(range(len(b.letters) + 1))
     cases = [(None, k) for k in cuts]
     cases.append((override, data.draw(st.sampled_from(cuts))))
     var_index = {g: i for i, g in enumerate(ht0_relations(b).variables)}
-    units = {p: [data.draw(st.integers(1, p - 1)) for _ in range(4)]
-             for p in PRIMES}
+    # (lam0, mu0) and the (u0, v0) of infinity are units; minus's may be 0
+    points = {p: [data.draw(st.integers(lo, p - 1))
+                  for lo in (1, 1, 0, 0, 1, 1)] for p in PRIMES}
     for flavor in ("minus", "hat", "doublehat", "infinity"):
         counts = {p: set() for p in PRIMES}
         for lam_override, cut in cases:
             pres = ht0_relations(b, flavor, lam_override, split=cut)
-            for p, (lam0, mu0, u, v) in units.items():
-                u0, v0 = {"hat": (0, 1), "doublehat": (0, 0)}.get(flavor, (u, v))
+            for p, (lam0, mu0, u, v, u_unit, v_unit) in points.items():
+                u0, v0 = {"hat": (0, 1), "doublehat": (0, 0),
+                          "infinity": (u_unit, v_unit)}.get(flavor, (u, v))
                 scalars = (lam0, mu0, u0, v0)
-                abel = [_abelianize(r, var_index, p, scalars)
-                        for r in pres.relations]
+                reference = [_reference_packed(r, var_index, p, scalars)
+                             for r in pres.relations]
                 packed, _ = packed_relations(b, flavor, p, *scalars,
                                              split=cut,
                                              lam_override=lam_override)
-                assert packed == [r for r in abel if r]
+                assert packed == [r for r in reference if r]
                 if lam_override is None:
                     q = AugQuery(pres, p, *scalars)
                     counts[p].add(count_augmentations(q).count)
@@ -390,9 +407,12 @@ def _matrix_terms(m):
 
 
 def test_phi_cache_exact_and_read_only():
-    """A cached packed Phi gives the relations a fresh one gives, in the
-    same list and key order, and stays equal to a fresh build after
-    every use."""
+    """Both caches behind `packed_relations` are exact and read only.  With
+    the relation cache cleared, a build misses Phi's cache once and the
+    next build of the key hits it; a relation-cache hit gives the relations
+    of a fresh build in the same list and key order; neither changes when
+    the returned dicts are mutated, and every cached Phi and scalar-free
+    build stays equal to a fresh one, key order included."""
     words = [parse_braid(w) for w in ("1 1 1", "-1 -1 -1 -1 -1", "1 -2 1 -2",
                                       "1 2 -1 2", "-1 2 -1 3 2", "1 2 -1 2 3")]
     for b in words:
@@ -403,22 +423,38 @@ def test_phi_cache_exact_and_read_only():
         cases = [(flavor, cut, None)
                  for flavor in ("minus", "hat", "doublehat", "infinity")
                  for cut in cuts]
-        cases.append(("hat", len(letters) // 2, _override_for(b)))
+        cases.append(("hat", len(letters) // 2, tuple(_override_for(b))))
         for p in PRIMES:
             scalars = (1, p - 1, 1, p - 1)
             for flavor, cut, override in cases:
+                _scalar_free_relations.cache_clear()
                 _packed_phi_matrices.cache_clear()
-                miss = packed_relations(b, flavor, p, *scalars, split=cut,
-                                        lam_override=override)
+                fresh = packed_relations(b, flavor, p, *scalars, split=cut,
+                                         lam_override=override)
                 info = _packed_phi_matrices.cache_info()
                 assert info.misses >= 1 and info.hits == 0
-                hit = packed_relations(b, flavor, p, *scalars, split=cut,
-                                       lam_override=override)
+                _scalar_free_relations.cache_clear()
+                phi_hit = packed_relations(b, flavor, p, *scalars, split=cut,
+                                           lam_override=override)
                 after = _packed_phi_matrices.cache_info()
                 assert after.misses == info.misses and after.hits >= 1
-                assert [_in_order(r) for r in hit[0]] == \
-                    [_in_order(r) for r in miss[0]]
-                assert hit[1:] == miss[1:]
+                hit = packed_relations(b, flavor, p, *scalars, split=cut,
+                                       lam_override=override)
+                assert _scalar_free_relations.cache_info().hits == 1
+                for got in (phi_hit, hit):
+                    assert [_in_order(r) for r in got[0]] == \
+                        [_in_order(r) for r in fresh[0]]
+                    assert got[1:] == fresh[1:]
+                for r in hit[0]:
+                    r[0] = r.pop(next(iter(r))) + 1
+                again = packed_relations(b, flavor, p, *scalars, split=cut,
+                                         lam_override=override)
+                assert [_in_order(r) for r in again[0]] == \
+                    [_in_order(r) for r in fresh[0]]
+                key = (b, flavor, p, cut, override)
+                assert [_in_order(r) for r in _scalar_free_relations(*key)] \
+                    == [_in_order(r)
+                        for r in _scalar_free_relations.__wrapped__(*key)]
                 factors = [BraidWord(n, letters[cut or 0:])]
                 if cut:
                     factors.append(braid_transform(
@@ -426,9 +462,25 @@ def test_phi_cache_exact_and_read_only():
                 for w in factors:
                     cached = _packed_phi_matrices(w, p)
                     assert _packed_phi_matrices(w, p) is cached
-                    fresh = _packed_phi_matrices.__wrapped__(w, p)
-                    for mc, mf in zip(cached, fresh):
+                    fresh_phi = _packed_phi_matrices.__wrapped__(w, p)
+                    for mc, mf in zip(cached, fresh_phi):
                         assert _matrix_terms(mc) == _matrix_terms(mf)
+
+
+def test_lam_override_list_or_tuple_share_one_build():
+    """A Lam override given as a list of lists and as a tuple of tuples
+    is one key of the relation cache and gives equal relations."""
+    w = braid_stats(TREFOIL).writhe
+    as_list = [[1, 1, -w + 2], [1, 0, -2]]
+    as_tuple = ((1, 1, -w + 2), (1, 0, -2))
+    _scalar_free_relations.cache_clear()
+    from_list = packed_relations(TREFOIL, "hat", 3, 2, 1, 0, 1,
+                                 lam_override=as_list)
+    from_tuple = packed_relations(TREFOIL, "hat", 3, 2, 1, 0, 1,
+                                  lam_override=as_tuple)
+    assert from_list == from_tuple
+    info = _scalar_free_relations.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 def test_lam_override_only_det_matters():
@@ -733,8 +785,14 @@ def unit_equivalent(p: CommPoly, q: CommPoly) -> bool:
     return _normalized(p, strip) == _normalized(q, strip)
 
 
+@functools.cache
+def _polynomial(word: str):
+    """The polynomial of a 2-braid word, computed once for every test."""
+    return augmentation_polynomial_index2(parse_braid(word))
+
+
 def test_trefoil_polynomial():
-    r = augmentation_polynomial_index2(TREFOIL)
+    r = _polynomial("1 1 1")
     assert str(r.poly) == TREFOIL_POLY
     assert r.may_have_repeated_factors
 
@@ -748,15 +806,48 @@ def test_unknot_polynomial_consistency():
 
 
 def test_cinquefoil_polynomial_regression():
-    r = augmentation_polynomial_index2(parse_braid("1 1 1 1 1"))
+    r = _polynomial("1 1 1 1 1")
     assert str(r.poly) == CINQUEFOIL_POLY
     assert r.poly.degree("U") >= 3
 
 
 def test_t27_polynomial_regression():
-    r = augmentation_polynomial_index2(parse_braid("1 1 1 1 1 1 1"))
+    r = _polynomial("1 1 1 1 1 1 1")
     assert str(r.poly) == T27_POLY
     assert [r.poly.degree(v) for v in "LmUx"] == [4, 22, 15, 0]
+
+
+def _value(poly: CommPoly, point, p: int) -> int:
+    """poly at the (L, m, U, x) point, mod p."""
+    return sum(c * math.prod(pow(v, e, p) for v, e in zip(point, k))
+               for k, c in poly.terms()) % p
+
+
+def test_polynomial_agrees_with_infinity_counts():
+    """At every unit (L, m, U) with V = 1 over F_5 and F_7, the infinity
+    count of T(2,+-3), T(2,+-5) and T(2,7) is the number of common roots x
+    in F_p of the reduced relations, taken before `_normalized` (its
+    content division can change a relation mod p); and every point with a
+    positive count is a zero of the polynomial mod p.  Only that direction
+    holds: a zero may have its common root outside F_p."""
+    positive = zeros = 0
+    for word in ("1 1 1", "-1 -1 -1", "1 1 1 1 1", "-1 -1 -1 -1 -1",
+                 "1 1 1 1 1 1 1"):
+        b = parse_braid(word)
+        rels = [_nc_to_comm(r)
+                for r in reduced_relations(ht0_relations(b, "infinity"))]
+        poly = _polynomial(word).poly
+        for p in (5, 7):
+            for point in itertools.product(range(1, p), repeat=3):
+                roots = sum(all(_value(r, (*point, x), p) == 0 for r in rels)
+                            for x in range(p))
+                count = augmentation_number(b, "infinity", p, *point, 1).count
+                assert count == roots, (word, p, point)
+                zero = _value(poly, (*point, 0), p) == 0
+                assert zero or not count, (word, p, point)
+                positive += count > 0
+                zeros += zero
+    assert (positive, zeros) == (219, 246)
 
 
 def test_polynomial_input_validation():
