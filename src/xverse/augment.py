@@ -58,7 +58,7 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .braid import BraidWord, braid_stats
 from .commpoly import VARS, CommPoly
@@ -110,8 +110,7 @@ class EliminationError(RuntimeError):
     pass
 
 
-@dataclass
-class AugQuery:
+class AugQuery(NamedTuple):
     presentation: Ht0Presentation
     prime: int
     lam0: int
@@ -121,9 +120,8 @@ class AugQuery:
     budget: int | None = None
 
 
-@dataclass
-class AugResult:
-    count: int
+class AugResult(NamedTuple):
+    count: int  # shadows tuple.count, which nothing here calls
     assignments_tested: int
 
 
@@ -168,13 +166,17 @@ def _specialize(rels: list[dict[int, int]], nvars: int, prime: int,
     mask = (1 << shift) - 1
     pl, pm, pu, pv = ([pow(s, e, prime) for e in range(prime)]
                       for s in scalars)
+    value: dict[int, int] = {}  # scalar field -> its monomial at the point
     out = []
     for rel in rels:
         spec: dict[int, int] = {}
         for k, c in rel.items():
             s, k = k >> shift, k & mask
-            c *= pl[s & _EMASK] * pm[s >> 4 & _EMASK] * pu[s >> 8 & _EMASK]
-            spec[k] = (spec.get(k, 0) + c * pv[s >> 12]) % prime
+            v = value.get(s)
+            if v is None:
+                v = value[s] = (pl[s & _EMASK] * pm[s >> 4 & _EMASK]
+                                * pu[s >> 8 & _EMASK] * pv[s >> 12] % prime)
+            spec[k] = (spec.get(k, 0) + c * v) % prime
         out.append({k: c for k, c in spec.items() if c})
     return [r for r in out if r]
 
@@ -646,8 +648,7 @@ def sylvester_resultant(f: CommPoly, g: CommPoly) -> CommPoly:
     return det if sign > 0 else -det
 
 
-@dataclass
-class AugPolyResult:
+class AugPolyResult(NamedTuple):
     poly: CommPoly
     may_have_repeated_factors: bool = True
 

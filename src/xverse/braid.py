@@ -7,28 +7,37 @@ reduction is ever performed: moves return literal concatenations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class BraidError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class _BraidFields(NamedTuple):
     strands: int
     letters: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        if self.strands < 1:
+
+class BraidWord(_BraidFields):
+    """Immutable and hashable; `letters` is a tuple, `len` counts letters."""
+    __slots__ = ()
+
+    def __new__(cls, strands: int, letters=()) -> "BraidWord":
+        if strands < 1:
             raise BraidError("strand count must be >= 1")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for k in self.letters:
+        letters = tuple(letters)
+        for k in letters:
             if k == 0:
                 raise BraidError("letter 0 is not a generator")
-            if abs(k) > self.strands - 1:
+            if abs(k) > strands - 1:
                 raise BraidError(
-                    f"letter {k} needs at least {abs(k) + 1} strands, have {self.strands}")
+                    f"letter {k} needs at least {abs(k) + 1} strands, have {strands}")
+        return super().__new__(cls, strands, letters)
+
+    def _replace(self, **changes) -> "BraidWord":
+        # through the checks above; the inherited one counts fields by len
+        return BraidWord(**{**self._asdict(), **changes})
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -46,8 +55,7 @@ class BraidWord:
         return f"{body} in B{self.strands}"
 
 
-@dataclass(frozen=True)
-class BraidStats:
+class BraidStats(NamedTuple):
     writhe: int
     strands: int
     self_linking: int

@@ -38,8 +38,8 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 from .braid import BraidWord, braid_stats
 from .ncpoly import FLAVORS, GenMatrix, Generator, NCPoly, base_value, collect, gen
@@ -50,8 +50,7 @@ class DgaError(ValueError):
     pass
 
 
-@dataclass
-class Degree0Matrices:
+class Degree0Matrices(NamedTuple):
     """The matrices the degree-0 relations (dC, dD) read."""
     n: int
     A_lower: GenMatrix
@@ -62,8 +61,15 @@ class Degree0Matrices:
     LamInv: GenMatrix
 
 
-@dataclass
-class StructuredMatrices(Degree0Matrices):
+class StructuredMatrices(NamedTuple):
+    """The degree-0 matrices, then A, Bhat and Bcheck."""
+    n: int
+    A_lower: GenMatrix
+    A_upper: GenMatrix
+    Ahat: GenMatrix
+    Acheck: GenMatrix
+    Lam: GenMatrix
+    LamInv: GenMatrix
     A: GenMatrix
     Bhat: GenMatrix
     Bcheck: GenMatrix
@@ -126,12 +132,11 @@ def structured_matrices(b: BraidWord) -> StructuredMatrices:
     m = degree0_matrices(b)
     B_lower, B_upper = _triangles(m.n, "b", NCPoly.zero())
     Bhat, Bcheck = _hat_check(B_lower, B_upper)
-    return StructuredMatrices(**vars(m), A=m.A_lower + m.A_upper,
+    return StructuredMatrices(*m, A=m.A_lower + m.A_upper,
                               Bhat=Bhat, Bcheck=Bcheck)
 
 
-@dataclass
-class DgaPresentation:
+class DgaPresentation(NamedTuple):
     braid: BraidWord
     flavor: str
     sl: int

@@ -27,7 +27,7 @@ of (L, m, U, V): L and m, and also U and V in the infinity flavor.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .braid import BraidWord, braid_stats, braid_transform
 from .dga import DgaError, cd_blocks, db_block, degree0_matrices
@@ -35,8 +35,7 @@ from .ncpoly import Generator, NCPoly, flavor_rule
 from .phi import a_variables, phi_matrices
 
 
-@dataclass
-class Ht0Presentation:
+class Ht0Presentation(NamedTuple):
     braid: BraidWord
     flavor: str
     sl: int

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .augment import (BudgetError, _budget_from_env, _scalar_point,
                       augmentation_number)
@@ -40,8 +40,7 @@ from .braid import BraidWord, braid_stats, braid_transform, markov_move
 from .ncpoly import FLAVORS, pow_mod
 
 
-@dataclass
-class CheckSpec:
+class CheckSpec(NamedTuple):
     braid: BraidWord
     check: str
     prime: int = 3
@@ -50,10 +49,9 @@ class CheckSpec:
     seed: int = 0
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     passed: bool
-    cases: list[tuple[str, int, int]] = field(default_factory=list)
+    cases: list[tuple[str, int, int]]
 
 
 def _conjugate_then(move: str | None):
@@ -222,8 +220,7 @@ TABLE_ROWS: list[tuple[str, tuple[int, int], list[tuple[str, int]]]] = [
 ]
 
 
-@dataclass
-class TableRowResult:
+class TableRowResult(NamedTuple):
     name: str
     point: tuple[int, int]
     expected: list[int]
@@ -232,8 +229,7 @@ class TableRowResult:
     passed: bool
 
 
-@dataclass
-class TableReport:
+class TableReport(NamedTuple):
     rows: list[TableRowResult]
     passed: bool
 

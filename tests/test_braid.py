@@ -106,3 +106,27 @@ def test_transforms():
 def test_text_round_trip():
     b = parse_braid("3 -2 1 1")
     assert parse_braid(b.text()) == b
+
+
+def test_braid_word_is_an_immutable_hashable_record():
+    from xverse.augment import _packed_phi_matrices
+    listed, tupled = BraidWord(3, [1, -2, 1]), BraidWord(3, (1, -2, 1))
+    assert type(listed.letters) is tuple
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert repr(listed) == "BraidWord(strands=3, letters=(1, -2, 1))"
+    _packed_phi_matrices.cache_clear()
+    first = _packed_phi_matrices(listed, 3)
+    assert _packed_phi_matrices(tupled, 3) is first
+    info = _packed_phi_matrices.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    with pytest.raises(AttributeError):
+        listed.letters = (1,)
+    # len counts letters, not fields; * concatenates and checks strands
+    assert len(listed) == 3 and len(BraidWord(4)) == 0 and not BraidWord(4)
+    assert (listed * BraidWord(3, [2])).letters == (1, -2, 1, 2)
+    with pytest.raises(BraidError, match="strand count mismatch"):
+        listed * BraidWord(4, [3])
+    # _replace goes through the same checks as the constructor
+    assert listed._replace(strands=4) == BraidWord(4, (1, -2, 1))
+    with pytest.raises(BraidError):
+        listed._replace(letters=[3])

@@ -167,9 +167,11 @@ def test_aug_poly_trefoil(capsys):
     assert lines[1] == "note: repeated factors are not removed"
 
 
-def test_commands_run_without_sympy():
-    """`aug poly`, `aug count` and `table` run on the package's own
-    arithmetic: sympy, a test-only dependency, is never imported."""
+def test_commands_load_neither_sympy_nor_dataclasses():
+    """`aug poly`, `aug count`, `table` and `verify` run on the package's
+    own arithmetic: sympy, a test-only dependency, is never imported.  The
+    records are named tuples, so neither `dataclasses` nor the `inspect`
+    it pulls in is loaded either."""
     script = textwrap.dedent("""
         import contextlib, io, json, sys
         from xverse.cli import main
@@ -178,9 +180,13 @@ def test_commands_run_without_sympy():
             codes = [main(["aug", "poly", "--braid", "1 1 1"]),
                      main(["aug", "count", "--braid", "1 1 1", "--prime",
                            "3", "--lam", "1", "--mu", "2"]),
-                     main(["table", "--rows", "m72"])]
+                     main(["table", "--rows", "m72"]),
+                     main(["verify", "--braid", "1 1 1", "--check", "mirror",
+                           "--prime", "2", "--seed", "0"])]
         print(json.dumps({"codes": codes, "lines": out.getvalue().splitlines(),
-                          "sympy": "sympy" in sys.modules}))
+                          "loaded": [m for m in ("sympy", "dataclasses",
+                                                 "inspect")
+                                     if m in sys.modules]}))
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -188,10 +194,11 @@ def test_commands_run_without_sympy():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     got = json.loads(done.stdout)
-    assert got["codes"] == [0, 0, 0]
+    assert got["codes"] == [0, 0, 0, 0]
     assert got["lines"][0] == TREFOIL_POLY
+    assert got["lines"].count("pass") == 2  # table, then verify
     assert got["lines"][-1] == "pass"
-    assert got["sympy"] is False
+    assert got["loaded"] == []
 
 
 def test_aug_compare_verdicts(capsys):

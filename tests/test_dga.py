@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from unittest import mock
 
@@ -308,7 +307,7 @@ def _scrambled(dga, rng):
             rng.choice(odd),)
         base = (rng.randrange(-2, 3), rng.randrange(-1, 2), 1, 0)
         diff[g] = diff[g] + NCPoly({(word, base): rng.choice((1, -1, 3))})
-    return dataclasses.replace(dga, diff=diff)
+    return dga._replace(diff=diff)
 
 
 def test_vector_pass_matches_symbolic_d_squared():
