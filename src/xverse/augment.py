@@ -46,17 +46,18 @@ Polynomial: for a 2-braid knot the infinity-flavor presentation reduces
 to polynomials in the single variable x = a12 over the Laurent scalars;
 after setting V=1 and clearing negative exponents they are elements of
 ZZ[L, m, U, x], held as `commpoly.CommPoly`: sparse dicts from packed-int
-monomials to int coefficients.  The one-variable elimination is a
-Sylvester resultant, computed here by fraction-free (Bareiss 1968)
-elimination over ring entries with `CommPoly.exquo`; the pairwise
-resultants meet in their heuristic gcd (`CommPoly.gcd`), normalized to be
-primitive with a positive leading coefficient and no monomial factor.
+monomials to int coefficients.  The one-variable elimination is the
+Sylvester resultant, by the subresultant PRS over coefficient lists in x
+with exact `CommPoly.exquo`; the pairwise resultants meet in a running
+gcd that divides first and else runs GCDHEU (`CommPoly.gcd`), normalized
+to be primitive with a positive leading coefficient and no monomial factor.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 from typing import NamedTuple
 
@@ -612,40 +613,64 @@ def _normalized(p: CommPoly, strip: tuple[str, ...] = ()) -> CommPoly:
     return _shifted(dict(terms), low)
 
 
+def _power(p: CommPoly, e: int) -> CommPoly:
+    return math.prod([p] * e, start=CommPoly({0: 1}))
+
+
+def _prem(a: list[CommPoly], b: list[CommPoly]) -> list[CommPoly]:
+    """lc(b)^(deg a - deg b + 1) a mod b for coefficient lists in x, lowest
+    first, with nonzero last entries; trailing zeros dropped."""
+    lc, db, r = b[-1], len(b) - 1, list(a)
+    for k in range(len(a) - 1, db - 1, -1):
+        c = r.pop()
+        r = [e * lc for e in r]
+        if c:
+            for j in range(db):
+                r[k - db + j] = r[k - db + j] - c * b[j]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
 def sylvester_resultant(f: CommPoly, g: CommPoly) -> CommPoly:
-    """Resultant in x as the Sylvester determinant, computed by
-    fraction-free (Bareiss) elimination with exact division.  An input
-    constant in x makes the matrix diagonal, and the elimination gives
-    f^n or g^m."""
+    """Resultant in x with the sign of the Sylvester determinant, by the
+    subresultant PRS (Collins 1967; Brown and Traub 1971; Cohen, Alg.
+    3.3.7, without the content step), every division exact.  An input
+    constant in x gives f^n or g^m."""
     m, n = max(f.degree("x"), 0), max(g.degree("x"), 0)
     if m == 0 and n == 0:
         raise ValueError("both inputs constant in x")
-    zero = CommPoly()
-    size = m + n
-    rows = []
-    for k in range(n):
-        rows.append([zero] * k + [f.coeff_x(m - j) for j in range(m + 1)]
-                    + [zero] * (size - k - m - 1))
-    for k in range(m):
-        rows.append([zero] * k + [g.coeff_x(n - j) for j in range(n + 1)]
-                    + [zero] * (size - k - n - 1))
-    sign = 1
-    prev = CommPoly({0: 1})
-    for k in range(size - 1):
-        if not rows[k][k]:
-            swap = next((r for r in range(k + 1, size) if rows[r][k]), None)
-            if swap is None:
-                return zero
-            rows[k], rows[swap] = rows[swap], rows[k]
+    if m == 0 or n == 0:
+        return _power(f, n) if m == 0 else _power(g, m)
+    a, b = ([p.coeff_x(j) for j in range(d + 1)] for p, d in ((f, m), (g, n)))
+    sign = -1 if m < n and m * n % 2 else 1
+    if m < n:
+        a, b = b, a
+    lead = h = CommPoly({0: 1})
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) * (len(b) - 1) % 2:
             sign = -sign
-        for r in range(k + 1, size):
-            for j in range(k + 1, size):
-                rows[r][j] = (rows[r][j] * rows[k][k]
-                              - rows[r][k] * rows[k][j]).exquo(prev)
-            rows[r][k] = zero
-        prev = rows[k][k]
-    det = rows[size - 1][size - 1]
-    return det if sign > 0 else -det
+        r = _prem(a, b)
+        if not r:
+            return CommPoly()
+        div = lead * _power(h, delta)
+        a, b = b, [c.exquo(div) for c in r]
+        lead = a[-1]
+        h = _power(lead, delta).exquo(_power(h, delta - 1)) if delta else h
+    res = _power(b[0], len(a) - 1).exquo(_power(h, len(a) - 2))
+    return res if sign > 0 else -res
+
+
+def _running_gcd(polys: list[CommPoly]) -> CommPoly:
+    """A gcd, up to sign; GCDHEU runs only where division fails."""
+    result = polys[0]
+    for p in polys[1:]:
+        try:
+            p.exquo(result)
+        except ArithmeticError:
+            result = result.gcd(p)
+    return result
 
 
 class AugPolyResult(NamedTuple):
@@ -695,7 +720,7 @@ def augmentation_polynomial_index2(b: BraidWord) -> AugPolyResult:
             results.append(r)
     if not results:
         raise EliminationError("elimination failed: no constraints survive")
-    result = functools.reduce(CommPoly.gcd, results)
+    result = _running_gcd(results)
     if result.degree("x") != 0:
         raise EliminationError("elimination failed: x not eliminated")
     result = _normalized(result, strip=("L", "m", "U"))

@@ -35,6 +35,10 @@ class BraidWord(_BraidFields):
                     f"letter {k} needs at least {abs(k) + 1} strands, have {strands}")
         return super().__new__(cls, strands, letters)
 
+    @classmethod
+    def _make(cls, fields) -> "BraidWord":
+        return cls(*fields)
+
     def _replace(self, **changes) -> "BraidWord":
         # through the checks above; the inherited one counts fields by len
         return BraidWord(**{**self._asdict(), **changes})
@@ -42,7 +46,13 @@ class BraidWord(_BraidFields):
     def __len__(self) -> int:
         return len(self.letters)
 
+    def __add__(self, other):
+        return NotImplemented  # tuple concatenation would skip the checks
+    __rmul__ = __add__
+
     def __mul__(self, other: "BraidWord") -> "BraidWord":
+        if not isinstance(other, BraidWord):
+            return NotImplemented
         if self.strands != other.strands:
             raise BraidError("strand count mismatch")
         return BraidWord(self.strands, self.letters + other.letters)

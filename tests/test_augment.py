@@ -17,7 +17,8 @@ from xverse.augment import (_BITS, _EMASK, DEFAULT_BUDGET, PRIMES,
                             AugQuery, BudgetError,
                             EliminationError, _PackedPoly, _abelianize,
                             _count_packed, _fold, _nc_to_comm, _normalized,
-                            _packed_phi_matrices, _poly_mul,
+                            _packed_phi_matrices, _poly_mul, _prem,
+                            _running_gcd,
                             _scalar_free_relations, augmentation_number,
                             augmentation_polynomial_index2,
                             count_augmentations,
@@ -43,6 +44,18 @@ CINQUEFOIL_POLY = (
     " + L*m^10*U^7 - 2*L*m^9*U^7 + 2*L*m^9*U^6 - 2*L*m^8*U^6 + 2*L*m^8*U^5"
     " + L*m^7*U^6 - 4*L*m^7*U^5 + 3*L*m^7*U^4 + L*m^6*U^5 + L*m^6*U^4"
     " + 2*L*m^5*U^4 - m^11*U^7 - m^10*U^6")
+
+MIRROR_TREFOIL_POLY = (
+    "L^2*m^4*U^2 + L^2*m^3*U^2 - L*m^4*U^2 - L*m^3*U^2 - 2*L*m^2*U^2"
+    " + 2*L*m^2*U - L*m*U - L + m*U^2 + U")
+
+MIRROR_CINQUEFOIL_POLY = (
+    "L^3*m^11*U^6 + L^3*m^10*U^6 - L^2*m^11*U^5 - L^2*m^10*U^5"
+    " - 2*L^2*m^9*U^5 + 2*L^2*m^9*U^4 - 2*L^2*m^8*U^5 + 2*L^2*m^8*U^4"
+    " - 3*L^2*m^7*U^5 + 4*L^2*m^7*U^4 - L^2*m^7*U^3 - L^2*m^6*U^4"
+    " - L^2*m^6*U^3 - 2*L^2*m^5*U^3 + 2*L*m^6*U^4 + L*m^5*U^4"
+    " + L*m^5*U^3 + 3*L*m^4*U^4 - 4*L*m^4*U^3 + L*m^4*U^2 + 2*L*m^3*U^3"
+    " - 2*L*m^3*U^2 + 2*L*m^2*U^2 - 2*L*m^2*U + L*m*U + L - m*U^3 - U^2")
 
 T27_POLY = (
     "L^4*m + L^4 - 3*L^3*m^8*U^5 - 2*L^3*m^7*U^5 - L^3*m^7*U^4"
@@ -700,10 +713,10 @@ def test_resultant_matches_random_specialization():
 
 
 @st.composite
-def polys_in_x(draw):
-    """A polynomial in ZZ[L, m, U][x] of x-degree 1 to 3 with small
+def polys_in_x(draw, max_deg=4):
+    """A polynomial in ZZ[L, m, U][x] of x-degree 1 to `max_deg` with small
     coefficients; each power of x gets up to two terms."""
-    deg = draw(st.integers(1, 3))
+    deg = draw(st.integers(1, max_deg))
     terms = {}
     for k in range(deg + 1):
         for _ in range(draw(st.integers(1 if k == deg else 0, 2))):
@@ -713,20 +726,63 @@ def polys_in_x(draw):
     return R.from_dict(terms)
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(f=polys_in_x(), g=polys_in_x())
-def test_resultant_matches_sympy(f, g):
-    """Bareiss on the Sylvester matrix equals sympy's own resultant.
-    sympy 1.14 gets the sign wrong when deg f < deg g and deg f * deg g is
-    odd (it gives -3 for Res(x - 1, x^3 + x + 1), not 3), so there sympy
-    is asked for Res(g, f) and Res(f, g) = (-1)^(deg f deg g) Res(g, f)."""
+def sympy_resultant(f, g) -> CommPoly:
+    """Res_x(f, g) by sympy.  sympy 1.14 gets the sign wrong when
+    deg f < deg g and deg f * deg g is odd (it gives -3 for
+    Res(x - 1, x^3 + x + 1), not 3), so there sympy is asked for Res(g, f)
+    and Res(f, g) = (-1)^(deg f deg g) Res(g, f)."""
     xs = sympy.Symbol("x")
     m, n = f.degree(X), g.degree(X)
     if m >= n:
         want = sympy.resultant(f.as_expr(), g.as_expr(), xs)
     else:
         want = (-1) ** (m * n) * sympy.resultant(g.as_expr(), f.as_expr(), xs)
-    assert sylvester_resultant(cp(f), cp(g)) == cp(R.from_expr(want))
+    return cp(R.from_expr(want))
+
+
+@st.composite
+def resultant_pairs(draw):
+    """Two polynomials of x-degree 1 to 4 from `polys_in_x`; in about a
+    third of the draws both are multiples of a common factor of x-degree 1
+    (and of x-degree at most 3, which keeps sympy's side fast)."""
+    shared = draw(st.integers(0, 2)) == 0
+    top = 2 if shared else 4
+    f, g = draw(polys_in_x(top)), draw(polys_in_x(top))
+    if shared:
+        h = draw(polys_in_x(max_deg=1))
+        f, g = f * h, g * h
+    return f, g
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(pair=resultant_pairs())
+def test_resultant_matches_sympy(pair):
+    """The subresultant PRS equals sympy's own resultant, with the sign of
+    the Sylvester determinant.  Inputs with a common factor in x end the
+    PRS on a zero remainder."""
+    f, g = pair
+    assert sylvester_resultant(cp(f), cp(g)) == sympy_resultant(f, g)
+
+
+def test_resultant_equal_degrees_and_defective_steps():
+    """Inputs of equal degree (no swap, delta = 0 at the first step), and
+    remainders whose degree drops by 2 or more below the divisor's, where
+    the PRS divides by a power of its running h."""
+    cases = [
+        (X ** 2 + L * X + M, U * X ** 2 - X + 1),
+        (L * X ** 3 - M * X + 2, 2 * X ** 3 + U * X ** 2 - L),
+        # x^4 + L x + U mod x^3 - m is (L + m) x + U: degree 3 -> 1
+        (X ** 4 + L * X + U, X ** 3 - M),
+        # and in swapped order, deg f * deg g odd
+        (X ** 3 - M, X ** 5 + L * X ** 2 + U * X + 1),
+        # the pseudo-remainder of x^5 - L by m x^4 + m x - U has degree 2
+        (X ** 5 - L, M * X ** 4 + M * X - U),
+    ]
+    for f, g in cases:
+        assert sylvester_resultant(cp(f), cp(g)) == sympy_resultant(f, g)
+    a = [cp(X ** 4 + L * X + U).coeff_x(j) for j in range(5)]
+    b = [cp(X ** 3 - M).coeff_x(j) for j in range(4)]
+    assert _prem(a, b) == [cp(U), cp(L + M)]
 
 
 @st.composite
@@ -791,6 +847,26 @@ def _polynomial(word: str):
     return augmentation_polynomial_index2(parse_braid(word))
 
 
+def test_running_gcd_divides_first(monkeypatch):
+    """The running gcd equals the gcd of the whole list, up to sign: the
+    second element is not a multiple of the first and takes GCDHEU, and
+    the later ones are multiples of the running gcd and only divide."""
+    a, b, c = cp(L * X - M + 1), cp(U * X + 2), cp(M * X ** 2 - L)
+    polys = [a * b, a * c, a * b * c, cp(2 * X - U) * a]
+    want = _normalized(functools.reduce(CommPoly.gcd, polys))
+    assert want == _normalized(a)
+    calls = []
+    gcd = CommPoly.gcd
+
+    def counted(p, q):
+        calls.append(q)
+        return gcd(p, q)
+
+    monkeypatch.setattr(CommPoly, "gcd", counted)
+    assert _normalized(_running_gcd(polys)) == want
+    assert calls == [polys[1]]
+
+
 def test_trefoil_polynomial():
     r = _polynomial("1 1 1")
     assert str(r.poly) == TREFOIL_POLY
@@ -809,6 +885,14 @@ def test_cinquefoil_polynomial_regression():
     r = _polynomial("1 1 1 1 1")
     assert str(r.poly) == CINQUEFOIL_POLY
     assert r.poly.degree("U") >= 3
+
+
+def test_mirror_polynomials_regression():
+    """The mirrors, pinned as in the benchmark.  T(2,-5) leaves 5
+    relations in x where T(2,5) leaves 6, so it takes 10 resultants, not
+    15; in both mirrors the pairs of unequal x-degree run swapped."""
+    assert str(_polynomial("-1 -1 -1").poly) == MIRROR_TREFOIL_POLY
+    assert str(_polynomial("-1 -1 -1 -1 -1").poly) == MIRROR_CINQUEFOIL_POLY
 
 
 def test_t27_polynomial_regression():

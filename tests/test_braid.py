@@ -130,3 +130,11 @@ def test_braid_word_is_an_immutable_hashable_record():
     assert listed._replace(strands=4) == BraidWord(4, (1, -2, 1))
     with pytest.raises(BraidError):
         listed._replace(letters=[3])
+    # the tuple operators and _make would skip those checks
+    for op in (lambda: listed + listed, lambda: 2 * listed,
+               lambda: listed * 2, lambda: listed + (1,)):
+        with pytest.raises(TypeError):
+            op()
+    assert BraidWord._make((3, [1, -2, 1])) == tupled
+    with pytest.raises(BraidError):
+        BraidWord._make((3, [0, 9]))
