@@ -30,9 +30,11 @@ one pass over the terms, `_specialize`, so the packed build is cached per
 (word, flavor, prime, cut, Lam override) and Phi per (word, prime), read
 only.  `augmentation_number` cuts the word at its middle (`_auto_split`)
 unless told a cut.  The count is one depth-first search over every
-nonzero relation.  Each node branches on the lowest live variable of the
-first relation with the fewest live variables, with only that relation's
-roots when it has one live variable.  A branch rewrites only the
+nonzero relation.  Each node takes the relation with the fewest live
+variables, ties to the fewest terms and then to the first, and branches
+on its roots when it has one live variable, else on every value of its
+variable that the most relations hold, the lowest on ties.  The choice
+reads masks and term counts, never term order.  A branch rewrites only the
 relations that hold its variable and passes the others on as they are,
 and dies as soon as a relation becomes a nonzero constant.  The budget
 counts the terms the search rewrites, so it covers all counting work
@@ -278,10 +280,12 @@ class _Counter:
     def count(self, rels: list[dict[int, int]], rem: int) -> int:
         """Solutions of rels in the variables of the mask rem.
 
-        Branches fail-first (Haralick and Elliott 1980) on the lowest live
-        variable of the first relation with the fewest live variables:
-        with only its roots when that relation has one live variable (none
-        ends the branch), else with every value.  Variables of rem that no
+        Branches fail-first (Haralick and Elliott 1980) on the relation
+        with the fewest live variables, ties to the fewest terms and then
+        to the first.  With one live variable it branches on that
+        variable's roots (none ends the branch); else on the relation's
+        variable that the most relations hold (the degree rule, Brelaz
+        1979), lowest on ties, with every value.  Variables of rem that no
         relation uses are free.  Only the relations that hold the branch
         variable are rewritten (and charged to the budget); the others
         pass to the child as they are, in their place."""
@@ -298,12 +302,21 @@ class _Counter:
                 if keys:
                     raise AssertionError("stale variable in relation")
                 return 0  # nonzero constant
-            if live.bit_count() < fewest:
-                fewest, smallest, branch = live.bit_count(), rel, live & -live
+            n = live.bit_count()
+            if n < fewest or n == fewest and len(rel) < len(smallest):
+                fewest, smallest, branch = n, rel, live
             masks.append(keys)
             support |= keys
         if not rels:
             return p ** rem.bit_count()
+        if fewest > 1:  # narrow to the variable most relations hold
+            rest, held = branch, 0
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                n = sum(1 for keys in masks if keys & bit * _EMASK)
+                if n > held:
+                    held, branch = n, bit
         sh = branch.bit_length() - 1
         values = (self._single_var_solutions(smallest, sh)
                   if fewest == 1 else range(p))
