@@ -42,7 +42,7 @@ from functools import reduce
 from typing import NamedTuple
 
 from .braid import BraidWord, braid_stats
-from .ncpoly import FLAVORS, GenMatrix, Generator, NCPoly, base_value, collect, gen
+from .ncpoly import FLAVORS, GenMatrix, Generator, NCPoly, base_value, collect, gen, letter
 from .phi import a_variables, phi_images, phi_matrices, push
 
 
@@ -258,7 +258,7 @@ def differential(dga: DgaPresentation, p: NCPoly) -> NCPoly:
             sign = 1
             for pos, g in enumerate(word):
                 if g not in dga.diff:
-                    raise DgaError(f"unknown generator {g}")
+                    raise DgaError(f"unknown generator {letter(g)}")
                 dg = dga.diff[g]
                 if dg.terms:
                     pre = word[:pos]
@@ -268,7 +268,7 @@ def differential(dga: DgaPresentation, p: NCPoly) -> NCPoly:
                         yield (pre + w2 + post,
                                (base[0] + b2[0], base[1] + b2[1],
                                 base[2] + b2[2], base[3] + b2[3])), c0 * c2
-                if g.degree % 2:
+                if letter(g).degree % 2:
                     sign = -sign
     return collect(leibniz())
 
@@ -328,7 +328,8 @@ def verify_phi_factorization(b: BraidWord) -> list[str]:
 # reach 2^53 / p, and reduces each slot once, at the end.
 #
 # Compilation.  A check reads its polynomials once, into the flat arrays of
-# one `_Terms`; each `_Trie` takes a subset of those terms (reversed by index
+# one `_Terms`, whose letter ids come from the words' int codes by one sorted
+# lookup; each `_Trie` takes a subset of those terms (reversed by index
 # arithmetic for d^2) and is built once, before the trials.  A trial is numpy
 # work on blocks of at most _BLOCK nodes, reduced in a scratch array made once
 # per walk.  The same walk evaluates a word at matrices (`evaluate`, from the
@@ -377,7 +378,8 @@ class _Terms:
     per term: `letters` (int32 letter ids, padded with len(ids)), `lens`,
     `polys` (the polynomial's index), `coeffs` (balanced residues) and
     `base_ids` (indices into `bases`, the distinct exponents of L, m, U, V).
-    `spans` holds each polynomial's longest word."""
+    `spans` holds each polynomial's longest word.  The letters' int codes are
+    looked up among the sorted codes of `ids`; one not there is a KeyError."""
 
     def __init__(self, polys: list[NCPoly], ids: dict):
         import numpy as np
@@ -388,8 +390,15 @@ class _Terms:
         self.polys = np.repeat(np.arange(self.size), [len(p.terms) for p in polys])
         self.lens = np.fromiter(map(len, words), np.int32, len(words))
         self.letters = np.full((len(words), self.lens.max(initial=0)), len(ids), np.int32)
-        self.letters[np.arange(self.letters.shape[1]) < self.lens[:, None]] = np.fromiter(
-            map(ids.__getitem__, chain.from_iterable(words)), np.int32, self.lens.sum())
+        codes = np.fromiter(chain.from_iterable(words), np.int64, self.lens.sum())
+        # a code not in ids lands on another's; -1, no letter's code, is one
+        known = np.fromiter(chain(ids, [-1]), np.int64, len(ids) + 1)
+        order = np.argsort(known)
+        at = order[np.searchsorted(known, codes, sorter=order).clip(max=len(ids))]
+        if (missing := codes[known[at] != codes]).size:
+            raise KeyError(letter(int(missing[0])))
+        self.letters[np.arange(self.letters.shape[1]) < self.lens[:, None]] = (
+            np.fromiter(ids.values(), np.int32, len(ids))[at])
         self.coeffs = _modp(np.fromiter(map(_SAMPLE_PRIME.__rmod__, chain.from_iterable(
             p.terms.values() for p in polys)), dtype=np.float64, count=len(keys)))
         bases: dict = {}

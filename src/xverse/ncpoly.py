@@ -16,9 +16,10 @@ and each gi is a noncommuting generator drawn from six families:
     f_ij  degree 2
 
 Internally a polynomial is a dict mapping (word, base) -> coeff, where
-word is a tuple of Generator and base is the exponent 4-tuple
-(L, m, U, V).  Zero coefficients are never stored, so dict equality is
-polynomial equality.  Every operation whose terms can meet (sum,
+word is a tuple of plain int letter codes (the values of their `Generator`s,
+rebuilt by `letter` where a name or degree is needed) and base is the
+exponent 4-tuple (L, m, U, V).  Zero coefficients are never stored, so dict
+equality is polynomial equality.  Every operation whose terms can meet (sum,
 difference, product, substitution, specialization, and the Leibniz rule
 of `dga.differential`) sums them through `collect`, the one loop that
 adds coefficients and drops a term whose sum reaches 0.
@@ -52,23 +53,34 @@ def flavor_rule(flavor: str) -> Flavor:
     return FLAVORS[flavor]
 
 
-class Generator(NamedTuple):
-    family: str
-    row: int
-    col: int
+_FAMILIES = tuple(FAMILY_DEGREE)
+# codes pack (family, row, col) in 13-bit fields: below 2^30, one digit
+_BITS, _MASK = 13, (1 << 13) - 1
 
-    @property
-    def degree(self) -> int:
-        return FAMILY_DEGREE[self.family]
+
+class Generator(int):
+    """A letter, named by its int code: int order is (family, row, col)
+    order, and equal codes hash equal."""
+
+    __slots__ = ()
+    family = property(lambda g: _FAMILIES[g >> 2 * _BITS])
+    row = property(lambda g: g >> _BITS & _MASK)
+    col = property(lambda g: g & _MASK)
+    degree = property(lambda g: FAMILY_DEGREE[g.family])
 
     def __str__(self) -> str:
-        if self.row < 10 and self.col < 10:
-            return f"{self.family}{self.row}{self.col}"
-        return f"{self.family}_{self.row}_{self.col}"
+        row, col = self >> _BITS & _MASK, self & _MASK
+        sep = "" if row < 10 and col < 10 else "_"
+        return f"{_FAMILIES[self >> 2 * _BITS]}{sep}{row}{sep}{col}"
 
+    def __repr__(self) -> str:
+        return f"gen({self.family!r}, {self.row}, {self.col})"
+
+
+letter = Generator  # the Generator of a word's letter code
 
 Base = tuple[int, int, int, int]
-Word = tuple[Generator, ...]
+Word = tuple[int, ...]
 Term = tuple[Word, Base]
 
 _ZERO_BASE: Base = (0, 0, 0, 0)
@@ -82,11 +94,13 @@ def gen(family: str, row: int, col: int) -> Generator:
         raise ValueError(f"{family}_ii generators do not exist")
     if row < 1 or col < 1:
         raise ValueError("generator indices are 1-based")
-    return Generator(family, row, col)
+    if max(row, col) > _MASK:
+        raise ValueError(f"generator indices stop at {_MASK}")
+    return Generator(_FAMILIES.index(family) << 2 * _BITS | row << _BITS | col)
 
 
 def word_degree(word: Word) -> int:
-    return sum(g.degree for g in word)
+    return sum(letter(g).degree for g in word)
 
 
 def collect(pairs: Iterable[tuple[Term, int]],
@@ -139,7 +153,7 @@ class NCPoly:
 
     @staticmethod
     def generator(family: str, row: int, col: int) -> "NCPoly":
-        return NCPoly({((gen(family, row, col),), _ZERO_BASE): 1})
+        return NCPoly({((int(gen(family, row, col)),), _ZERO_BASE): 1})
 
     # ---- structure ----
 
@@ -147,10 +161,7 @@ class NCPoly:
         return not self.terms
 
     def generators(self) -> set[Generator]:
-        out: set[Generator] = set()
-        for word, _ in self.terms:
-            out.update(word)
-        return out
+        return set(map(letter, set().union(*(w for w, _ in self.terms))))
 
     def sorted_terms(self) -> list[tuple[Term, int]]:
         """Terms in canonical order: word length, then word (family a<b<...<f,
@@ -307,7 +318,7 @@ class NCPoly:
                     factors.append(name)
                 elif exp != 0:
                     factors.append(f"{name}^{exp}")
-            factors.extend(str(g) for g in word)
+            factors.extend(map(Generator.__str__, word))  # names plain codes
             mag = abs(coeff)
             if mag != 1 or not factors:
                 factors.insert(0, str(mag))

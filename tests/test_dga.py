@@ -157,7 +157,9 @@ def test_sampled_verifier_detects_corruption():
     # doubled.  A degree-1 differential is a sum of a-words, so d(d(c12))
     # vanishes whatever d(c12) is: its corruption shows in the degree-2
     # generators whose differentials contain c12.
-    for b in (TREFOIL, FIG8):
+    # the 4-strand braid sends every family, indices up to 4, through
+    # `_Terms`' letter lookup
+    for b in (TREFOIL, FIG8, parse_braid("-2 -2 1 2 3 -2 -2")):
         for flavor in ("minus", "infinity"):
             for g in (gen("c", 1, 2), gen("e", 2, 1)):
                 for kind in ("drop", "perturb"):
@@ -173,6 +175,33 @@ def test_sampled_verifier_detects_corruption():
                     assert want and (g.degree == 1 or g in want), (b, g)
                     assert verify_d_squared_sampled(dga, seed=3) == want, \
                         (b, flavor, g, kind)
+
+
+def test_dga_words_hold_plain_int_letters():
+    """`_Terms` reads words with one `np.fromiter`, fast over plain ints."""
+    dga = build_dga(parse_braid("-2 -2 1 2 3 -2 -2"), "infinity")
+    assert {type(g) for p in dga.diff.values() for word, _ in p.terms
+            for g in word} == {int}
+
+
+def test_terms_look_letters_up_by_code():
+    avars = a_variables(3)
+    # ids out of code order, without a12, as the factorization check's
+    # a-only ids have no b-letters
+    ids = {a: k for k, a in enumerate(reversed(avars[1:]))}
+    p = (NCPoly.generator("a", 3, 1) * NCPoly.generator("a", 1, 3)
+         + NCPoly.generator("a", 2, 3).scale_base(lam=1))
+    terms = dga_module._Terms([p], ids)
+    assert terms.letters.tolist() == [
+        [ids[g] for g in word] + [len(ids)] * (2 - len(word))
+        for word, _ in p.terms]
+    # before the first code, between two and past the last
+    for stray in (gen("a", 1, 2), gen("a", 1, 4), gen("b", 1, 2)):
+        bad = p * NCPoly.generator(stray.family, stray.row, stray.col)
+        with pytest.raises(KeyError):
+            dga_module._Terms([bad], ids)
+    with pytest.raises(KeyError):
+        dga_module._Terms([p], {})
 
 
 def test_sampled_phi_factorization_detects_corruption(monkeypatch):

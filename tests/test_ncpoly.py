@@ -1,11 +1,11 @@
 from collections import defaultdict
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from xverse.ncpoly import (GenMatrix, NCPoly, collect, evaluate_abelian, gen,
-                           pow_mod)
+from xverse.ncpoly import (FAMILY_DEGREE, GenMatrix, Generator, NCPoly,
+                           collect, evaluate_abelian, gen, letter, pow_mod)
 
 
 def a(i, j):
@@ -30,6 +30,46 @@ def test_generator_validation():
 
 def test_wide_index_str():
     assert str(gen("a", 10, 2)) == "a_10_2"
+
+
+_NAMES = st.tuples(st.sampled_from(sorted(FAMILY_DEGREE)),
+                   st.integers(1, 8191), st.integers(1, 8191))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_NAMES, _NAMES)
+@example(("a", 9, 10), ("a", 10, 1))
+@example(("f", 8191, 8191), ("a", 1, 2))
+def test_letter_code_order_and_names(x, y):
+    """A code orders as its (family, row, col), stays one CPython digit,
+    and gives back its family, indices, degree and name."""
+    for family, row, col in (x, y):
+        assume(family not in "ab" or row != col)
+    gx, gy = gen(*x), gen(*y)
+    assert (gx < gy, gx == gy) == (x < y, x == y)
+    for g, (family, row, col) in ((gx, x), (gy, y)):
+        assert 0 < g < 2 ** 30
+        g = letter(int(g))
+        assert (g.family, g.row, g.col) == (family, row, col)
+        assert g.degree == FAMILY_DEGREE[family]
+        assert str(g) == (f"{family}{row}{col}" if max(row, col) < 10
+                          else f"{family}_{row}_{col}")
+        assert eval(repr(g), {"gen": gen}) == g
+
+
+def test_gen_rejects_indices_past_the_field():
+    assert gen("f", 8191, 8191).col == 8191
+    for row, col in ((8192, 1), (1, 8192)):
+        with pytest.raises(ValueError, match="stop at 8191"):
+            gen("c", row, col)
+
+
+def test_words_hold_plain_int_letters():
+    p = (NCPoly.generator("c", 2, 1) * a(1, 2)
+         + a(2, 1).substitute({gen("a", 2, 1): a(1, 3)}))
+    assert {type(g) for word, _ in p.terms for g in word} == {int}
+    assert p.generators() == {gen("c", 2, 1), gen("a", 1, 2), gen("a", 1, 3)}
+    assert {type(g) for g in p.generators()} == {Generator}
 
 
 def test_scalar_and_zero():
