@@ -301,13 +301,19 @@ def verify_phi_factorization(b: BraidWord) -> list[str]:
 # Sampled identity checks.  Fully symbolic expansion of d(d(g)) or of the
 # factorization identity can generate tens of millions of monomials before
 # cancellation on unlucky words.  Instead, evaluate the generators at random
-# dim x dim matrices over F_p (p = _SAMPLE_PRIME) and the four base scalars
-# at random units.
+# matrices over F_p (p = _SAMPLE_PRIME) and the four base scalars at random
+# units.
 #
-# Dimension.  By Amitsur-Levitzki the polynomial identities of dim x dim
-# matrices start in degree 2 dim, so a nonzero difference polynomial of word
-# degree below 2 dim does not vanish on all such matrices; `_sample_dim`
-# takes dim = degree // 2 + 1.
+# Dimension.  The d^2 check sends each letter x to the generic superdiagonal
+# N x N matrix X = sum_j t[x, j] E[j, j+1] with N = degree + 1
+# (`_superdiagonal_dim`; Raz and Shpilka 2005).  A word w of length l then
+# maps to its l-th superdiagonal, whose (j, j + l) entry is the product of
+# t[w_k, j + k - 1] over k: each position has its own variables, so distinct
+# words of one length give distinct monomials, and the image of a nonzero
+# polynomial of word degree below N is nonzero.  The factorization check
+# keeps dense dim x dim points: by Amitsur-Levitzki the polynomial identities
+# of dim x dim matrices start in degree 2 dim, so `_sample_dim` takes
+# dim = degree // 2 + 1.
 #
 # Error bound.  Entry by entry, such a polynomial is then a nonzero
 # commutative polynomial in the matrix entries and the scalars, so by
@@ -317,30 +323,36 @@ def verify_phi_factorization(b: BraidWord) -> list[str]:
 # v with probability at most 1/p.  A failure therefore escapes one trial
 # with probability at most about (degree + 1)/p, and the _TRIALS = 2
 # independent trials of a check with about ((degree + 1)/p)^2, below 2^-36
-# at the largest degree _MAX_DIM allows.
+# at the largest degree either check admits (61).  Evaluation is exact, so a
+# reported failure is always a real one.
 #
 # Exactness.  Arithmetic runs in float64 so that products hit BLAS, and it is
 # exact: every residue is balanced, |r| < p / 2 + 2 (`_modp`), and no sum
 # reaches 2^52 before it is reduced.  The largest is the d^2 step's
-# X t + D(x) s (`_dual_step`), below 2 dim (p / 2 + 2)^2 < 2^52 at _MAX_DIM =
-# 31.  A walk adds each term's coefficient times its end node's value to a
-# slot, one per (polynomial, base), split where its sum of |coeff| would
-# reach 2^53 / p, and reduces each slot once, at the end.
+# X u + D(x) s (`_dual_step`): X u is one product per entry and the upper
+# triangular D(x) s at most N, so the sum stays below (N + 1)(p / 2 + 2)^2 <
+# 2^52 at N = _MAX_SUPERDIAGONAL = 62.  A dense product sums dim products,
+# far below that at _MAX_DIM = 31.  A walk adds each term's coefficient times
+# its end node's value to a slot, one per (polynomial, base), split where its
+# sum of |coeff| would reach 2^53 / p, and reduces each slot once, at the end.
 #
 # Compilation.  A check reads its polynomials once, into the flat arrays of
 # one `_Terms`, whose letter ids come from the words' int codes by one sorted
 # lookup; each `_Trie` takes a subset of those terms (reversed by index
 # arithmetic for d^2) and is built once, before the trials.  A trial is numpy
 # work on blocks of at most _BLOCK nodes, reduced in a scratch array made once
-# per walk.  The same walk evaluates a word at matrices (`evaluate`, from the
-# identity) and d(d(g)) . v (`_dual_step`, from the state (0, v), over the
-# reversed words of d(g); see `_d_squared`).  The factorization check pushes
-# the point through the braid (`phi.push`) and evaluates M's trie there.
+# per walk.  The same walk evaluates a word at dense matrices (`evaluate`,
+# from the identity), at superdiagonal ones (`superdiagonal`, one diagonal
+# per node, from a row of ones) and d(d(g)) . v (`_dual_step`, from the state
+# (0, v), over the reversed words of d(g); see `_d_squared`).  The
+# factorization check pushes the point through the braid (`phi.push`) and
+# evaluates M's trie there.
 # ---------------------------------------------------------------------------
 
 _SAMPLE_PRIME = 16777213
 _TRIALS = 2  # independent points per check (see Error bound)
 _MAX_DIM = 31
+_MAX_SUPERDIAGONAL = 62
 _BLOCK = 1024
 # a slot's sum of |coeff| stays below 2^53 / p (see Exactness)
 _SLOT_CAP = 2 ** 53 // _SAMPLE_PRIME - _SAMPLE_PRIME // 2
@@ -361,16 +373,16 @@ def _modp(arr, scratch=None):
     return arr
 
 
-def _rand_point(rng, count: int, dim: int):
-    """`count` uniform random dim x dim matrices over F_p, as an array
-    (count, dim, dim) of balanced residues: 24-bit words cut from one
-    `rng.randbytes` draw, made again if a word is p or more (3 in 2^24 are),
-    and reduced by `_modp`."""
+def _rand_point(rng, shape: tuple):
+    """A uniform random array of the given shape over F_p, in balanced
+    residues: 24-bit words cut from one `rng.randbytes` draw, made again if a
+    word is p or more (3 in 2^24 are), and reduced by `_modp`."""
     import numpy as np
+    size = int(np.prod(shape))
     while True:
-        words = np.frombuffer(rng.randbytes(4 * count * dim * dim), "<u4") & 0xFFFFFF
+        words = np.frombuffer(rng.randbytes(4 * size), "<u4") & 0xFFFFFF
         if (words < _SAMPLE_PRIME).all():
-            return _modp(words.astype(np.float64).reshape(count, dim, dim))
+            return _modp(words.astype(np.float64).reshape(shape))
 
 
 class _Terms:
@@ -420,27 +432,34 @@ class _Trie:
     """The words of some terms of a `_Terms`, reversed or not, merged on
     shared prefixes.  A node is (parent, letter) and stands for the word on
     its path from the root, the empty word; letters are ids into the arrays
-    the steps read.  A slot is a polynomial and one of its bases, split where
-    its sum of |coeff| would reach _SLOT_CAP.  `walk` gives each node a value,
+    the steps read.  A slot is a target, the polynomial or, `by_length`, the
+    (polynomial, word length) pair, and one of its bases, split where its sum
+    of |coeff| would reach _SLOT_CAP.  `walk` gives each node a value,
     computed for one depth at once from the values of the parents, adds each
     term's coefficient times its end node's value to its slot, and at the
     end reduces each slot, multiplies it by its base's value and adds it to
-    its polynomial."""
+    its target."""
 
-    def __init__(self, terms: _Terms, sel=None, reverse: bool = False):
+    def __init__(self, terms: _Terms, sel=None, reverse: bool = False,
+                 by_length: bool = False):
         import numpy as np
         self.terms = terms
         sel = np.arange(len(terms.lens)) if sel is None else sel
-        # one slot per run of (polynomial, base) in sorted order, cut where
+        depths = int(terms.lens[sel].max(initial=0)) + 1
+        # a (polynomial, length) target is polynomial * depths + length
+        target = terms.polys[sel] * depths + terms.lens[sel] if by_length \
+            else terms.polys[sel]
+        self.size = terms.size * depths if by_length else terms.size
+        # one slot per run of (target, base) in sorted order, cut where
         # the running sum of |coeff| crosses a multiple of _SLOT_CAP
-        key = terms.polys[sel] * len(terms.bases) + terms.base_ids[sel]
+        key = target * len(terms.bases) + terms.base_ids[sel]
         order = np.argsort(key, kind="stable")
-        sel, key = sel[order], key[order]
+        sel, key, target = sel[order], key[order], target[order]
         coeffs = terms.coeffs[sel]
         part = np.cumsum(np.abs(coeffs)) // _SLOT_CAP
         new = (np.diff(key, prepend=-1) != 0) | (np.diff(part, prepend=-1) != 0)
         slot = np.cumsum(new) - 1
-        self.slot_poly, self.slot_base = terms.polys[sel[new]], terms.base_ids[sel[new]]
+        self.slot_poly, self.slot_base = target[new], terms.base_ids[sel[new]]
         lens, letters = terms.lens[sel], terms.letters[sel]
         if reverse and letters.shape[1]:
             # letter j is at lens - 1 - j, mod the width: padding past the end
@@ -452,7 +471,7 @@ class _Trie:
         # per depth: parent and letter of each node, and the terms that end
         # there (in slot order) as coefficients, slots and nodes
         self.levels = []
-        for depth in range(letters.shape[1] + 1):
+        for depth in range(depths):
             if depth:
                 act = np.flatnonzero(lens >= depth)
                 keys, node[act] = np.unique(
@@ -463,10 +482,10 @@ class _Trie:
                                 slot[ends], node[ends]))
 
     def walk(self, root, step, scalars):
-        """The polynomials at a point, as an array (terms.size,) + root.shape:
-        the root has the value `root`, and step(values, letters, scratch)
-        gives the values, reduced by `_modp` in the float64 array `scratch`,
-        of the children by `letters` of nodes whose values are `values`.
+        """The targets at a point, as an array (size,) + root.shape: the root
+        has the value `root`, and step(values, letters, depth, scratch) gives
+        the values, reduced by `_modp` in the float64 array `scratch`, of the
+        children at `depth` by `letters` of nodes whose values are `values`.
         Every value is a balanced residue."""
         import numpy as np
         shape, lift = root.shape, (slice(None),) + (None,) * root.ndim
@@ -482,13 +501,13 @@ class _Trie:
                 prev, level = level, np.empty((len(parents),) + shape, np.float32)
                 for lo in range(0, len(parents), _BLOCK):
                     blk = slice(lo, lo + _BLOCK)
-                    level[blk] = step(prev[parents[blk]], letters[blk], scratch)
+                    level[blk] = step(prev[parents[blk]], letters[blk], depth, scratch)
             for lo in range(0, len(slots), _BLOCK):
                 blk = slice(lo, lo + _BLOCK)
                 _sum_runs(acc, slots[blk], coeffs[blk][lift] * level[nodes[blk]])
         units = np.array([base_value(b, scalars, _SAMPLE_PRIME)
                           for b in self.terms.bases], dtype=np.float64)
-        out = np.zeros((self.terms.size,) + shape)
+        out = np.zeros((self.size,) + shape)
         _sum_runs(out, self.slot_poly,
                   _modp(_modp(acc) * units[self.slot_base][lift]))
         return _modp(out)
@@ -498,20 +517,51 @@ class _Trie:
         and the base scalars to `scalars`: an array (terms.size, dim, dim).
         A node's value is its parent's times its letter's matrix."""
         import numpy as np
-        return self.walk(np.eye(mats.shape[-1]), lambda values, letters, scratch:
+        return self.walk(np.eye(mats.shape[-1]), lambda values, letters, depth, scratch:
                          _modp(values @ mats[letters], scratch), scalars)
 
+    def superdiagonal(self, t, scalars):
+        """The polynomials at the point that sends letter id k to the n x n
+        matrix with t[k] (t is an array (letters, n - 1)) on its first
+        superdiagonal, and the base scalars to `scalars`: an array
+        (terms.size, n, n) of upper triangular matrices.  The trie must be
+        keyed `by_length`, and a word longer than n - 1, which would map to
+        0, raises DgaError.  A node of depth l holds its word's l-th
+        superdiagonal, zero-padded to length n: its parent's times its
+        letter's t shifted by l - 1."""
+        import numpy as np
+        n = t.shape[1] + 1
+        depths = len(self.levels)
+        if depths > n:
+            raise DgaError(f"a word of length {depths - 1} vanishes at dimension {n}")
+        wide = np.pad(t, ((0, 0), (0, n)))
+        diags = self.walk(np.ones(n), lambda values, letters, depth, scratch: _modp(
+            values * wide[letters, depth - 1:depth - 1 + n], scratch), scalars)
+        # entry j of diagonal l is (j, j + l), inside the matrix while j < n - l
+        lens, rows = np.nonzero(np.arange(n) < n - np.arange(depths)[:, None])
+        out = np.zeros((self.terms.size, n, n))
+        out[:, rows, rows + lens] = diags.reshape(-1, depths, n)[:, lens, rows]
+        return out
 
-def _dual_step(mats, dmats, signs):
-    """The step of `_Trie.walk` that multiplies a state (t, s), the columns
-    of an array (dim, 2), on the left by the dual matrix of its letter x,
-    [[(-1)^|x| X, D(x)], [0, X]] with X = mats[x], D(x) = dmats[x] and
-    (-1)^|x| = signs[x].  With balanced operands the sum X t + D(x) s stays
-    below 2^52 unreduced, so the step reduces once (see Exactness above)."""
-    def step(values, letters, scratch):
-        out = mats[letters] @ values
-        out[:, :, 0] = signs[letters, None] * out[:, :, 0] + (
-            dmats[letters] @ values[:, :, 1:])[:, :, 0]
+
+def _dual_step(t, dmats, signs):
+    """The step of `_Trie.walk` that multiplies a state (u, s), the columns
+    of an array (n, 2), on the left by the dual matrix of its letter x,
+    [[(-1)^|x| X, D(x)], [0, X]] with X the superdiagonal matrix of t[x],
+    D(x) = dmats[x] and (-1)^|x| = signs[x].  X u and X s are t[x] times the
+    state shifted up one row; D(x) s is a product only where D(x) is not 0.
+    With balanced operands the sum X u + D(x) s stays below 2^52 unreduced,
+    so the step reduces once (see Exactness above)."""
+    import numpy as np
+    hot = dmats.any(axis=(1, 2))
+
+    def step(values, letters, depth, scratch):
+        out = np.empty(values.shape)
+        np.multiply(t[letters, :, None], values[:, 1:], out=out[:, :-1])
+        out[:, -1] = 0
+        out[:, :, 0] *= signs[letters, None]
+        at = np.flatnonzero(hot[letters])
+        out[at, :, 0] += (dmats[letters[at]] @ values[at, :, 1:])[:, :, 0]
         return _modp(out, scratch)
     return step
 
@@ -524,11 +574,12 @@ def _d_squared(dga: DgaPresentation):
     reversed words of d(g).  One `_Terms` holds every differential; `rows`
     is the trie of its reversed terms with a hot letter, one whose
     differential D(x) is nonzero, and a second trie over the terms of the
-    hot letters they hold evaluates those D(x).
+    hot letters they hold evaluates those D(x), one diagonal per node.
 
     Returns the word degree of d(d(g)), blind to cancellation, and a
-    function of (point, scalars, v) that gives every d(d(g)) . v as an
-    array (len(generators), dim)."""
+    function of (t, scalars, v) that gives every d(d(g)) . v at the
+    superdiagonal point t, an array (len(generators), n - 1), as an array
+    (len(generators), n)."""
     import numpy as np
     gens = dga.generators
     terms = _Terms([dga.diff[g] for g in gens], {g: k for k, g in enumerate(gens)})
@@ -542,12 +593,13 @@ def _d_squared(dga: DgaPresentation):
     degree = int(((terms.lens[:, None] - 1 + np.append(terms.spans, 0)[
         terms.letters]) * is_hot).max(initial=0))
     used = np.unique(terms.letters[is_hot])
-    hot_trie = _Trie(terms, np.flatnonzero(np.isin(terms.polys, used)))
+    hot_trie = _Trie(terms, np.flatnonzero(np.isin(terms.polys, used)),
+                     by_length=True)
     signs = np.array([(-1.0) ** g.degree for g in gens])
 
-    def apply(point, scalars, v):
+    def apply(t, scalars, v):
         return rows.walk(np.stack([np.zeros_like(v), v], axis=-1),
-                         _dual_step(point, hot_trie.evaluate(point, scalars),
+                         _dual_step(t, hot_trie.superdiagonal(t, scalars),
                                     signs), scalars)[:, :, 0]
     return degree, apply
 
@@ -575,21 +627,27 @@ def _sample_dim(span: int) -> int:
     return dim
 
 
+def _superdiagonal_dim(degree: int) -> int:
+    if degree >= _MAX_SUPERDIAGONAL:
+        raise DgaError(f"identity degree {degree} too large for sampling")
+    return degree + 1
+
+
 def verify_d_squared_sampled(dga: DgaPresentation,
                              seed: int = 0) -> list[Generator]:
     """Check d(d(g)) = 0 for every generator by evaluation at random
-    matrices, applied to a random vector; returns the generators whose image
-    fails to vanish."""
+    superdiagonal matrices, applied to a random vector; returns the
+    generators whose image fails to vanish."""
     import numpy as np
     prime = _SAMPLE_PRIME
     degree, apply = _d_squared(dga)
-    dim = _sample_dim(degree)
+    n = _superdiagonal_dim(degree)
     rng = random.Random(seed)
     failures = []
     for _ in range(_TRIALS):
-        point = _rand_point(rng, len(dga.generators), dim)
+        point = _rand_point(rng, (len(dga.generators), n - 1))
         scalars = tuple(rng.randrange(1, prime) for _ in range(4))
-        v = _modp(np.array([rng.randrange(prime) for _ in range(dim)], dtype=np.float64))
+        v = _modp(np.array([rng.randrange(prime) for _ in range(n)], dtype=np.float64))
         res = apply(point, scalars, v)
         for k in np.flatnonzero(res.any(axis=1)):
             if dga.generators[k] not in failures:
@@ -623,7 +681,7 @@ def verify_phi_factorization_sampled(b: BraidWord, seed: int = 0) -> list[str]:
     rng = random.Random(seed)
     failures = []
     for _ in range(_TRIALS):
-        point = _rand_point(rng, len(avars), dim)
+        point = _rand_point(rng, (len(avars), dim, dim))
         scalars = tuple(rng.randrange(1, prime) for _ in range(4))
         left, right = blocks(outer.evaluate(point, scalars))
         mids = blocks(inner.evaluate(point, scalars))

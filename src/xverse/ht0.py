@@ -27,6 +27,7 @@ of (L, m, U, V): L and m, and also U and V in the infinity flavor.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from typing import NamedTuple
 
 from .braid import BraidWord, braid_stats, braid_transform
@@ -174,9 +175,10 @@ def _interreduce_univariate(relations: list[NCPoly], flavor: str) -> list[NCPoly
     or zeroes r, so the loop ends.  Returns the relations up to unit
     monomials, by degree, then size, then string.
     """
-    rels = _canonical(relations, flavor, _by_degree)
+    key = cache(_by_degree)  # printed once per relation, not once per sort
+    rels = _canonical(relations, flavor, key)
     while _cancel_top(rels, flavor_rule(flavor).units):
-        rels = _canonical(rels, flavor, _by_degree)
+        rels = _canonical(rels, flavor, key)
     return rels
 
 

@@ -177,6 +177,24 @@ def test_sampled_verifier_detects_corruption():
                         (b, flavor, g, kind)
 
 
+@pytest.mark.parametrize("word", ["3 2 3 -1 2 -1 -3", "-1 -1 2 -1 -2 -2 3"])
+def test_sampled_d_squared_on_large_braids(word):
+    # 60,586 and 128,146 DGA terms, degrees 32 and 46: the two braids past
+    # the benchmark's identity workload, whose symbolic d^2 takes minutes
+    dga = build_dga(parse_braid(word), "minus")
+    assert verify_d_squared_sampled(dga, seed=0) == []
+    g = gen("e", 2, 1)
+    terms = dict(dga.diff[g].terms)
+    (key, coeff), = dga.diff[g].sorted_terms()[-1:]
+    terms[key] = 2 * coeff
+    dga.diff[g] = NCPoly(terms)
+    bad = verify_d_squared_sampled(dga, seed=0)
+    assert g in bad
+    # a sampled failure is a real one: checked one generator at a time
+    for h in bad:
+        assert not differential(dga, dga.diff[h]).is_zero(), h
+
+
 def test_dga_words_hold_plain_int_letters():
     """`_Terms` reads words with one `np.fromiter`, fast over plain ints."""
     dga = build_dga(parse_braid("-2 -2 1 2 3 -2 -2"), "infinity")
@@ -282,6 +300,21 @@ _HEAVY = NCPoly({(tuple(LETTERS[(k // 5 ** i) % 5] for i in range(4)),
                   (1, 0, 0, 0)): (P - 1) // 2 + k % 3 * P for k in range(400)})
 
 
+def _superdiagonal_point(rng, letters, n):
+    """A superdiagonal point as the array t (letters, n - 1) of balanced
+    residues `_Trie.superdiagonal` takes and as dense n x n object matrices
+    of Python integers, t[k] on the first superdiagonal, for `ref_eval`."""
+    entries = [[rng.randrange(P) for _ in range(n - 1)] for _ in letters]
+    t = dga_module._modp(np.array(entries, dtype=np.float64).reshape(
+        len(letters), n - 1))
+    mats = {}
+    for g, e in zip(letters, entries):
+        mats[g] = np.zeros((n, n), dtype=object)
+        for j, c in enumerate(e):
+            mats[g][j, j + 1] = c
+    return t, mats
+
+
 def _slot_sums(trie):
     """The sum of |coeff| over the terms of each slot of a trie."""
     sums = np.zeros(len(trie.slot_poly))
@@ -299,14 +332,37 @@ def test_trie_evaluation_matches_term_by_term_reference(polys, dim, seed):
     rng = random.Random(seed)
     point, mats = _random_point(rng, LETTERS, dim)
     scalars = tuple(rng.randrange(1, P) for _ in range(4))
-    trie = dga_module._Trie(dga_module._Terms(
-        polys, {g: k for k, g in enumerate(LETTERS)}))
+    terms = dga_module._Terms(polys, {g: k for k, g in enumerate(LETTERS)})
+    trie = dga_module._Trie(terms)
     # every slot sum stays exact in float64: sum |c| * (P - 1) < 2^53
     assert (_slot_sums(trie) * P < 2 ** 53).all()
     want = [ref_eval(p, mats, scalars, dim).tolist() for p in polys]
     assert _as_ints(trie.evaluate(point, scalars)) == want
     with mock.patch.object(dga_module, "_BLOCK", 3):
         assert _as_ints(trie.evaluate(point, scalars)) == want
+    # and at a superdiagonal point of dimension at least the longest word + 1
+    n = int(terms.lens.max(initial=0)) + dim
+    t, mats = _superdiagonal_point(rng, LETTERS, n)
+    trie = dga_module._Trie(terms, by_length=True)
+    assert (_slot_sums(trie) * P < 2 ** 53).all()
+    want = [ref_eval(p, mats, scalars, n).tolist() for p in polys]
+    assert _as_ints(trie.superdiagonal(t, scalars)) == want
+    with mock.patch.object(dga_module, "_BLOCK", 3):
+        assert _as_ints(trie.superdiagonal(t, scalars)) == want
+
+
+def test_superdiagonal_points_tell_word_order_apart():
+    # xy - yx at n = 3: entry (0, 2) is t[x, 0] t[y, 1] - t[y, 0] t[x, 1]
+    x, y = LETTERS[:2]
+    trie = dga_module._Trie(dga_module._Terms(
+        [NCPoly({((x, y), (0, 0, 0, 0)): 1, ((y, x), (0, 0, 0, 0)): -1})],
+        {x: 0, y: 1}), by_length=True)
+    t = np.array([[2.0, 3.0], [5.0, 7.0]])
+    assert _as_ints(trie.superdiagonal(t, (1, 1, 1, 1))) == \
+        [[[0, 0, (2 * 7 - 5 * 3) % P], [0, 0, 0], [0, 0, 0]]]
+    # at n = 2 every word of length 2 maps to 0: refused, not dropped
+    with pytest.raises(DgaError, match="length 2 vanishes at dimension 2"):
+        trie.superdiagonal(t[:, :1], (1, 1, 1, 1))
 
 
 def test_heavy_slot_is_split():
@@ -341,14 +397,14 @@ def _scrambled(dga, rng):
 
 def test_vector_pass_matches_symbolic_d_squared():
     rng = random.Random(5)
-    dim = 3
     for b in (UNKNOT, TREFOIL, FIG8):
         for flavor in FLAVORS:
             true = build_dga(b, flavor)
             for dga in (true, _scrambled(true, rng)):
                 gens = dga.generators
-                _, apply = dga_module._d_squared(dga)
-                point, mats = _random_point(rng, gens, dim)
+                degree, apply = dga_module._d_squared(dga)
+                dim = dga_module._superdiagonal_dim(degree)
+                point, mats = _superdiagonal_point(rng, gens, dim)
                 scalars = tuple(rng.randrange(1, P) for _ in range(4))
                 v = [rng.randrange(P) for _ in range(dim)]
                 want = [(ref_eval(differential(dga, dga.diff[g]), mats,
@@ -363,10 +419,10 @@ def test_vector_pass_matches_symbolic_d_squared():
 
 
 # the five braids of the benchmark's identity workload, and the sampling
-# dimension of each one's d^2 check
-IDENTITY_DIMS = {"1 -2 1 -2": 5, "-2 -2 1 2 3 -2 -2": 8,
-                 "-1 -1 -1 3 -2 1 1": 11, "3 2 -1 1 2 -1 2": 17,
-                 "-1 3 2 -1 -2 3 3": 16}
+# dimension, degree + 1, of each one's d^2 check
+IDENTITY_DIMS = {"1 -2 1 -2": 9, "-2 -2 1 2 3 -2 -2": 15,
+                 "-1 -1 -1 3 -2 1 1": 21, "3 2 -1 1 2 -1 2": 33,
+                 "-1 3 2 -1 -2 3 3": 31}
 
 
 def test_sampling_degree_bounds_every_d_squared_word():
@@ -382,15 +438,18 @@ def test_sampling_degree_bounds_every_d_squared_word():
                 assert degree >= longest, (b, flavor)
     for word, dim in IDENTITY_DIMS.items():
         degree, _ = dga_module._d_squared(build_dga(parse_braid(word)))
-        assert dga_module._sample_dim(degree) == dim, word
+        assert dga_module._superdiagonal_dim(degree) == dim, word
+    # degree 61 is the largest the d^2 check admits, as with dense points
+    assert dga_module._superdiagonal_dim(61) == 62
+    with pytest.raises(DgaError, match="too large for sampling"):
+        dga_module._superdiagonal_dim(62)
     with pytest.raises(DgaError, match="too large for sampling"):
         dga_module._sample_dim(2 * dga_module._MAX_DIM)
 
 
 def test_trie_steps_are_exact_at_max_dim():
     # the balanced extremes +-h, h = (p - 1) / 2, at the largest dimension: a
-    # product sums dim terms of +-h^2, and the dual step adds X t and D(x) s
-    # unreduced, +-2 dim h^2, before its one reduction
+    # dense product sums dim terms of +-h^2
     dim, h = dga_module._MAX_DIM, (P - 1) // 2
     mats = np.stack([np.full((dim, dim), h), np.full((dim, dim), -h)]).astype(float)
     x, y = LETTERS[:2]
@@ -398,41 +457,58 @@ def test_trie_steps_are_exact_at_max_dim():
         [NCPoly({((x, y), (0, 0, 0, 0)): 1})], {x: 0, y: 1}))
     assert _as_ints(trie.evaluate(mats, (1, 1, 1, 1))) == \
         [[[-dim * h * h % P] * dim] * dim]
-    # node 0 is (t, s) = (h, h) under the even letter 0 (X = D(x) = h), node
-    # 1 is (-h, -h) under the odd letter 1 (X = -h, D(x) = h)
-    state = np.full((2, dim, 2), h, dtype=np.float32)
+    # the dual step at the largest superdiagonal dimension n adds X u, one
+    # product, and the upper triangular D(x) s, up to n, unreduced: row 0
+    # reaches (n + 1) h^2, and n is the largest with (n + 1)(p / 2 + 2)^2
+    # below 2^52
+    n = dga_module._MAX_SUPERDIAGONAL
+    assert (n + 1) * (P / 2 + 2) ** 2 < 2 ** 52 <= (n + 2) * (P / 2 + 2) ** 2
+    t = np.stack([np.full(n - 1, h), np.full(n - 1, -h)]).astype(float)
+    upper = np.triu(np.full((n, n), h)).astype(float)
+    # node 0 is (u, s) = (h, h) under the even letter 0 (X = h, D(x) = h on
+    # and above the diagonal), node 1 is (-h, -h) under the odd letter 1
+    # (X = -h, D(x) = h); row j of X u is 0 at j = n - 1
+    state = np.full((2, n, 2), h, dtype=np.float32)
     state[1] = -h
-    step = dga_module._dual_step(mats, np.abs(mats), np.array([1.0, -1.0]))
-    top = 2 * dim * h * h
-    assert _as_ints(step(state, np.array([0, 1]), None)) == \
-        [[[top % P, top // 2 % P]] * dim, [[-top % P, top // 2 % P]] * dim]
+    step = dga_module._dual_step(t, np.stack([upper, upper]), np.array([1.0, -1.0]))
+    top = [(n + 1 - j) * h * h for j in range(n - 1)] + [h * h]
+    bottom = [h * h] * (n - 1) + [0]
+    assert _as_ints(step(state, np.array([0, 1]), 1, None)) == [
+        [[a % P, c % P] for a, c in zip(top, bottom)],
+        [[-a % P, c % P] for a, c in zip(top, bottom)]]
+    # the hot trie's step at the extremes: the diagonal of x y is t[x] t[y]
+    trie = dga_module._Trie(trie.terms, by_length=True)
+    got = trie.superdiagonal(t, (1, 1, 1, 1))[0]
+    assert _as_ints(np.diagonal(got, 2)) == [-h * h % P] * (n - 2)
+    assert not (got - np.diag(np.diagonal(got, 2), 2)).any()
     ends = np.array([2.0 ** 53 - 1, 1 - 2.0 ** 53])
     assert _as_ints(dga_module._modp(ends)) == [(2 ** 53 - 1) % P, (1 - 2 ** 53) % P]
 
 
-# the first 2 x 2 matrices of `_rand_point` and, per trial, the scalars and
-# the vector v of the trefoil's sampled d^2 check, mod P, for seeds 0 and 1:
-# values recorded before residues were balanced
+# the first 2 x 2 matrices of `_rand_point` (recorded before residues were
+# balanced) and, per trial, the scalars and the vector v of the trefoil's
+# sampled d^2 check, mod P, for seeds 0 and 1 (recorded when the check moved
+# to superdiagonal points)
 PINNED_DRAWS = {
     0: ([[[2885581, 10448830], [609452, 15140482]],
          [[11179093, 6106932], [4742714, 2667770]]],
-        [((7912562, 11429994, 6877072, 15101140),
-          [9548127, 14676787, 8532894, 15393282]),
-         ((1071359, 13790548, 14488451, 14308595),
-          [11777675, 463369, 15150005, 8821723])]),
+        [((13664487, 15472783, 9064455, 3409162),
+          [16170527, 13412161, 10119775, 9180997, 9858578, 4826088, 7465677]),
+         ((3264695, 16123430, 16285508, 3103315),
+          [12047942, 2078615, 8040206, 3532887, 12199640, 13434298, 1024834])]),
     1: ([[[6664693, 12015690], [15821535, 6372912]],
          [[8829892, 2606289], [4994108, 3140489]]],
-        [((13385046, 11661019, 8667102, 7563925),
-          [3744603, 8789506, 10880132, 515065]),
-         ((9247682, 14555176, 1189780, 12233431),
-          [1260468, 360946, 10659942, 166379])]),
+        [((2902583, 6159316, 9207316, 14809786),
+          [11795066, 13016395, 11315994, 12385200, 6286473, 1450685, 7364554]),
+         ((12652459, 12676643, 4717698, 4186910),
+          [4507060, 1836914, 13376268, 10482439, 3097244, 5778456, 4870162])]),
 }
 
 
 @pytest.mark.parametrize("seed", sorted(PINNED_DRAWS))
 def test_sampled_draws_are_pinned(monkeypatch, seed):
     point, trials = PINNED_DRAWS[seed]
-    assert _as_ints(dga_module._rand_point(random.Random(seed), 2, 2)) == point
+    assert _as_ints(dga_module._rand_point(random.Random(seed), (2, 2, 2))) == point
     real, seen = dga_module._d_squared, []
 
     def spy(dga):
