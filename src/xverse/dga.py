@@ -309,42 +309,39 @@ def verify_phi_factorization(b: BraidWord) -> list[str]:
 # (`_superdiagonal_dim`; Raz and Shpilka 2005).  A word w of length l then
 # maps to its l-th superdiagonal, whose (j, j + l) entry is the product of
 # t[w_k, j + k - 1] over k: each position has its own variables, so distinct
-# words of one length give distinct monomials, and the image of a nonzero
-# polynomial of word degree below N is nonzero.  The factorization check
-# keeps dense dim x dim points: by Amitsur-Levitzki the polynomial identities
-# of dim x dim matrices start in degree 2 dim, so `_sample_dim` takes
+# words of one length give distinct monomials.  For l below N, the entry
+# (N - 1 - l, N - 1) alone is then nonzero whenever the length-l part of a
+# polynomial is, so the last column holds one such entry for every length,
+# and the check evaluates d(d(g)) on e_N only.  The factorization check keeps
+# dense dim x dim points: by Amitsur-Levitzki the polynomial identities of
+# dim x dim matrices start in degree 2 dim, so `_sample_dim` takes
 # dim = degree // 2 + 1.
 #
-# Error bound.  Entry by entry, such a polynomial is then a nonzero
-# commutative polynomial in the matrix entries and the scalars, so by
-# Schwartz-Zippel it vanishes at a random point with probability at most
-# about degree/p.  The d^2 check applies d(d(g)) to a random vector v instead
-# of forming the matrix; by Freivalds (1977) a nonzero matrix kills a uniform
-# v with probability at most 1/p.  A failure therefore escapes one trial
-# with probability at most about (degree + 1)/p, and the _TRIALS = 2
-# independent trials of a check with about ((degree + 1)/p)^2, below 2^-36
-# at the largest degree either check admits (61).  Evaluation is exact, so a
+# Error bound.  Such an entry is a nonzero commutative polynomial in the
+# matrix entries and the scalars, so by Schwartz-Zippel a failure escapes one
+# trial with probability at most about degree/p, and the _TRIALS = 2
+# independent trials of a check with about (degree/p)^2, below 2^-36 at the
+# largest degree either check admits (61).  Evaluation is exact, so a
 # reported failure is always a real one.
 #
 # Exactness.  Arithmetic runs in float64 so that products hit BLAS, and it is
 # exact: every residue is balanced, |r| < p / 2 + 2 (`_modp`), and no sum
-# reaches 2^52 before it is reduced.  The largest is the d^2 step's
-# X u + D(x) s (`_dual_step`): X u is one product per entry and the upper
-# triangular D(x) s at most N, so the sum stays below (N + 1)(p / 2 + 2)^2 <
-# 2^52 at N = _MAX_SUPERDIAGONAL = 62.  A dense product sums dim products,
-# far below that at _MAX_DIM = 31.  A walk adds each term's coefficient times
-# its end node's value to a slot, one per (polynomial, base), split where its
-# sum of |coeff| would reach 2^53 / p, and reduces each slot once, at the end.
+# reaches 2^52 before it is reduced.  The largest is a dense product, a sum
+# of dim products, below 2^52 at _MAX_DIM = 31; the d^2 step (`_column_step`)
+# sums two products per entry at any N.  A walk adds each term's coefficient
+# times its end node's value to a slot, one per (polynomial, base), split
+# where its sum of |coeff| would reach 2^53 / p, and reduces each slot once,
+# at the end.
 #
 # Compilation.  A check reads its polynomials once, into the flat arrays of
 # one `_Terms`, whose letter ids come from the words' int codes by one sorted
 # lookup; each `_Trie` takes a subset of those terms (reversed by index
-# arithmetic for d^2) and is built once, before the trials.  A trial is numpy
-# work on blocks of at most _BLOCK nodes, reduced in a scratch array made once
-# per walk.  The same walk evaluates a word at dense matrices (`evaluate`,
-# from the identity), at superdiagonal ones (`superdiagonal`, one diagonal
-# per node, from a row of ones) and d(d(g)) . v (`_dual_step`, from the state
-# (0, v), over the reversed words of d(g); see `_d_squared`).  The
+# arithmetic for d^2) and is built once, before the trials, from one sort of
+# its rows.  A trial is numpy work on blocks of at most _BLOCK nodes, reduced
+# in a scratch array made once per walk.  The same walk evaluates a word at
+# dense matrices (`evaluate`), at superdiagonal ones (`superdiagonal`, one
+# diagonal per node) and d(d(g)) e_N (`_column_step`, one entry per word
+# length per node, over the reversed words of d(g); see `_d_squared`).  The
 # factorization check pushes the point through the braid (`phi.push`) and
 # evaluates M's trie there.
 # ---------------------------------------------------------------------------
@@ -413,10 +410,14 @@ class _Terms:
             np.fromiter(ids.values(), np.int32, len(ids))[at])
         self.coeffs = _modp(np.fromiter(map(_SAMPLE_PRIME.__rmod__, chain.from_iterable(
             p.terms.values() for p in polys)), dtype=np.float64, count=len(keys)))
-        bases: dict = {}
-        self.base_ids = np.fromiter((bases.setdefault(b, len(bases))
-                                     for _, b in keys), np.intp, len(keys))
-        self.bases = list(bases)
+        # a base's four exponents are the balanced 16-bit digits of one int
+        exps = np.fromiter(chain.from_iterable(map(operator.itemgetter(1), keys)),
+                           np.int64, 4 * len(keys)).reshape(-1, 4)
+        if np.abs(exps).max(initial=0) >= 2 ** 15:
+            raise DgaError("scalar exponent too large to sample")
+        _, first, self.base_ids = np.unique(
+            exps @ (1 << 16 * np.arange(3, -1, -1)), return_index=True, return_inverse=True)
+        self.bases = [keys[k][1] for k in first]
         self.spans = np.zeros(self.size, dtype=np.int32)
         np.maximum.at(self.spans, self.polys, self.lens)
 
@@ -432,13 +433,13 @@ class _Trie:
     """The words of some terms of a `_Terms`, reversed or not, merged on
     shared prefixes.  A node is (parent, letter) and stands for the word on
     its path from the root, the empty word; letters are ids into the arrays
-    the steps read.  A slot is a target, the polynomial or, `by_length`, the
-    (polynomial, word length) pair, and one of its bases, split where its sum
-    of |coeff| would reach _SLOT_CAP.  `walk` gives each node a value,
-    computed for one depth at once from the values of the parents, adds each
-    term's coefficient times its end node's value to its slot, and at the
-    end reduces each slot, multiplies it by its base's value and adds it to
-    its target."""
+    the steps read, and a depth's nodes are in the order of their words.  A
+    slot is a target, the polynomial or, `by_length`, the (polynomial, word
+    length) pair, and one of its bases, split where its sum of |coeff| would
+    reach _SLOT_CAP.  `walk` gives each node a value, computed for one depth
+    at once from the values of the parents, adds each term's coefficient
+    times its end node's value to its slot, and at the end reduces each
+    slot, multiplies it by its base's value and adds it to its target."""
 
     def __init__(self, terms: _Terms, sel=None, reverse: bool = False,
                  by_length: bool = False):
@@ -447,8 +448,7 @@ class _Trie:
         sel = np.arange(len(terms.lens)) if sel is None else sel
         depths = int(terms.lens[sel].max(initial=0)) + 1
         # a (polynomial, length) target is polynomial * depths + length
-        target = terms.polys[sel] * depths + terms.lens[sel] if by_length \
-            else terms.polys[sel]
+        target = terms.polys[sel] * depths + terms.lens[sel] if by_length else terms.polys[sel]
         self.size = terms.size * depths if by_length else terms.size
         # one slot per run of (target, base) in sorted order, cut where
         # the running sum of |coeff| crosses a multiple of _SLOT_CAP
@@ -465,21 +465,31 @@ class _Trie:
             # letter j is at lens - 1 - j, mod the width: padding past the end
             cols = lens[:, None] - 1 - np.arange(letters.shape[1])
             letters = np.take_along_axis(letters, cols % letters.shape[1], 1)
-        bound = int(letters.max(initial=0)) + 1
+        letters = letters[:, :depths - 1]
+        # one sort of the rows, packed into int64 keys of whole letters; at
+        # depth d a node starts at each sorted row whose first d letters differ
+        # from the row before's (padding sets a short word apart from its prefix)
+        bits = max(1, int(letters.max(initial=0)).bit_length())
+        chunks = np.split(letters.T, range(63 // bits, letters.shape[1], 63 // bits))
+        order = np.lexsort([reduce(lambda key, col: key << bits | col, chunk, np.zeros(
+            len(sel), np.int64)) for chunk in chunks[::-1]])
+        ordered = letters[order]
+        first = np.concatenate(([-1], np.argmax(np.pad(  # the first such letter
+            ordered[1:] != ordered[:-1], ((0, 0), (0, 1)), constant_values=True), axis=1)))
         node = np.zeros(len(sel), dtype=np.intp)  # each term's node
-        keys = node[:0]  # the root, depth 0, has no parent or letter
+        parents = edges = node[:0]  # the root, depth 0, has no parent or letter
         # per depth: parent and letter of each node, and the terms that end
         # there (in slot order) as coefficients, slots and nodes
         self.levels = []
         for depth in range(depths):
             if depth:
-                act = np.flatnonzero(lens >= depth)
-                keys, node[act] = np.unique(
-                    node[act] * bound + letters[act, depth - 1],
-                    return_inverse=True)
+                keep = lens[order] >= depth
+                order, first = order[keep], first[keep]
+                new = first < depth
+                parents, edges = node[order[new]], letters[order[new], depth - 1]
+                node[order] = np.cumsum(new) - 1
             ends = np.flatnonzero(lens == depth)
-            self.levels.append((keys // bound, keys % bound, coeffs[ends],
-                                slot[ends], node[ends]))
+            self.levels.append((parents, edges, coeffs[ends], slot[ends], node[ends]))
 
     def walk(self, root, step, scalars):
         """The targets at a point, as an array (size,) + root.shape: the root
@@ -489,9 +499,8 @@ class _Trie:
         Every value is a balanced residue."""
         import numpy as np
         shape, lift = root.shape, (slice(None),) + (None,) * root.ndim
-        size = root.size * min(_BLOCK, max(
-            max(len(parents), len(slots)) for parents, _, _, slots, _ in self.levels))
-        scratch = np.empty(size)
+        scratch = np.empty(root.size * min(_BLOCK, max(
+            max(len(parents), len(slots)) for parents, _, _, slots, _ in self.levels)))
         acc = np.zeros((len(self.slot_poly),) + shape)
         level = root[None]
         for depth, (parents, letters, coeffs, slots, nodes) in enumerate(self.levels):
@@ -524,83 +533,82 @@ class _Trie:
         """The polynomials at the point that sends letter id k to the n x n
         matrix with t[k] (t is an array (letters, n - 1)) on its first
         superdiagonal, and the base scalars to `scalars`: an array
-        (terms.size, n, n) of upper triangular matrices.  The trie must be
-        keyed `by_length`, and a word longer than n - 1, which would map to
-        0, raises DgaError.  A node of depth l holds its word's l-th
-        superdiagonal, zero-padded to length n: its parent's times its
-        letter's t shifted by l - 1."""
+        (terms.size, depths, n) whose [:, l, j] is entry (j, j + l), 0 from
+        j = n - l on.  The trie must be keyed `by_length`; a word longer than
+        n - 1, which would map to 0, raises DgaError.  A node of depth l holds
+        its word's l-th superdiagonal: its parent's times its letter's t
+        shifted by l - 1."""
         import numpy as np
-        n = t.shape[1] + 1
-        depths = len(self.levels)
+        n, depths = t.shape[1] + 1, len(self.levels)
         if depths > n:
             raise DgaError(f"a word of length {depths - 1} vanishes at dimension {n}")
         wide = np.pad(t, ((0, 0), (0, n)))
-        diags = self.walk(np.ones(n), lambda values, letters, depth, scratch: _modp(
-            values * wide[letters, depth - 1:depth - 1 + n], scratch), scalars)
-        # entry j of diagonal l is (j, j + l), inside the matrix while j < n - l
-        lens, rows = np.nonzero(np.arange(n) < n - np.arange(depths)[:, None])
-        out = np.zeros((self.terms.size, n, n))
-        out[:, rows, rows + lens] = diags.reshape(-1, depths, n)[:, lens, rows]
-        return out
+        return self.walk(np.ones(n), lambda values, letters, depth, scratch: _modp(
+            values * wide[letters, depth - 1:depth - 1 + n], scratch),
+            scalars).reshape(-1, depths, n)
 
 
-def _dual_step(t, dmats, signs):
-    """The step of `_Trie.walk` that multiplies a state (u, s), the columns
-    of an array (n, 2), on the left by the dual matrix of its letter x,
-    [[(-1)^|x| X, D(x)], [0, X]] with X the superdiagonal matrix of t[x],
-    D(x) = dmats[x] and (-1)^|x| = signs[x].  X u and X s are t[x] times the
-    state shifted up one row; D(x) s is a product only where D(x) is not 0.
-    With balanced operands the sum X u + D(x) s stays below 2^52 unreduced,
-    so the step reduces once (see Exactness above)."""
+def _column_step(t, diags, signs, depths):
+    """The step of `_Trie.walk` that prepends a letter x, at its dual matrix
+    [[(-1)^|x| X, D(x)], [0, X]] (X from the point t, an array (letters,
+    n - 1), D(x) from its diagonals diags[x], an array (width, n), and
+    (-1)^|x| = signs[x]), to a word w, on the column e_n.  For w of length
+    k, w e_n is one entry u, at row n - 1 - k, and the part of d(w) e_n of
+    total length k + e one entry s_e, at row n - 1 - k - e.  So with
+    r = n - 2 - k the state (s_-1, ..., s_{width - 2}, u) goes to
+
+        u' = t[x, r] u,  s'_e = (-1)^|x| t[x, r - e] s_e + D(x)[r - e, r + 1] u,
+
+    0 off the matrix: two products per entry (see Exactness), from tables
+    made once.  Returns the step and the rows (depths, width) of the s_e."""
     import numpy as np
-    hot = dmats.any(axis=(1, 2))
+    n, width = t.shape[1] + 1, diags.shape[1]
+    # rows of s_-1 .. s_{width - 2}, u; zeros pad t and D at row n and letter len(signs)
+    at = n - np.arange(depths)[:, None] - np.append(np.arange(width), 1)
+    at[at < 0] = n
+    scale = np.pad(t, ((0, 1), (0, 2)))[:, at]
+    scale[:, :, :-1] *= np.append(signs, 1.0)[:, None, None]
+    shift = np.pad(diags, ((0, 1), (0, 1), (0, 1)))[:, np.arange(width + 1), at]
 
     def step(values, letters, depth, scratch):
-        out = np.empty(values.shape)
-        np.multiply(t[letters, :, None], values[:, 1:], out=out[:, :-1])
-        out[:, -1] = 0
-        out[:, :, 0] *= signs[letters, None]
-        at = np.flatnonzero(hot[letters])
-        out[at, :, 0] += (dmats[letters[at]] @ values[at, :, 1:])[:, :, 0]
+        out = values * scale[letters, depth]
+        out += shift[letters, depth] * values[:, -1:]
         return _modp(out, scratch)
-    return step
+    return step, at[:, :-1]
 
 
 def _d_squared(dga: DgaPresentation):
-    """d(d(g)) . v for every generator g, compiled once.
-
-    d of a word is the top right block of the word at the dual matrices of
-    `_dual_step`, so d(d(g)) . v is the walk from the state (0, v) over the
-    reversed words of d(g).  One `_Terms` holds every differential; `rows`
-    is the trie of its reversed terms with a hot letter, one whose
-    differential D(x) is nonzero, and a second trie over the terms of the
-    hot letters they hold evaluates those D(x), one diagonal per node.
-
-    Returns the word degree of d(d(g)), blind to cancellation, and a
-    function of (t, scalars, v) that gives every d(d(g)) . v at the
-    superdiagonal point t, an array (len(generators), n - 1), as an array
-    (len(generators), n)."""
+    """d(d(g)) e_n for every generator g, compiled once: the walk of
+    `_column_step` from the empty word's state (s = 0, u = 1) over the
+    reversed words of d(g).  One `_Terms` holds every differential; `rows` is
+    the trie, keyed `by_length` as a state's rows depend on its length, of
+    its reversed terms with a hot letter, one whose differential D(x) is
+    nonzero, and a second trie over the terms of those letters gives D(x).
+    Returns the word degree of d(d(g)), blind to cancellation, and a function
+    of (t, scalars) that gives every d(d(g)) e_n at the superdiagonal point
+    t, an array (len(generators), n - 1), as an array (len(generators), n)."""
     import numpy as np
     gens = dga.generators
     terms = _Terms([dga.diff[g] for g in gens], {g: k for k, g in enumerate(gens)})
-    # per letter id, then looked up at every position; padding is id
-    # len(gens), not hot, of span 0
-    is_hot = np.append(np.bincount(terms.polys, minlength=len(gens)) > 0,
-                       False)[terms.letters]
-    rows = _Trie(terms, np.flatnonzero(is_hot.any(axis=1)), reverse=True)
-    # a word of d(g) with one hot letter replaced by a word of that
-    # letter's differential
-    degree = int(((terms.lens[:, None] - 1 + np.append(terms.spans, 0)[
-        terms.letters]) * is_hot).max(initial=0))
-    used = np.unique(terms.letters[is_hot])
-    hot_trie = _Trie(terms, np.flatnonzero(np.isin(terms.polys, used)),
-                     by_length=True)
+    # per letter id, padding len(gens) too: its differential's longest word if hot, else -1
+    span = np.where(np.bincount(terms.polys, minlength=len(gens) + 1) > 0,
+                    np.append(terms.spans, 0), -1).astype(np.int32)
+    longest = span[terms.letters].max(axis=1, initial=-1)
+    rows = _Trie(terms, np.flatnonzero(longest >= 0), reverse=True, by_length=True)
+    # a word of d(g) with one hot letter replaced by a word of its differential
+    degree = int((terms.lens - 1 + longest)[longest >= 0].max(initial=0))
+    used = np.unique(terms.letters[longest >= 0])  # a cold letter has no terms
+    hot_trie = _Trie(terms, np.flatnonzero(np.isin(terms.polys, used)), by_length=True)
     signs = np.array([(-1.0) ** g.degree for g in gens])
+    depths, width = len(rows.levels), len(hot_trie.levels)
 
-    def apply(t, scalars, v):
-        return rows.walk(np.stack([np.zeros_like(v), v], axis=-1),
-                         _dual_step(t, hot_trie.superdiagonal(t, scalars),
-                                    signs), scalars)[:, :, 0]
+    def apply(t, scalars):
+        step, at = _column_step(t, hot_trie.superdiagonal(t, scalars), signs, depths)
+        # each s_e of a (g, length) target to its row; one off the column is 0
+        states = rows.walk(np.eye(width + 1)[-1], step, scalars)[:, :-1]
+        column = np.zeros((len(gens), t.shape[1] + 2))
+        np.add.at(column.T, at, states.reshape(len(gens), depths, width).transpose(1, 2, 0))
+        return _modp(column[:, :-1])
     return degree, apply
 
 
@@ -636,23 +644,16 @@ def _superdiagonal_dim(degree: int) -> int:
 def verify_d_squared_sampled(dga: DgaPresentation,
                              seed: int = 0) -> list[Generator]:
     """Check d(d(g)) = 0 for every generator by evaluation at random
-    superdiagonal matrices, applied to a random vector; returns the
-    generators whose image fails to vanish."""
-    import numpy as np
-    prime = _SAMPLE_PRIME
+    superdiagonal matrices, on their last column; returns the generators
+    whose image fails to vanish, in order."""
     degree, apply = _d_squared(dga)
     n = _superdiagonal_dim(degree)
     rng = random.Random(seed)
-    failures = []
+    bad = False  # then, per generator, whether a trial has found it
     for _ in range(_TRIALS):
         point = _rand_point(rng, (len(dga.generators), n - 1))
-        scalars = tuple(rng.randrange(1, prime) for _ in range(4))
-        v = _modp(np.array([rng.randrange(prime) for _ in range(n)], dtype=np.float64))
-        res = apply(point, scalars, v)
-        for k in np.flatnonzero(res.any(axis=1)):
-            if dga.generators[k] not in failures:
-                failures.append(dga.generators[k])
-    return failures
+        bad |= apply(point, tuple(rng.randrange(1, _SAMPLE_PRIME) for _ in range(4))).any(axis=1)
+    return [g for g, fails in zip(dga.generators, bad) if fails]
 
 
 def _block_product(x, y):
@@ -665,7 +666,6 @@ def verify_phi_factorization_sampled(b: BraidWord, seed: int = 0) -> list[str]:
     """The factorization identities of verify_phi_factorization, checked
     by evaluation at random matrices instead of symbolic expansion."""
     import numpy as np
-    prime = _SAMPLE_PRIME
     n = b.strands
     m = degree0_matrices(b)
     phi_l, phi_r = phi_matrices(b)
@@ -682,7 +682,7 @@ def verify_phi_factorization_sampled(b: BraidWord, seed: int = 0) -> list[str]:
     failures = []
     for _ in range(_TRIALS):
         point = _rand_point(rng, (len(avars), dim, dim))
-        scalars = tuple(rng.randrange(1, prime) for _ in range(4))
+        scalars = tuple(rng.randrange(1, _SAMPLE_PRIME) for _ in range(4))
         left, right = blocks(outer.evaluate(point, scalars))
         mids = blocks(inner.evaluate(point, scalars))
         pushed = push(b, dict(zip(avars, point)), _sigma_value)

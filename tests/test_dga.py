@@ -222,6 +222,24 @@ def test_terms_look_letters_up_by_code():
         dga_module._Terms([p], {})
 
 
+def test_terms_number_bases_by_packed_exponents():
+    # the four exponents are balanced 16-bit digits of one key: the extremes
+    # +-(2^15 - 1) of each stay apart, and 2^15 is refused
+    a = NCPoly.generator("a", 1, 2)
+    h = 2 ** 15 - 1
+    bases = [(h, -h, 0, 0), (-h, h, 0, 0), (0, 0, h, 0), (0, 0, 0, h), (1, 0, 0, 0),
+             (0, 0, 0, 0), (-1, 0, 0, 0), (0, -1, 1, 0)]
+    polys = [a.scale_base(lam=b[0], mu=b[1], u=b[2], v=b[3]) + NCPoly.scalar(k + 1,
+             lam=b[0], mu=b[1], u=b[2], v=b[3]) for k, b in enumerate(bases)]
+    terms = dga_module._Terms(polys, {gen("a", 1, 2): 0})
+    assert sorted(terms.bases) == terms.bases == sorted(bases)
+    assert [terms.bases[k] for k in terms.base_ids] == [
+        b for p in polys for _, b in p.terms]
+    for big in (2 ** 15, -2 ** 15):
+        with pytest.raises(DgaError, match="too large"):
+            dga_module._Terms([a.scale_base(v=big)], {gen("a", 1, 2): 0})
+
+
 def test_sampled_phi_factorization_detects_corruption(monkeypatch):
     real = dga_module.phi_matrices
 
@@ -315,6 +333,17 @@ def _superdiagonal_point(rng, letters, n):
     return t, mats
 
 
+def _from_diagonals(diags):
+    """The n x n matrices whose diagonals `_Trie.superdiagonal` gives, an
+    array (polynomials, depths, n), each checked to be 0 past the matrix."""
+    size, depths, n = diags.shape
+    out = np.zeros((size, n, n))
+    for length in range(depths):
+        assert not diags[:, length, n - length:].any()
+        out[:, np.arange(n - length), np.arange(length, n)] = diags[:, length, :n - length]
+    return out
+
+
 def _slot_sums(trie):
     """The sum of |coeff| over the terms of each slot of a trie."""
     sums = np.zeros(len(trie.slot_poly))
@@ -346,9 +375,65 @@ def test_trie_evaluation_matches_term_by_term_reference(polys, dim, seed):
     trie = dga_module._Trie(terms, by_length=True)
     assert (_slot_sums(trie) * P < 2 ** 53).all()
     want = [ref_eval(p, mats, scalars, n).tolist() for p in polys]
-    assert _as_ints(trie.superdiagonal(t, scalars)) == want
+    assert _as_ints(_from_diagonals(trie.superdiagonal(t, scalars))) == want
     with mock.patch.object(dga_module, "_BLOCK", 3):
-        assert _as_ints(trie.superdiagonal(t, scalars)) == want
+        assert _as_ints(_from_diagonals(trie.superdiagonal(t, scalars))) == want
+
+
+def _prefix_levels(words, depths):
+    """The levels of a trie over `words` (tuples of letter ids), built from
+    dicts of prefixes: per depth, its sorted prefixes of that length, each
+    as (its parent's index one depth up, its last letter)."""
+    levels, index = [], {(): 0}
+    for depth in range(depths):
+        prefixes = sorted({w[:depth] for w in words if len(w) >= depth})
+        levels.append([(index[p[:-1]], p[-1]) for p in prefixes] if depth else [])
+        index = {p: k for k, p in enumerate(prefixes)}
+    return levels
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(terms=st.lists(st.tuples(st.one_of(
+    st.lists(st.integers(0, 4), max_size=7),
+    # past the 21 letters of 3 bits that fill one int64 sort key
+    st.lists(st.integers(0, 1), min_size=19, max_size=26)).map(tuple),
+    st.integers(0, 2), st.integers(-1, 1)), max_size=40),
+       reverse=st.booleans(), by_length=st.booleans())
+@example(terms=[], reverse=False, by_length=True)
+@example(terms=[((), 0, 0), ((), 1, 0), ((), 0, 1)], reverse=True, by_length=False)
+@example(terms=[((3,), 0, 0), ((3,), 0, 1), ((3,), 1, 0), ((0,), 2, 0), ((4,), 0, 0)],
+         reverse=False, by_length=True)
+@example(terms=[((1, 2), 0, 0), ((1,), 0, 0), ((1, 2, 2), 0, 1), ((2, 1), 1, 0),
+                ((), 1, 1), ((1, 2), 2, -1)], reverse=True, by_length=True)
+@example(terms=[((0,) * 21 + (1,), 0, 0), ((1,) * 21 + (0,), 0, 0), ((0,) * 22, 1, 0),
+                ((0,) * 21, 0, 0), ((0,) * 20, 2, 1)], reverse=False, by_length=False)
+def test_one_sort_trie_levels_match_prefix_dicts(terms, reverse, by_length):
+    # polynomial k holds the words of the terms (word, k, L exponent); a word
+    # repeated with another base or in another polynomial is another term
+    polys = [NCPoly({(tuple(int(LETTERS[a]) for a in w), (e, 0, 0, 0)): 1 + len(w) % 3
+                     for w, k, e in terms if k == poly}) for poly in range(3)]
+    ids = {g: k for k, g in enumerate(LETTERS)}
+    trie = dga_module._Trie(dga_module._Terms(polys, ids), reverse=reverse,
+                            by_length=by_length)
+    # each term as (word of letter ids as the trie reads it, target, base,
+    # coefficient)
+    expected = [(tuple(ids[g] for g in (w[::-1] if reverse else w)), k, b, c)
+                for k, p in enumerate(polys) for (w, b), c in p.terms.items()]
+    words = [w for w, _, _, _ in expected]
+    depths = max(map(len, words), default=0) + 1
+    if by_length:
+        expected = [(w, k * depths + len(w), b, c) for w, k, b, c in expected]
+    want = _prefix_levels(words, depths)
+    assert len(trie.levels) == depths
+    found = []
+    for depth, (parents, letters, coeffs, slots, nodes) in enumerate(trie.levels):
+        assert list(zip(parents.tolist(), letters.tolist())) == want[depth], depth
+        # the word of each node that a term ends at, from the reference
+        prefixes = sorted({w[:depth] for w in words if len(w) >= depth})
+        found += [(prefixes[node], int(trie.slot_poly[slot]),
+                   trie.terms.bases[trie.slot_base[slot]], int(coeff))
+                  for coeff, slot, node in zip(coeffs, slots, nodes)]
+    assert sorted(found) == sorted(expected)
 
 
 def test_superdiagonal_points_tell_word_order_apart():
@@ -358,7 +443,7 @@ def test_superdiagonal_points_tell_word_order_apart():
         [NCPoly({((x, y), (0, 0, 0, 0)): 1, ((y, x), (0, 0, 0, 0)): -1})],
         {x: 0, y: 1}), by_length=True)
     t = np.array([[2.0, 3.0], [5.0, 7.0]])
-    assert _as_ints(trie.superdiagonal(t, (1, 1, 1, 1))) == \
+    assert _as_ints(_from_diagonals(trie.superdiagonal(t, (1, 1, 1, 1)))) == \
         [[[0, 0, (2 * 7 - 5 * 3) % P], [0, 0, 0], [0, 0, 0]]]
     # at n = 2 every word of length 2 maps to 0: refused, not dropped
     with pytest.raises(DgaError, match="length 2 vanishes at dimension 2"):
@@ -395,27 +480,77 @@ def _scrambled(dga, rng):
     return dga._replace(diff=diff)
 
 
+def _column_against_symbolic(dga, rng):
+    """d(d(g)) e_n for every generator g by `_d_squared` at a random
+    superdiagonal point, at the default and a tiny block size, checked
+    against the last column of the symbolic d(d(g)) there; returns it."""
+    gens = dga.generators
+    degree, apply = dga_module._d_squared(dga)
+    n = dga_module._superdiagonal_dim(degree)
+    point, mats = _superdiagonal_point(rng, gens, n)
+    scalars = tuple(rng.randrange(1, P) for _ in range(4))
+    want = [ref_eval(differential(dga, dga.diff[g]), mats, scalars, n)[:, n - 1].tolist()
+            for g in gens]
+    for block in (dga_module._BLOCK, 2):
+        with mock.patch.object(dga_module, "_BLOCK", block):
+            assert _as_ints(apply(point, scalars)) == want, block
+    return want
+
+
 def test_vector_pass_matches_symbolic_d_squared():
     rng = random.Random(5)
     for b in (UNKNOT, TREFOIL, FIG8):
         for flavor in FLAVORS:
             true = build_dga(b, flavor)
             for dga in (true, _scrambled(true, rng)):
-                gens = dga.generators
-                degree, apply = dga_module._d_squared(dga)
-                dim = dga_module._superdiagonal_dim(degree)
-                point, mats = _superdiagonal_point(rng, gens, dim)
-                scalars = tuple(rng.randrange(1, P) for _ in range(4))
-                v = [rng.randrange(P) for _ in range(dim)]
-                want = [(ref_eval(differential(dga, dga.diff[g]), mats,
-                                  scalars, dim).dot(np.array(v, dtype=object))
-                         % P).tolist() for g in gens]
-                assert any(any(w) for w in want) == (dga is not true)
-                for block in (dga_module._BLOCK, 2):
-                    with mock.patch.object(dga_module, "_BLOCK", block):
-                        got = apply(point, scalars, dga_module._modp(
-                            np.array(v, dtype=np.float64)))
-                    assert _as_ints(got) == want, (b, flavor, block)
+                column = _column_against_symbolic(dga, rng)
+                assert any(map(any, column)) == (dga is not true), (b, flavor)
+
+
+A12, C11, C22, E11 = gen("a", 1, 2), gen("c", 1, 1), gen("c", 2, 2), gen("e", 1, 1)
+
+
+def _word(*letters, coeff=1):
+    return NCPoly({(tuple(map(int, letters)), (0, 0, 0, 0)): coeff})
+
+
+def _hand_dga(diff):
+    return dga_module.DgaPresentation(
+        braid=UNKNOT, flavor="minus", sl=0, generators=list(diff), diff=diff,
+        phi_l=None, phi_r=None)
+
+
+def test_column_pass_hand_cases():
+    rng = random.Random(7)
+    # d(c11) = 3 + a12 and d(c22) = 3 have constant terms, the excess -1.
+    # d(e11) = c11 a a a - a c11 a a (a = a12) has d^2 = 0 and degree 4, so
+    # n = 5, and its words 3 a^3 + a^4 of d^2 cancel, a^4 of length n - 1
+    base = {A12: NCPoly(), C11: _word(coeff=3) + _word(A12), C22: _word(coeff=3)}
+    true = _word(C11, A12, A12, A12) - _word(A12, C11, A12, A12)
+    dga = _hand_dga({**base, E11: true})
+    assert dga_module._d_squared(dga)[0] == 4
+    assert not any(map(any, _column_against_symbolic(dga, rng)))
+    assert verify_d_squared_sampled(dga) == []
+    # adding c22 a^l adds 3 a^l, of total length l, to d(d(e11)): one
+    # nonzero entry, at row n - 1 - l, for each l up to n - 1
+    for length in range(5):
+        dga = _hand_dga({**base, E11: true + _word(C22, *[A12] * length)})
+        assert dga_module._d_squared(dga)[0] == 4
+        column = _column_against_symbolic(dga, rng)
+        assert [k for k, x in enumerate(column[-1]) if x] == [4 - length]
+        assert verify_d_squared_sampled(dga) == [E11]
+    # without a c11 a a: d(d(e11)) = 3 a^3 + a^4, at rows 1 and 0
+    dga = _hand_dga({**base, E11: _word(C11, A12, A12, A12)})
+    column = _column_against_symbolic(dga, rng)
+    assert [k for k, x in enumerate(column[-1]) if x] == [0, 1]
+    assert verify_d_squared_sampled(dga) == [E11]
+    # a d^2 made of the constant alone: d(e11) = c22, n = 1
+    dga = _hand_dga({**base, E11: _word(C22)})
+    assert _column_against_symbolic(dga, rng)[-1] == [3]
+    assert verify_d_squared_sampled(dga) == [E11]
+    # no hot letter, and no generator at all
+    assert verify_d_squared_sampled(_hand_dga({A12: NCPoly(), E11: _word(A12)})) == []
+    assert verify_d_squared_sampled(_hand_dga({})) == []
 
 
 # the five braids of the benchmark's identity workload, and the sampling
@@ -457,28 +592,31 @@ def test_trie_steps_are_exact_at_max_dim():
         [NCPoly({((x, y), (0, 0, 0, 0)): 1})], {x: 0, y: 1}))
     assert _as_ints(trie.evaluate(mats, (1, 1, 1, 1))) == \
         [[[-dim * h * h % P] * dim] * dim]
-    # the dual step at the largest superdiagonal dimension n adds X u, one
-    # product, and the upper triangular D(x) s, up to n, unreduced: row 0
-    # reaches (n + 1) h^2, and n is the largest with (n + 1)(p / 2 + 2)^2
-    # below 2^52
+    # the column step sums two products per entry, (-1)^|x| t s_e and D(x) u,
+    # so 2 (p / 2 + 2)^2 < 2^52 bounds it at any dimension.  At the largest,
+    # n = _MAX_SUPERDIAGONAL, node 0 holds +h everywhere under the even letter
+    # 0 (t = h), node 1 holds -h under the odd letter 1 (t = -h), every D(x)
+    # entry is h, and a state of width n reaches rows past both ends
     n = dga_module._MAX_SUPERDIAGONAL
-    assert (n + 1) * (P / 2 + 2) ** 2 < 2 ** 52 <= (n + 2) * (P / 2 + 2) ** 2
+    assert 2 * (P / 2 + 2) ** 2 < 2 ** 52
     t = np.stack([np.full(n - 1, h), np.full(n - 1, -h)]).astype(float)
-    upper = np.triu(np.full((n, n), h)).astype(float)
-    # node 0 is (u, s) = (h, h) under the even letter 0 (X = h, D(x) = h on
-    # and above the diagonal), node 1 is (-h, -h) under the odd letter 1
-    # (X = -h, D(x) = h); row j of X u is 0 at j = n - 1
-    state = np.full((2, n, 2), h, dtype=np.float32)
+    step, rows = dga_module._column_step(
+        t, np.full((2, n, n), h, dtype=float), np.array([1.0, -1.0]), n + 1)
+    state = np.full((2, n + 1), h, dtype=np.float32)
     state[1] = -h
-    step = dga_module._dual_step(t, np.stack([upper, upper]), np.array([1.0, -1.0]))
-    top = [(n + 1 - j) * h * h for j in range(n - 1)] + [h * h]
-    bottom = [h * h] * (n - 1) + [0]
-    assert _as_ints(step(state, np.array([0, 1]), 1, None)) == [
-        [[a % P, c % P] for a, c in zip(top, bottom)],
-        [[-a % P, c % P] for a, c in zip(top, bottom)]]
+    for depth in (1, 2, n // 2, n - 1, n):
+        assert rows[depth].tolist() == [n - depth - j if depth + j <= n else n
+                                        for j in range(n)]
+        want = []
+        for sign, tx, v in ((1, h, h), (-1, -h, -h)):
+            # t s_e off row n - 1 of X, D(x) u inside the column; then u
+            want.append([(sign * tx * v * (0 <= n - depth - j < n - 1)
+                          + h * v * (0 <= n - depth - j < n)) % P for j in range(n)]
+                        + [tx * v * (depth < n) % P])
+        assert _as_ints(step(state, np.array([0, 1]), depth, None)) == want, depth
     # the hot trie's step at the extremes: the diagonal of x y is t[x] t[y]
     trie = dga_module._Trie(trie.terms, by_length=True)
-    got = trie.superdiagonal(t, (1, 1, 1, 1))[0]
+    got = _from_diagonals(trie.superdiagonal(t, (1, 1, 1, 1)))[0]
     assert _as_ints(np.diagonal(got, 2)) == [-h * h % P] * (n - 2)
     assert not (got - np.diag(np.diagonal(got, 2), 2)).any()
     ends = np.array([2.0 ** 53 - 1, 1 - 2.0 ** 53])
@@ -486,22 +624,22 @@ def test_trie_steps_are_exact_at_max_dim():
 
 
 # the first 2 x 2 matrices of `_rand_point` (recorded before residues were
-# balanced) and, per trial, the scalars and the vector v of the trefoil's
-# sampled d^2 check, mod P, for seeds 0 and 1 (recorded when the check moved
-# to superdiagonal points)
+# balanced) and, per trial, the scalars and the first row of the point t of
+# the trefoil's sampled d^2 check, mod P, for seeds 0 and 1 (recorded when
+# the check moved to one column, with no vector drawn)
 PINNED_DRAWS = {
     0: ([[[2885581, 10448830], [609452, 15140482]],
          [[11179093, 6106932], [4742714, 2667770]]],
         [((13664487, 15472783, 9064455, 3409162),
-          [16170527, 13412161, 10119775, 9180997, 9858578, 4826088, 7465677]),
-         ((3264695, 16123430, 16285508, 3103315),
-          [12047942, 2078615, 8040206, 3532887, 12199640, 13434298, 1024834])]),
+          [2885581, 10448830, 609452, 15140482, 11179093, 6106932]),
+         ((6209918, 13989589, 16450340, 1946932),
+          [12459890, 10961223, 6971282, 1525159, 7213687, 10741774])]),
     1: ([[[6664693, 12015690], [15821535, 6372912]],
          [[8829892, 2606289], [4994108, 3140489]]],
         [((2902583, 6159316, 9207316, 14809786),
-          [11795066, 13016395, 11315994, 12385200, 6286473, 1450685, 7364554]),
-         ((12652459, 12676643, 4717698, 4186910),
-          [4507060, 1836914, 13376268, 10482439, 3097244, 5778456, 4870162])]),
+          [6664693, 12015690, 15821535, 6372912, 8829892, 2606289]),
+         ((11292972, 1182014, 1396438, 14563934),
+          [16415399, 10308568, 11213419, 16494672, 15501711, 2276729])]),
 }
 
 
@@ -514,10 +652,9 @@ def test_sampled_draws_are_pinned(monkeypatch, seed):
     def spy(dga):
         degree, apply = real(dga)
 
-        def recorded(point, scalars, v):
-            seen.append((scalars, _as_ints(v)))
-            _as_ints(point)
-            return apply(point, scalars, v)
+        def recorded(point, scalars):
+            seen.append((scalars, _as_ints(point)[0]))
+            return apply(point, scalars)
         return degree, recorded
 
     monkeypatch.setattr(dga_module, "_d_squared", spy)
