@@ -335,15 +335,15 @@ def verify_phi_factorization(b: BraidWord) -> list[str]:
 #
 # Compilation.  A check reads its polynomials once, into the flat arrays of
 # one `_Terms`, whose letter ids come from the words' int codes by one sorted
-# lookup; each `_Trie` takes a subset of those terms (reversed by index
-# arithmetic for d^2) and is built once, before the trials, from one sort of
-# its rows.  A trial is numpy work on blocks of at most _BLOCK nodes, reduced
-# in a scratch array made once per walk.  The same walk evaluates a word at
-# dense matrices (`evaluate`), at superdiagonal ones (`superdiagonal`, one
-# diagonal per node) and d(d(g)) e_N (`_column_step`, one entry per word
-# length per node, over the reversed words of d(g); see `_d_squared`).  The
-# factorization check pushes the point through the braid (`phi.push`) and
-# evaluates M's trie there.
+# lookup and which owns the word layout: every word is stored reversed, so
+# every walk prepends a letter to its parent's word.  Each `_Trie` takes a
+# subset of those terms and is built once, before the trials, from one sort
+# of its rows.  A trial is numpy work on blocks of at most _BLOCK nodes,
+# reduced in a scratch array made once per walk.  The same walk evaluates a
+# word at dense matrices (`evaluate`), at superdiagonal ones (`superdiagonal`,
+# one diagonal per node) and d(d(g)) e_N (`_column_step`, one entry per word
+# length per node; see `_d_squared`).  The factorization check pushes the
+# point through the braid (`phi.push`) and evaluates M's trie there.
 # ---------------------------------------------------------------------------
 
 _SAMPLE_PRIME = 16777213
@@ -384,11 +384,14 @@ def _rand_point(rng, shape: tuple):
 
 class _Terms:
     """The terms of a list of polynomials, in order, as arrays with one entry
-    per term: `letters` (int32 letter ids, padded with len(ids)), `lens`,
-    `polys` (the polynomial's index), `coeffs` (balanced residues) and
-    `base_ids` (indices into `bases`, the distinct exponents of L, m, U, V).
-    `spans` holds each polynomial's longest word.  The letters' int codes are
-    looked up among the sorted codes of `ids`; one not there is a KeyError."""
+    per term: `letters`, `lens`, `polys` (the polynomial's index), `coeffs`
+    (balanced residues) and `base_ids` (indices into `bases`, the distinct
+    exponents of L, m, U, V in order of first appearance).  `letters` holds
+    every word reversed, as int32 letter ids padded with len(ids) on the
+    right: the column-reversed view of rows filled right-aligned, the one
+    word layout every `_Trie` walks.  `spans` holds each polynomial's longest
+    word.  The letters' int codes, all below 2^30, are looked up among the
+    sorted codes of `ids`; one not there is a KeyError."""
 
     def __init__(self, polys: list[NCPoly], ids: dict):
         import numpy as np
@@ -398,26 +401,24 @@ class _Terms:
         self.size = len(polys)
         self.polys = np.repeat(np.arange(self.size), [len(p.terms) for p in polys])
         self.lens = np.fromiter(map(len, words), np.int32, len(words))
-        self.letters = np.full((len(words), self.lens.max(initial=0)), len(ids), np.int32)
-        codes = np.fromiter(chain.from_iterable(words), np.int64, self.lens.sum())
+        codes = np.fromiter(chain.from_iterable(words), np.int32, self.lens.sum())
         # a code not in ids lands on another's; -1, no letter's code, is one
-        known = np.fromiter(chain(ids, [-1]), np.int64, len(ids) + 1)
+        known = np.fromiter(chain(ids, [-1]), np.int32, len(ids) + 1)
         order = np.argsort(known)
         at = order[np.searchsorted(known, codes, sorter=order).clip(max=len(ids))]
         if (missing := codes[known[at] != codes]).size:
             raise KeyError(letter(int(missing[0])))
-        self.letters[np.arange(self.letters.shape[1]) < self.lens[:, None]] = (
+        width = self.lens.max(initial=0)
+        letters = np.full((len(words), width), len(ids), np.int32)
+        letters[np.arange(width) >= width - self.lens[:, None]] = (
             np.fromiter(ids.values(), np.int32, len(ids))[at])
+        self.letters = letters[:, ::-1]
         self.coeffs = _modp(np.fromiter(map(_SAMPLE_PRIME.__rmod__, chain.from_iterable(
             p.terms.values() for p in polys)), dtype=np.float64, count=len(keys)))
-        # a base's four exponents are the balanced 16-bit digits of one int
-        exps = np.fromiter(chain.from_iterable(map(operator.itemgetter(1), keys)),
-                           np.int64, 4 * len(keys)).reshape(-1, 4)
-        if np.abs(exps).max(initial=0) >= 2 ** 15:
-            raise DgaError("scalar exponent too large to sample")
-        _, first, self.base_ids = np.unique(
-            exps @ (1 << 16 * np.arange(3, -1, -1)), return_index=True, return_inverse=True)
-        self.bases = [keys[k][1] for k in first]
+        bases: dict = {}
+        self.base_ids = np.fromiter((bases.setdefault(b, len(bases))
+                                     for _, b in keys), np.intp, len(keys))
+        self.bases = list(bases)
         self.spans = np.zeros(self.size, dtype=np.int32)
         np.maximum.at(self.spans, self.polys, self.lens)
 
@@ -430,19 +431,19 @@ def _sum_runs(out, target, values):
 
 
 class _Trie:
-    """The words of some terms of a `_Terms`, reversed or not, merged on
-    shared prefixes.  A node is (parent, letter) and stands for the word on
-    its path from the root, the empty word; letters are ids into the arrays
-    the steps read, and a depth's nodes are in the order of their words.  A
-    slot is a target, the polynomial or, `by_length`, the (polynomial, word
-    length) pair, and one of its bases, split where its sum of |coeff| would
-    reach _SLOT_CAP.  `walk` gives each node a value, computed for one depth
-    at once from the values of the parents, adds each term's coefficient
-    times its end node's value to its slot, and at the end reduces each
-    slot, multiplies it by its base's value and adds it to its target."""
+    """The words of some terms of a `_Terms`, in its reversed layout, merged
+    on shared prefixes.  A node is (parent, letter) and stands for the word
+    its path from the root, the empty word, spells backwards: its letter,
+    then its parent's word.  Letters are ids into the arrays the steps read,
+    and a depth's nodes are in the order of their paths.  A slot is a target,
+    the polynomial or, `by_length`, the (polynomial, word length) pair, and
+    one of its bases, split where its sum of |coeff| would reach _SLOT_CAP.
+    `walk` gives each node a value, computed for one depth at once from the
+    values of the parents, adds each term's coefficient times its end node's
+    value to its slot, and at the end reduces each slot, multiplies it by its
+    base's value and adds it to its target."""
 
-    def __init__(self, terms: _Terms, sel=None, reverse: bool = False,
-                 by_length: bool = False):
+    def __init__(self, terms: _Terms, sel=None, by_length: bool = False):
         import numpy as np
         self.terms = terms
         sel = np.arange(len(terms.lens)) if sel is None else sel
@@ -460,12 +461,7 @@ class _Trie:
         new = (np.diff(key, prepend=-1) != 0) | (np.diff(part, prepend=-1) != 0)
         slot = np.cumsum(new) - 1
         self.slot_poly, self.slot_base = target[new], terms.base_ids[sel[new]]
-        lens, letters = terms.lens[sel], terms.letters[sel]
-        if reverse and letters.shape[1]:
-            # letter j is at lens - 1 - j, mod the width: padding past the end
-            cols = lens[:, None] - 1 - np.arange(letters.shape[1])
-            letters = np.take_along_axis(letters, cols % letters.shape[1], 1)
-        letters = letters[:, :depths - 1]
+        lens, letters = terms.lens[sel], terms.letters[sel, :depths - 1]
         # one sort of the rows, packed into int64 keys of whole letters; at
         # depth d a node starts at each sorted row whose first d letters differ
         # from the row before's (padding sets a short word apart from its prefix)
@@ -524,10 +520,10 @@ class _Trie:
     def evaluate(self, mats, scalars):
         """The polynomials at the point that sends letter id k to mats[k]
         and the base scalars to `scalars`: an array (terms.size, dim, dim).
-        A node's value is its parent's times its letter's matrix."""
+        A node's value is its letter's matrix times its parent's."""
         import numpy as np
         return self.walk(np.eye(mats.shape[-1]), lambda values, letters, depth, scratch:
-                         _modp(values @ mats[letters], scratch), scalars)
+                         _modp(mats[letters] @ values, scratch), scalars)
 
     def superdiagonal(self, t, scalars):
         """The polynomials at the point that sends letter id k to the n x n
@@ -536,15 +532,15 @@ class _Trie:
         (terms.size, depths, n) whose [:, l, j] is entry (j, j + l), 0 from
         j = n - l on.  The trie must be keyed `by_length`; a word longer than
         n - 1, which would map to 0, raises DgaError.  A node of depth l holds
-        its word's l-th superdiagonal: its parent's times its letter's t
-        shifted by l - 1."""
+        its word's l-th superdiagonal: entry j is its letter's t[x, j] times
+        its parent's entry j + 1, and 0 at j = n - 1."""
         import numpy as np
         n, depths = t.shape[1] + 1, len(self.levels)
         if depths > n:
             raise DgaError(f"a word of length {depths - 1} vanishes at dimension {n}")
-        wide = np.pad(t, ((0, 0), (0, n)))
+        wide = np.pad(t, ((0, 0), (0, 1)))
         return self.walk(np.ones(n), lambda values, letters, depth, scratch: _modp(
-            values * wide[letters, depth - 1:depth - 1 + n], scratch),
+            wide[letters] * np.roll(values, -1, axis=1), scratch),
             scalars).reshape(-1, depths, n)
 
 
@@ -582,8 +578,8 @@ def _d_squared(dga: DgaPresentation):
     `_column_step` from the empty word's state (s = 0, u = 1) over the
     reversed words of d(g).  One `_Terms` holds every differential; `rows` is
     the trie, keyed `by_length` as a state's rows depend on its length, of
-    its reversed terms with a hot letter, one whose differential D(x) is
-    nonzero, and a second trie over the terms of those letters gives D(x).
+    its terms with a hot letter, one whose differential D(x) is nonzero, and
+    a second trie over the terms of those letters gives D(x).
     Returns the word degree of d(d(g)), blind to cancellation, and a function
     of (t, scalars) that gives every d(d(g)) e_n at the superdiagonal point
     t, an array (len(generators), n - 1), as an array (len(generators), n)."""
@@ -594,7 +590,7 @@ def _d_squared(dga: DgaPresentation):
     span = np.where(np.bincount(terms.polys, minlength=len(gens) + 1) > 0,
                     np.append(terms.spans, 0), -1).astype(np.int32)
     longest = span[terms.letters].max(axis=1, initial=-1)
-    rows = _Trie(terms, np.flatnonzero(longest >= 0), reverse=True, by_length=True)
+    rows = _Trie(terms, np.flatnonzero(longest >= 0), by_length=True)
     # a word of d(g) with one hot letter replaced by a word of its differential
     degree = int((terms.lens - 1 + longest)[longest >= 0].max(initial=0))
     used = np.unique(terms.letters[longest >= 0])  # a cold letter has no terms

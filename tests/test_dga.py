@@ -210,8 +210,9 @@ def test_terms_look_letters_up_by_code():
     p = (NCPoly.generator("a", 3, 1) * NCPoly.generator("a", 1, 3)
          + NCPoly.generator("a", 2, 3).scale_base(lam=1))
     terms = dga_module._Terms([p], ids)
+    # every word reversed, padded on the right
     assert terms.letters.tolist() == [
-        [ids[g] for g in word] + [len(ids)] * (2 - len(word))
+        [ids[g] for g in reversed(word)] + [len(ids)] * (2 - len(word))
         for word, _ in p.terms]
     # before the first code, between two and past the last
     for stray in (gen("a", 1, 2), gen("a", 1, 4), gen("b", 1, 2)):
@@ -220,39 +221,73 @@ def test_terms_look_letters_up_by_code():
             dga_module._Terms([bad], ids)
     with pytest.raises(KeyError):
         dga_module._Terms([p], {})
+    # the top of the code range, the last indices of the first and the last
+    # family, is looked up in int32; c_8191_8191 lies between them
+    top, low = gen("f", 8191, 8191), gen("a", 8191, 1)
+    assert int(low) < int(gen("c", 8191, 8191)) < int(top) < 2 ** 30
+    q = NCPoly({((top, low, top), (0, 0, 0, 0)): 1, ((low,), (1, 0, 0, 0)): 2})
+    ids = {top: 0, low: 1}
+    assert dga_module._Terms([q], ids).letters.tolist() == [[0, 1, 0], [1, 2, 2]]
+    with pytest.raises(KeyError):
+        dga_module._Terms([q * NCPoly.generator("c", 8191, 8191)], ids)
 
 
-def test_terms_number_bases_by_packed_exponents():
-    # the four exponents are balanced 16-bit digits of one key: the extremes
-    # +-(2^15 - 1) of each stay apart, and 2^15 is refused
-    a = NCPoly.generator("a", 1, 2)
-    h = 2 ** 15 - 1
-    bases = [(h, -h, 0, 0), (-h, h, 0, 0), (0, 0, h, 0), (0, 0, 0, h), (1, 0, 0, 0),
-             (0, 0, 0, 0), (-1, 0, 0, 0), (0, -1, 1, 0)]
+def test_terms_number_bases_in_first_appearance_order():
+    # one dict pass with no bound on the exponents: +-2^15 and +-2^20 stay
+    # apart and evaluate through `base_value`
+    a12, a = gen("a", 1, 2), NCPoly.generator("a", 1, 2)
+    bases = [(0, -1, 1, 0), (2 ** 15, -2 ** 15, 0, 0), (-2 ** 15, 2 ** 15, 0, 0),
+             (0, 0, 2 ** 20, 0), (0, 0, 0, -2 ** 20), (1, 0, 0, 0), (0, 0, 0, 0),
+             (-1, 0, 0, 0), (2 ** 20, 0, 0, 2 ** 15)]
     polys = [a.scale_base(lam=b[0], mu=b[1], u=b[2], v=b[3]) + NCPoly.scalar(k + 1,
              lam=b[0], mu=b[1], u=b[2], v=b[3]) for k, b in enumerate(bases)]
-    terms = dga_module._Terms(polys, {gen("a", 1, 2): 0})
-    assert sorted(terms.bases) == terms.bases == sorted(bases)
+    terms = dga_module._Terms(polys, {a12: 0})
+    assert terms.bases == bases
     assert [terms.bases[k] for k in terms.base_ids] == [
         b for p in polys for _, b in p.terms]
-    for big in (2 ** 15, -2 ** 15):
-        with pytest.raises(DgaError, match="too large"):
-            dga_module._Terms([a.scale_base(v=big)], {gen("a", 1, 2): 0})
+    rng = random.Random(4)
+    point, mats = _random_point(rng, [a12], 2)
+    scalars = tuple(rng.randrange(1, P) for _ in range(4))
+    assert _as_ints(dga_module._Trie(terms).evaluate(point, scalars)) == [
+        ref_eval(p, mats, scalars, 2).tolist() for p in polys]
+
+
+def _swap_a_word(phi_l, phi_r):
+    """One two-letter word of PhiL with its letters swapped: the same
+    abelianization, another word order."""
+    for row in phi_l.rows:
+        for j, e in enumerate(row):
+            for (word, base), coeff in e.terms.items():
+                if len(word) == 2 and word[0] != word[1]:
+                    row[j] = e + NCPoly({(word[::-1], base): coeff}) - NCPoly(
+                        {(word, base): coeff})
+                    return
+    raise AssertionError("no two-letter word in PhiL")
+
+
+def _add_to_phi_l(phi_l, phi_r):
+    phi_l.rows[0][1] = phi_l.rows[0][1] + NCPoly.generator("a", 2, 1)
+
+
+def _add_to_phi_r(phi_l, phi_r):
+    phi_r.rows[1][0] = phi_r.rows[1][0] + NCPoly.generator(
+        "a", 1, 2) * NCPoly.generator("a", 2, 1)
 
 
 def test_sampled_phi_factorization_detects_corruption(monkeypatch):
     real = dga_module.phi_matrices
+    for corrupt in (_add_to_phi_l, _add_to_phi_r, _swap_a_word):
+        def corrupted(b, corrupt=corrupt):
+            phi_l, phi_r = real(b)
+            corrupt(phi_l, phi_r)
+            return phi_l, phi_r
 
-    def corrupted(b):
-        phi_l, phi_r = real(b)
-        phi_l.rows[0][1] = phi_l.rows[0][1] + NCPoly.generator("a", 2, 1)
-        return phi_l, phi_r
-
-    monkeypatch.setattr(dga_module, "phi_matrices", corrupted)
-    for b in (TREFOIL, FIG8):
-        want = verify_phi_factorization(b)
-        assert want
-        assert verify_phi_factorization_sampled(b, seed=3) == want
+        monkeypatch.setattr(dga_module, "phi_matrices", corrupted)
+        for b in (TREFOIL, FIG8, parse_braid("-2 -2 1 2 3 -2 -2")):
+            want = verify_phi_factorization(b)
+            assert want, (b, corrupt.__name__)
+            assert verify_phi_factorization_sampled(b, seed=3) == want, \
+                (b, corrupt.__name__)
 
 
 def test_sampled_phi_factorization_on_empty_words():
@@ -398,27 +433,32 @@ def _prefix_levels(words, depths):
     # past the 21 letters of 3 bits that fill one int64 sort key
     st.lists(st.integers(0, 1), min_size=19, max_size=26)).map(tuple),
     st.integers(0, 2), st.integers(-1, 1)), max_size=40),
-       reverse=st.booleans(), by_length=st.booleans())
-@example(terms=[], reverse=False, by_length=True)
-@example(terms=[((), 0, 0), ((), 1, 0), ((), 0, 1)], reverse=True, by_length=False)
+       by_length=st.booleans(), sel=st.one_of(st.none(), st.sets(st.integers(0, 39))))
+@example(terms=[], by_length=True, sel=None)
+@example(terms=[((), 0, 0), ((), 1, 0), ((), 0, 1)], by_length=False, sel={1})
 @example(terms=[((3,), 0, 0), ((3,), 0, 1), ((3,), 1, 0), ((0,), 2, 0), ((4,), 0, 0)],
-         reverse=False, by_length=True)
+         by_length=True, sel=None)
 @example(terms=[((1, 2), 0, 0), ((1,), 0, 0), ((1, 2, 2), 0, 1), ((2, 1), 1, 0),
-                ((), 1, 1), ((1, 2), 2, -1)], reverse=True, by_length=True)
+                ((), 1, 1), ((1, 2), 2, -1)], by_length=True, sel={0, 2, 3, 5})
+@example(terms=[((0, 1), 0, 0), ((2,), 1, 0)], by_length=True, sel=set())
 @example(terms=[((0,) * 21 + (1,), 0, 0), ((1,) * 21 + (0,), 0, 0), ((0,) * 22, 1, 0),
-                ((0,) * 21, 0, 0), ((0,) * 20, 2, 1)], reverse=False, by_length=False)
-def test_one_sort_trie_levels_match_prefix_dicts(terms, reverse, by_length):
+                ((0,) * 21, 0, 0), ((0,) * 20, 2, 1)], by_length=False, sel=None)
+def test_one_sort_trie_levels_match_prefix_dicts(terms, by_length, sel):
     # polynomial k holds the words of the terms (word, k, L exponent); a word
-    # repeated with another base or in another polynomial is another term
+    # repeated with another base or in another polynomial is another term.
+    # The trie takes the terms numbered in `sel` or, with None, all of them,
+    # as the two tries of the d^2 check take subsets
     polys = [NCPoly({(tuple(int(LETTERS[a]) for a in w), (e, 0, 0, 0)): 1 + len(w) % 3
                      for w, k, e in terms if k == poly}) for poly in range(3)]
     ids = {g: k for k, g in enumerate(LETTERS)}
-    trie = dga_module._Trie(dga_module._Terms(polys, ids), reverse=reverse,
-                            by_length=by_length)
-    # each term as (word of letter ids as the trie reads it, target, base,
-    # coefficient)
-    expected = [(tuple(ids[g] for g in (w[::-1] if reverse else w)), k, b, c)
+    # each term as (its reversed word of letter ids, as the trie reads it,
+    # target, base, coefficient)
+    expected = [(tuple(ids[g] for g in w[::-1]), k, b, c)
                 for k, p in enumerate(polys) for (w, b), c in p.terms.items()]
+    if sel is not None:
+        sel = np.array(sorted(k for k in sel if k < len(expected)), dtype=np.intp)
+        expected = [expected[k] for k in sel]
+    trie = dga_module._Trie(dga_module._Terms(polys, ids), sel, by_length=by_length)
     words = [w for w, _, _, _ in expected]
     depths = max(map(len, words), default=0) + 1
     if by_length:
