@@ -304,7 +304,7 @@ def verify_phi_factorization(b: BraidWord) -> list[str]:
 # matrices over F_p (p = _SAMPLE_PRIME) and the four base scalars at random
 # units.
 #
-# Dimension.  The d^2 check sends each letter x to the generic superdiagonal
+# Dimension.  Both checks send each letter x to the generic superdiagonal
 # N x N matrix X = sum_j t[x, j] E[j, j+1] with N = degree + 1
 # (`_superdiagonal_dim`; Raz and Shpilka 2005).  A word w of length l then
 # maps to its l-th superdiagonal, whose (j, j + l) entry is the product of
@@ -312,10 +312,8 @@ def verify_phi_factorization(b: BraidWord) -> list[str]:
 # words of one length give distinct monomials.  For l below N, the entry
 # (N - 1 - l, N - 1) alone is then nonzero whenever the length-l part of a
 # polynomial is, so the last column holds one such entry for every length,
-# and the check evaluates d(d(g)) on e_N only.  The factorization check keeps
-# dense dim x dim points: by Amitsur-Levitzki the polynomial identities of
-# dim x dim matrices start in degree 2 dim, so `_sample_dim` takes
-# dim = degree // 2 + 1.
+# and each check evaluates its identities on e_N only: d(d(g)) e_N, and
+# phi_B(M) e_N against PhiL . M . PhiR e_N.
 #
 # Error bound.  Such an entry is a nonzero commutative polynomial in the
 # matrix entries and the scalars, so by Schwartz-Zippel a failure escapes one
@@ -326,12 +324,14 @@ def verify_phi_factorization(b: BraidWord) -> list[str]:
 #
 # Exactness.  Arithmetic runs in float64 so that products hit BLAS, and it is
 # exact: every residue is balanced, |r| < p / 2 + 2 (`_modp`), and no sum
-# reaches 2^52 before it is reduced.  The largest is a dense product, a sum
-# of dim products, below 2^52 at _MAX_DIM = 31; the d^2 step (`_column_step`)
-# sums two products per entry at any N.  A walk adds each term's coefficient
-# times its end node's value to a slot, one per (polynomial, base), split
-# where its sum of |coeff| would reach 2^53 / p, and reduces each slot once,
-# at the end.
+# reaches 2^52 before it is reduced.  The d^2 step (`_column_step`) sums two
+# products per entry at any N.  A dense product of the factorization check
+# sums at most N - 1 <= 61 products, (N - 1)(p / 2 + 2)^2 < 4.3e15: phi_B of
+# the point is strictly upper triangular (no sigma image has a constant
+# term), M has two diagonals and PhiL at most N - 1.  A walk adds each term's
+# coefficient times its end node's value to a slot, one per (polynomial,
+# base), split where its sum of |coeff| would reach 2^53 / p, and reduces
+# each slot once, at the end.
 #
 # Compilation.  A check reads its polynomials once, into the flat arrays of
 # one `_Terms`, whose letter ids come from the words' int codes by one sorted
@@ -340,15 +340,16 @@ def verify_phi_factorization(b: BraidWord) -> list[str]:
 # subset of those terms and is built once, before the trials, from one sort
 # of its rows.  A trial is numpy work on blocks of at most _BLOCK nodes,
 # reduced in a scratch array made once per walk.  The same walk evaluates a
-# word at dense matrices (`evaluate`), at superdiagonal ones (`superdiagonal`,
-# one diagonal per node) and d(d(g)) e_N (`_column_step`, one entry per word
-# length per node; see `_d_squared`).  The factorization check pushes the
-# point through the braid (`phi.push`) and evaluates M's trie there.
+# word at superdiagonal matrices (`superdiagonal`, one diagonal per node), at
+# dense ones on a root column (`evaluate`), and d(d(g)) e_N (`_column_step`,
+# one entry per word length per node; see `_d_squared`).  The factorization
+# check pushes the point through the braid (`phi.push`), walks M's trie there
+# from e_N, and multiplies the superdiagonal values of PhiL, M and PhiR e_N
+# as n x n block matrices and block columns (see `_phi_factorization`).
 # ---------------------------------------------------------------------------
 
 _SAMPLE_PRIME = 16777213
 _TRIALS = 2  # independent points per check (see Error bound)
-_MAX_DIM = 31
 _MAX_SUPERDIAGONAL = 62
 _BLOCK = 1024
 # a slot's sum of |coeff| stays below 2^53 / p (see Exactness)
@@ -517,12 +518,12 @@ class _Trie:
                   _modp(_modp(acc) * units[self.slot_base][lift]))
         return _modp(out)
 
-    def evaluate(self, mats, scalars):
+    def evaluate(self, mats, scalars, root):
         """The polynomials at the point that sends letter id k to mats[k]
-        and the base scalars to `scalars`: an array (terms.size, dim, dim).
-        A node's value is its letter's matrix times its parent's."""
-        import numpy as np
-        return self.walk(np.eye(mats.shape[-1]), lambda values, letters, depth, scratch:
+        and the base scalars to `scalars`, times `root`, a dim x c matrix:
+        an array (terms.size, dim, c).  A node's value is its letter's
+        matrix times its parent's."""
+        return self.walk(root, lambda values, letters, depth, scratch:
                          _modp(mats[letters] @ values, scratch), scalars)
 
     def superdiagonal(self, t, scalars):
@@ -624,13 +625,6 @@ def _phi_degree_bound(b: BraidWord) -> int:
     return max(degs.values(), default=0)
 
 
-def _sample_dim(span: int) -> int:
-    dim = max(2, span // 2 + 1)
-    if dim > _MAX_DIM:
-        raise DgaError(f"identity degree {span} too large for sampling")
-    return dim
-
-
 def _superdiagonal_dim(degree: int) -> int:
     if degree >= _MAX_SUPERDIAGONAL:
         raise DgaError(f"identity degree {degree} too large for sampling")
@@ -652,41 +646,75 @@ def verify_d_squared_sampled(dga: DgaPresentation,
     return [g for g, fails in zip(dga.generators, bad) if fails]
 
 
-def _block_product(x, y):
-    """The product of two block matrices of residues, each an array
-    (n, n, dim, dim) of n x n blocks."""
-    return _modp(sum(_modp(x[:, k, None] @ y[None, k]) for k in range(len(x))))
-
-
-def verify_phi_factorization_sampled(b: BraidWord, seed: int = 0) -> list[str]:
-    """The factorization identities of verify_phi_factorization, checked
-    by evaluation at random matrices instead of symbolic expansion."""
+def _upper(diags):
+    """The n x n upper triangular matrices whose diagonals, an array
+    (size, depths, n) as `_Trie.superdiagonal` gives, are `diags`."""
     import numpy as np
-    n = b.strands
-    m = degree0_matrices(b)
+    size, depths, n = diags.shape
+    length, row = np.nonzero(np.arange(n) < n - np.arange(depths)[:, None])
+    out = np.zeros((size, n, n))
+    out[:, row, row + length] = diags[:, length, row]
+    return out
+
+
+def _block_matvec(x, v):
+    """The products of block matrices x, arrays (..., n, n, N, N) of n x n
+    blocks, and block columns v, arrays (..., n, n, N): entry [i, j] is the
+    sum over k of x[i, k] v[k, j], each block product reduced before the
+    sum."""
+    return _modp(sum(_modp(x[..., :, k, None, :, :] @ v[..., None, k, :, :, None])
+                     for k in range(x.shape[-3])))[..., 0]
+
+
+_FACTORED = ("A_lower", "A_upper", "Ahat", "Acheck")
+
+
+def _phi_factorization(b: BraidWord):
+    """phi_B(M) e_N - PhiL . M . PhiR e_N for M in _FACTORED, compiled once,
+    after the degree bound, so that a braid too large for sampling is
+    refused before its symbolic Phi is built.  PhiL, PhiR and the four M are
+    read by tries keyed `by_length` at the point, and M once more at phi_B
+    of it, from the root e_N.  Returns N and a function of (t, scalars) that
+    gives, at the superdiagonal point t, an array (len(avars), N - 1), the
+    difference as an array (4, n, n, N): per M, each entry's last column."""
+    import numpy as np
+    bound = _phi_degree_bound(b)
+    _superdiagonal_dim(bound)  # raises for a bound too large
+    n, m = b.strands, degree0_matrices(b)
     phi_l, phi_r = phi_matrices(b)
     avars = a_variables(n)
     ids = {a: k for k, a in enumerate(avars)}
-    names = ("A_lower", "A_upper", "Ahat", "Acheck")
-    trie = lambda *ms: _Trie(_Terms([e for M in ms for _, _, e in M.entries()], ids))
-    outer = trie(phi_l, phi_r)
-    inner = trie(*(getattr(m, name) for name in names))
+    terms = lambda *ms: _Terms([e for M in ms for _, _, e in M.entries()], ids)
+    outer = _Trie(terms(phi_l, phi_r), by_length=True)
+    m_terms = terms(*(getattr(m, name) for name in _FACTORED))
+    mids, inner = _Trie(m_terms, by_length=True), _Trie(m_terms)
     spans = outer.terms.spans.reshape(2, -1).max(axis=1)
-    dim = _sample_dim(max(int(spans.sum()) + 1, _phi_degree_bound(b)))
-    blocks = lambda arr: arr.reshape(-1, n, n, dim, dim)
-    rng = random.Random(seed)
-    failures = []
-    for _ in range(_TRIALS):
-        point = _rand_point(rng, (len(avars), dim, dim))
-        scalars = tuple(rng.randrange(1, _SAMPLE_PRIME) for _ in range(4))
-        left, right = blocks(outer.evaluate(point, scalars))
-        mids = blocks(inner.evaluate(point, scalars))
+    dim = _superdiagonal_dim(max(int(spans.sum()) + 1, bound))
+
+    def apply(t, scalars):
+        left, right = _upper(outer.superdiagonal(t, scalars)).reshape(2, n, n, dim, dim)
+        mid = _upper(mids.superdiagonal(t, scalars)).reshape(-1, n, n, dim, dim)
+        rhs = _block_matvec(left, _block_matvec(mid, right[..., -1]))
+        point, j = np.zeros((len(avars), dim, dim)), np.arange(dim - 1)
+        point[:, j, j + 1] = t
         pushed = push(b, dict(zip(avars, point)), _sigma_value)
-        phi_pt = np.reshape([pushed[a] for a in avars], point.shape)
-        lhs = blocks(inner.evaluate(phi_pt, scalars))
-        for name, mid, want in zip(names, mids, lhs):
-            rhs = _block_product(_block_product(left, mid), right)
-            # two balanced residues of one class can differ by p
-            if _modp(rhs - want).any() and name not in failures:
-                failures.append(name)
-    return failures
+        lhs = inner.evaluate(np.reshape([pushed[a] for a in avars], point.shape),
+                             scalars, np.eye(dim)[:, -1:])
+        # two balanced residues of one class can differ by p
+        return _modp(rhs - lhs.reshape(rhs.shape))
+    return dim, apply
+
+
+def verify_phi_factorization_sampled(b: BraidWord, seed: int = 0) -> list[str]:
+    """The factorization identities of verify_phi_factorization, checked by
+    evaluation at random superdiagonal matrices, on their last column,
+    instead of symbolic expansion; returns the names of failing identities,
+    in order."""
+    dim, apply = _phi_factorization(b)
+    rng = random.Random(seed)
+    bad = False  # then, per M, whether a trial has found it
+    for _ in range(_TRIALS):
+        point = _rand_point(rng, (len(a_variables(b.strands)), dim - 1))
+        scalars = tuple(rng.randrange(1, _SAMPLE_PRIME) for _ in range(4))
+        bad |= apply(point, scalars).reshape(len(_FACTORED), -1).any(axis=1)
+    return [name for name, fails in zip(_FACTORED, bad) if fails]

@@ -248,7 +248,7 @@ def test_terms_number_bases_in_first_appearance_order():
     rng = random.Random(4)
     point, mats = _random_point(rng, [a12], 2)
     scalars = tuple(rng.randrange(1, P) for _ in range(4))
-    assert _as_ints(dga_module._Trie(terms).evaluate(point, scalars)) == [
+    assert _as_ints(dga_module._Trie(terms).evaluate(point, scalars, np.eye(2))) == [
         ref_eval(p, mats, scalars, 2).tolist() for p in polys]
 
 
@@ -274,20 +274,58 @@ def _add_to_phi_r(phi_l, phi_r):
         "a", 1, 2) * NCPoly.generator("a", 2, 1)
 
 
+def _add_constant_to_phi_l(phi_l, phi_r):
+    # a difference of length 0, at row N - 1 of the column
+    phi_l.rows[0][1] = phi_l.rows[0][1] + NCPoly.scalar(1)
+
+
+def _add_long_word_to_phi_l(phi_l, phi_r):
+    # on 1 x 30, whose PhiL and PhiR have span 30, a difference of length
+    # 61 = N - 1, at row 0 of the column
+    a12, a21 = gen("a", 1, 2), gen("a", 2, 1)
+    phi_l.rows[0][0] = phi_l.rows[0][0] + NCPoly({((a12,) * 15 + (a21,) * 15,
+                                                   (0, 0, 0, 0)): 1})
+
+
+ONES_30 = BraidWord(2, (1,) * 30)
+
+
 def test_sampled_phi_factorization_detects_corruption(monkeypatch):
     real = dga_module.phi_matrices
-    for corrupt in (_add_to_phi_l, _add_to_phi_r, _swap_a_word):
+    small = (TREFOIL, FIG8, parse_braid("-2 -2 1 2 3 -2 -2"))
+    for corrupt, braids in ((_add_to_phi_l, small), (_add_to_phi_r, small),
+                            (_swap_a_word, small), (_add_constant_to_phi_l, small),
+                            (_add_long_word_to_phi_l, (ONES_30,))):
         def corrupted(b, corrupt=corrupt):
             phi_l, phi_r = real(b)
             corrupt(phi_l, phi_r)
             return phi_l, phi_r
 
         monkeypatch.setattr(dga_module, "phi_matrices", corrupted)
-        for b in (TREFOIL, FIG8, parse_braid("-2 -2 1 2 3 -2 -2")):
+        for b in braids:
             want = verify_phi_factorization(b)
             assert want, (b, corrupt.__name__)
             assert verify_phi_factorization_sampled(b, seed=3) == want, \
                 (b, corrupt.__name__)
+    monkeypatch.setattr(dga_module, "phi_matrices", real)
+    # 1 x 30 has degree 61, N = 62, the largest admitted; 1 x 31 has 63
+    assert dga_module._phi_factorization(ONES_30)[0] == dga_module._MAX_SUPERDIAGONAL
+    assert verify_phi_factorization_sampled(ONES_30) == []
+    with pytest.raises(DgaError, match="identity degree 63 too large for sampling"):
+        verify_phi_factorization_sampled(BraidWord(2, (1,) * 31))
+
+
+def test_sampled_phi_factorization_refuses_before_building_phi(monkeypatch):
+    # phi_B's degree bound is 144 here, found without PhiL and PhiR, whose
+    # symbolic build would not end in minutes
+    def spy(b):
+        raise AssertionError("phi_matrices called")
+
+    monkeypatch.setattr(dga_module, "phi_matrices", spy)
+    b = parse_braid("1 -2 1 -2 1 -2 1 -2 1 -2")
+    assert dga_module._phi_degree_bound(b) == 144
+    with pytest.raises(DgaError, match="identity degree 144 too large for sampling"):
+        verify_phi_factorization_sampled(b)
 
 
 def test_sampled_phi_factorization_on_empty_words():
@@ -401,9 +439,9 @@ def test_trie_evaluation_matches_term_by_term_reference(polys, dim, seed):
     # every slot sum stays exact in float64: sum |c| * (P - 1) < 2^53
     assert (_slot_sums(trie) * P < 2 ** 53).all()
     want = [ref_eval(p, mats, scalars, dim).tolist() for p in polys]
-    assert _as_ints(trie.evaluate(point, scalars)) == want
+    assert _as_ints(trie.evaluate(point, scalars, np.eye(dim))) == want
     with mock.patch.object(dga_module, "_BLOCK", 3):
-        assert _as_ints(trie.evaluate(point, scalars)) == want
+        assert _as_ints(trie.evaluate(point, scalars, np.eye(dim))) == want
     # and at a superdiagonal point of dimension at least the longest word + 1
     n = int(terms.lens.max(initial=0)) + dim
     t, mats = _superdiagonal_point(rng, LETTERS, n)
@@ -618,26 +656,41 @@ def test_sampling_degree_bounds_every_d_squared_word():
     assert dga_module._superdiagonal_dim(61) == 62
     with pytest.raises(DgaError, match="too large for sampling"):
         dga_module._superdiagonal_dim(62)
-    with pytest.raises(DgaError, match="too large for sampling"):
-        dga_module._sample_dim(2 * dga_module._MAX_DIM)
 
 
 def test_trie_steps_are_exact_at_max_dim():
-    # the balanced extremes +-h, h = (p - 1) / 2, at the largest dimension: a
-    # dense product sums dim terms of +-h^2
-    dim, h = dga_module._MAX_DIM, (P - 1) // 2
-    mats = np.stack([np.full((dim, dim), h), np.full((dim, dim), -h)]).astype(float)
+    # the balanced extremes +-h, h = (p - 1) / 2, at the largest dimension,
+    # n = _MAX_SUPERDIAGONAL.  Every dense product of the factorization check
+    # sums at most n - 1 products of two residues (see Exactness); full
+    # matrices of +-h make each of these sum n terms of +-h^2
+    n, h = dga_module._MAX_SUPERDIAGONAL, (P - 1) // 2
+    assert (n - 1) * (P / 2 + 2) ** 2 < 2 ** 52
     x, y = LETTERS[:2]
+    mats = np.stack([np.full((n, n), h), np.full((n, n), -h)]).astype(float)
+    # a sigma image's word of length 2 beside one of length 1
+    image = NCPoly.generator("a", 1, 2) - NCPoly.generator(
+        "a", 1, 2) * NCPoly.generator("a", 2, 1)
+    assert _as_ints(dga_module._sigma_value(image, dict(zip((x, y), mats)))) == \
+        [[(h + n * h * h) % P] * n] * n
+    # the lhs walk from e_N: x y e_N is x times a column of -h
     trie = dga_module._Trie(dga_module._Terms(
         [NCPoly({((x, y), (0, 0, 0, 0)): 1})], {x: 0, y: 1}))
-    assert _as_ints(trie.evaluate(mats, (1, 1, 1, 1))) == \
-        [[[-dim * h * h % P] * dim] * dim]
+    assert _as_ints(trie.evaluate(mats, (1, 1, 1, 1), np.eye(n)[:, -1:])) == \
+        [[[-n * h * h % P]] * n]
+    # a 3 x 3 block product with the column blocks of two block vectors,
+    # each entry the sum of three reduced products of n - 1 odd terms; not
+    # reduced first, that odd sum would pass 2^53 and round
+    blocks = np.full((3, 3, n, n), h - 1, dtype=float)
+    column = np.full((2, 3, 3, n), 1 - h, dtype=float)
+    column[..., 0] = 0
+    assert 3 * (n - 1) * (h - 1) ** 2 > 2 ** 53
+    assert _as_ints(dga_module._block_matvec(blocks, column)) == \
+        [[[[-3 * (n - 1) * (h - 1) ** 2 % P] * n] * 3] * 3] * 2
     # the column step sums two products per entry, (-1)^|x| t s_e and D(x) u,
-    # so 2 (p / 2 + 2)^2 < 2^52 bounds it at any dimension.  At the largest,
-    # n = _MAX_SUPERDIAGONAL, node 0 holds +h everywhere under the even letter
-    # 0 (t = h), node 1 holds -h under the odd letter 1 (t = -h), every D(x)
-    # entry is h, and a state of width n reaches rows past both ends
-    n = dga_module._MAX_SUPERDIAGONAL
+    # so 2 (p / 2 + 2)^2 < 2^52 bounds it at any dimension.  At n, node 0
+    # holds +h everywhere under the even letter 0 (t = h), node 1 holds -h
+    # under the odd letter 1 (t = -h), every D(x) entry is h, and a state of
+    # width n reaches rows past both ends
     assert 2 * (P / 2 + 2) ** 2 < 2 ** 52
     t = np.stack([np.full(n - 1, h), np.full(n - 1, -h)]).astype(float)
     step, rows = dga_module._column_step(
@@ -700,6 +753,38 @@ def test_sampled_draws_are_pinned(monkeypatch, seed):
     monkeypatch.setattr(dga_module, "_d_squared", spy)
     assert verify_d_squared_sampled(build_dga(TREFOIL), seed) == []
     assert seen == trials
+
+
+# per trial, the scalars and the first row of the point t (N = 8) of the
+# trefoil's sampled factorization check, mod P, for seeds 0 and 1
+PINNED_PHI_DRAWS = {
+    0: [((5088744, 16236990, 7995971, 6007072),
+         [2885581, 10448830, 609452, 15140482, 11179093, 6106932, 4742714]),
+        ((15263010, 8934936, 16488405, 11830828),
+         [5801599, 4448120, 8001043, 15457497, 3352694, 10973466, 2524787])],
+    1: [((13232583, 3522458, 1574703, 8184877),
+         [6664693, 12015690, 15821535, 6372912, 8829892, 2606289, 4994108]),
+        ((3837994, 9917909, 15859011, 1715088),
+         [4310952, 11562214, 16036786, 13271693, 13226630, 8457846, 2410885])],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_PHI_DRAWS))
+def test_sampled_phi_factorization_draws_are_pinned(monkeypatch, seed):
+    real, seen = dga_module._phi_factorization, []
+
+    def spy(b):
+        dim, apply = real(b)
+
+        def recorded(point, scalars):
+            assert point.shape == (2, dim - 1)
+            seen.append((scalars, _as_ints(point)[0]))
+            return apply(point, scalars)
+        return dim, recorded
+
+    monkeypatch.setattr(dga_module, "_phi_factorization", spy)
+    assert verify_phi_factorization_sampled(TREFOIL, seed) == []
+    assert seen == PINNED_PHI_DRAWS[seed]
 
 
 def test_substituting_lone_generators_shares_the_images():
@@ -806,4 +891,4 @@ def test_push_matches_references(b, dim, seed):
     trie = dga_module._Trie(dga_module._Terms(
         [images[a] for a in avars], {a: k for k, a in enumerate(avars)}))
     assert _as_ints(np.array([pushed[a] for a in avars])) == \
-        _as_ints(trie.evaluate(point, scalars))
+        _as_ints(trie.evaluate(point, scalars, np.eye(dim)))
