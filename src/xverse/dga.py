@@ -328,32 +328,34 @@ def verify_phi_factorization(b: BraidWord) -> list[str]:
 # products per entry at any N.  A dense product of the factorization check
 # sums at most N - 1 <= 61 products, (N - 1)(p / 2 + 2)^2 < 4.3e15: phi_B of
 # the point is strictly upper triangular (no sigma image has a constant
-# term), M has two diagonals and PhiL at most N - 1.  A walk adds each term's
-# coefficient times its end node's value to a slot, one per (polynomial,
-# base), split where its sum of |coeff| would reach 2^53 / p, and reduces
-# each slot once, at the end.
+# term), M has two diagonals and PhiL at most N - 1.  A walk reduces each
+# term's weight, its coefficient times its base's value, and each weight
+# times its end node's value before it adds that product to its target, so
+# the sum of a target of fewer than 2^29 terms stays below 2^53, as `_modp`
+# needs.
 #
 # Compilation.  A check reads its polynomials once, into the flat arrays of
 # one `_Terms`, whose letter ids come from the words' int codes by one sorted
 # lookup and which owns the word layout: every word is stored reversed, so
 # every walk prepends a letter to its parent's word.  Each `_Trie` takes a
 # subset of those terms and is built once, before the trials, from one sort
-# of its rows.  A trial is numpy work on blocks of at most _BLOCK nodes,
-# reduced in a scratch array made once per walk.  The same walk evaluates a
-# word at superdiagonal matrices (`superdiagonal`, one diagonal per node), at
-# dense ones on a root column (`evaluate`), and d(d(g)) e_N (`_column_step`,
+# of its rows, and sums its terms per (polynomial, word length) target.  A
+# trial is numpy work on blocks of at most _BLOCK nodes, reduced in a scratch
+# array made once per walk, and every walk starts from a root vector.  The
+# same walk evaluates a word at superdiagonal matrices (`superdiagonal`, one
+# diagonal per node), at dense ones on e_N, and d(d(g)) e_N (`_column_step`,
 # one entry per word length per node; see `_d_squared`).  The factorization
-# check pushes the point through the braid (`phi.push`), walks M's trie there
-# from e_N, and multiplies the superdiagonal values of PhiL, M and PhiR e_N
-# as n x n block matrices and block columns (see `_phi_factorization`).
+# check has one trie over the four M: it pushes the point through the braid
+# (`phi.push`), walks M's trie there from e_N, and multiplies the
+# superdiagonal values of PhiL, M and PhiR e_N as n x n block matrices and
+# block columns (see `_phi_factorization`).  Both checks share one trial
+# loop (`_sampled`).
 # ---------------------------------------------------------------------------
 
 _SAMPLE_PRIME = 16777213
 _TRIALS = 2  # independent points per check (see Error bound)
 _MAX_SUPERDIAGONAL = 62
 _BLOCK = 1024
-# a slot's sum of |coeff| stays below 2^53 / p (see Exactness)
-_SLOT_CAP = 2 ** 53 // _SAMPLE_PRIME - _SAMPLE_PRIME // 2
 
 
 def _modp(arr, scratch=None):
@@ -392,7 +394,8 @@ class _Terms:
     right: the column-reversed view of rows filled right-aligned, the one
     word layout every `_Trie` walks.  `spans` holds each polynomial's longest
     word.  The letters' int codes, all below 2^30, are looked up among the
-    sorted codes of `ids`; one not there is a KeyError."""
+    sorted codes of `ids`; one not there raises DgaError, as in
+    `differential`."""
 
     def __init__(self, polys: list[NCPoly], ids: dict):
         import numpy as np
@@ -408,7 +411,7 @@ class _Terms:
         order = np.argsort(known)
         at = order[np.searchsorted(known, codes, sorter=order).clip(max=len(ids))]
         if (missing := codes[known[at] != codes]).size:
-            raise KeyError(letter(int(missing[0])))
+            raise DgaError(f"unknown generator {letter(int(missing[0]))}")
         width = self.lens.max(initial=0)
         letters = np.full((len(words), width), len(ids), np.int32)
         letters[np.arange(width) >= width - self.lens[:, None]] = (
@@ -436,32 +439,22 @@ class _Trie:
     on shared prefixes.  A node is (parent, letter) and stands for the word
     its path from the root, the empty word, spells backwards: its letter,
     then its parent's word.  Letters are ids into the arrays the steps read,
-    and a depth's nodes are in the order of their paths.  A slot is a target,
-    the polynomial or, `by_length`, the (polynomial, word length) pair, and
-    one of its bases, split where its sum of |coeff| would reach _SLOT_CAP.
-    `walk` gives each node a value, computed for one depth at once from the
-    values of the parents, adds each term's coefficient times its end node's
-    value to its slot, and at the end reduces each slot, multiplies it by its
-    base's value and adds it to its target."""
+    and a depth's nodes are in the order of their paths.  The trie takes the
+    terms numbered in `sel`, increasing, or all of them.  A term's target is
+    its (polynomial, word length) pair, numbered polynomial * depths +
+    length.  `walk` gives each node a value, computed for one depth at once
+    from the values of the parents, and adds each term's weight, its
+    coefficient times its base's value, times its end node's value to its
+    target, each product reduced."""
 
-    def __init__(self, terms: _Terms, sel=None, by_length: bool = False):
+    def __init__(self, terms: _Terms, sel=None):
         import numpy as np
         self.terms = terms
         sel = np.arange(len(terms.lens)) if sel is None else sel
         depths = int(terms.lens[sel].max(initial=0)) + 1
-        # a (polynomial, length) target is polynomial * depths + length
-        target = terms.polys[sel] * depths + terms.lens[sel] if by_length else terms.polys[sel]
-        self.size = terms.size * depths if by_length else terms.size
-        # one slot per run of (target, base) in sorted order, cut where
-        # the running sum of |coeff| crosses a multiple of _SLOT_CAP
-        key = target * len(terms.bases) + terms.base_ids[sel]
-        order = np.argsort(key, kind="stable")
-        sel, key, target = sel[order], key[order], target[order]
-        coeffs = terms.coeffs[sel]
-        part = np.cumsum(np.abs(coeffs)) // _SLOT_CAP
-        new = (np.diff(key, prepend=-1) != 0) | (np.diff(part, prepend=-1) != 0)
-        slot = np.cumsum(new) - 1
-        self.slot_poly, self.slot_base = target[new], terms.base_ids[sel[new]]
+        self.size = terms.size * depths
+        target = terms.polys[sel] * depths + terms.lens[sel]
+        coeffs, bases = terms.coeffs[sel], terms.base_ids[sel]
         lens, letters = terms.lens[sel], terms.letters[sel, :depths - 1]
         # one sort of the rows, packed into int64 keys of whole letters; at
         # depth d a node starts at each sorted row whose first d letters differ
@@ -476,7 +469,8 @@ class _Trie:
         node = np.zeros(len(sel), dtype=np.intp)  # each term's node
         parents = edges = node[:0]  # the root, depth 0, has no parent or letter
         # per depth: parent and letter of each node, and the terms that end
-        # there (in slot order) as coefficients, slots and nodes
+        # there (in target order, as `sel` is increasing) as coefficients,
+        # bases, targets and nodes
         self.levels = []
         for depth in range(depths):
             if depth:
@@ -486,55 +480,46 @@ class _Trie:
                 parents, edges = node[order[new]], letters[order[new], depth - 1]
                 node[order] = np.cumsum(new) - 1
             ends = np.flatnonzero(lens == depth)
-            self.levels.append((parents, edges, coeffs[ends], slot[ends], node[ends]))
+            self.levels.append((parents, edges, coeffs[ends], bases[ends],
+                                target[ends], node[ends]))
 
     def walk(self, root, step, scalars):
-        """The targets at a point, as an array (size,) + root.shape: the root
-        has the value `root`, and step(values, letters, depth, scratch) gives
-        the values, reduced by `_modp` in the float64 array `scratch`, of the
-        children at `depth` by `letters` of nodes whose values are `values`.
-        Every value is a balanced residue."""
+        """The targets at a point, as an array (size, len(root)): the root
+        has the value `root`, a vector, and step(values, letters, depth,
+        scratch) gives the values, reduced by `_modp` in the float64 array
+        `scratch`, of the children at `depth` by `letters` of nodes whose
+        values are `values`.  Every value is a balanced residue."""
         import numpy as np
-        shape, lift = root.shape, (slice(None),) + (None,) * root.ndim
         scratch = np.empty(root.size * min(_BLOCK, max(
-            max(len(parents), len(slots)) for parents, _, _, slots, _ in self.levels)))
-        acc = np.zeros((len(self.slot_poly),) + shape)
+            max(len(parents), len(targets)) for parents, *_, targets, _ in self.levels)))
+        units = np.array([base_value(b, scalars, _SAMPLE_PRIME)
+                          for b in self.terms.bases], dtype=np.float64)
+        out = np.zeros((self.size, root.size))
         level = root[None]
-        for depth, (parents, letters, coeffs, slots, nodes) in enumerate(self.levels):
+        for depth, (parents, letters, coeffs, bases, targets, nodes) in enumerate(self.levels):
             if depth:
                 # balanced residues are exact in float32, which halves the
                 # memory of the widest levels
-                prev, level = level, np.empty((len(parents),) + shape, np.float32)
+                prev, level = level, np.empty((len(parents), root.size), np.float32)
                 for lo in range(0, len(parents), _BLOCK):
                     blk = slice(lo, lo + _BLOCK)
                     level[blk] = step(prev[parents[blk]], letters[blk], depth, scratch)
-            for lo in range(0, len(slots), _BLOCK):
+            weights = _modp(coeffs * units[bases])
+            for lo in range(0, len(targets), _BLOCK):
                 blk = slice(lo, lo + _BLOCK)
-                _sum_runs(acc, slots[blk], coeffs[blk][lift] * level[nodes[blk]])
-        units = np.array([base_value(b, scalars, _SAMPLE_PRIME)
-                          for b in self.terms.bases], dtype=np.float64)
-        out = np.zeros((self.size,) + shape)
-        _sum_runs(out, self.slot_poly,
-                  _modp(_modp(acc) * units[self.slot_base][lift]))
+                _sum_runs(out, targets[blk], _modp(
+                    weights[blk, None] * level[nodes[blk]], scratch))
         return _modp(out)
-
-    def evaluate(self, mats, scalars, root):
-        """The polynomials at the point that sends letter id k to mats[k]
-        and the base scalars to `scalars`, times `root`, a dim x c matrix:
-        an array (terms.size, dim, c).  A node's value is its letter's
-        matrix times its parent's."""
-        return self.walk(root, lambda values, letters, depth, scratch:
-                         _modp(mats[letters] @ values, scratch), scalars)
 
     def superdiagonal(self, t, scalars):
         """The polynomials at the point that sends letter id k to the n x n
         matrix with t[k] (t is an array (letters, n - 1)) on its first
         superdiagonal, and the base scalars to `scalars`: an array
         (terms.size, depths, n) whose [:, l, j] is entry (j, j + l), 0 from
-        j = n - l on.  The trie must be keyed `by_length`; a word longer than
-        n - 1, which would map to 0, raises DgaError.  A node of depth l holds
-        its word's l-th superdiagonal: entry j is its letter's t[x, j] times
-        its parent's entry j + 1, and 0 at j = n - 1."""
+        j = n - l on.  A word longer than n - 1, which would map to 0, raises
+        DgaError.  A node of depth l holds its word's l-th superdiagonal:
+        entry j is its letter's t[x, j] times its parent's entry j + 1, and 0
+        at j = n - 1."""
         import numpy as np
         n, depths = t.shape[1] + 1, len(self.levels)
         if depths > n:
@@ -578,9 +563,9 @@ def _d_squared(dga: DgaPresentation):
     """d(d(g)) e_n for every generator g, compiled once: the walk of
     `_column_step` from the empty word's state (s = 0, u = 1) over the
     reversed words of d(g).  One `_Terms` holds every differential; `rows` is
-    the trie, keyed `by_length` as a state's rows depend on its length, of
-    its terms with a hot letter, one whose differential D(x) is nonzero, and
-    a second trie over the terms of those letters gives D(x).
+    the trie of its terms with a hot letter, one whose differential D(x) is
+    nonzero, whose (g, length) targets give each state's rows, and a second
+    trie over the terms of those letters gives D(x).
     Returns the word degree of d(d(g)), blind to cancellation, and a function
     of (t, scalars) that gives every d(d(g)) e_n at the superdiagonal point
     t, an array (len(generators), n - 1), as an array (len(generators), n)."""
@@ -591,11 +576,11 @@ def _d_squared(dga: DgaPresentation):
     span = np.where(np.bincount(terms.polys, minlength=len(gens) + 1) > 0,
                     np.append(terms.spans, 0), -1).astype(np.int32)
     longest = span[terms.letters].max(axis=1, initial=-1)
-    rows = _Trie(terms, np.flatnonzero(longest >= 0), by_length=True)
+    rows = _Trie(terms, np.flatnonzero(longest >= 0))
     # a word of d(g) with one hot letter replaced by a word of its differential
     degree = int((terms.lens - 1 + longest)[longest >= 0].max(initial=0))
     used = np.unique(terms.letters[longest >= 0])  # a cold letter has no terms
-    hot_trie = _Trie(terms, np.flatnonzero(np.isin(terms.polys, used)), by_length=True)
+    hot_trie = _Trie(terms, np.flatnonzero(np.isin(terms.polys, used)))
     signs = np.array([(-1.0) ** g.degree for g in gens])
     depths, width = len(rows.levels), len(hot_trie.levels)
 
@@ -631,19 +616,27 @@ def _superdiagonal_dim(degree: int) -> int:
     return degree + 1
 
 
+def _sampled(names: list, nvars: int, dim: int, apply, seed: int) -> list:
+    """The names whose rows of apply(t, scalars) are nonzero at one of
+    _TRIALS random superdiagonal points t, arrays (nvars, dim - 1), and
+    scalars, each trial drawing t and then the four scalars from one
+    `random.Random(seed)`; apply returns one row per name."""
+    rng = random.Random(seed)
+    bad = False  # then, per name, whether a trial has found it
+    for _ in range(_TRIALS):
+        point = _rand_point(rng, (nvars, dim - 1))
+        bad |= apply(point, tuple(rng.randrange(1, _SAMPLE_PRIME) for _ in range(4))).any(axis=1)
+    return [name for name, fails in zip(names, bad) if fails]
+
+
 def verify_d_squared_sampled(dga: DgaPresentation,
                              seed: int = 0) -> list[Generator]:
     """Check d(d(g)) = 0 for every generator by evaluation at random
     superdiagonal matrices, on their last column; returns the generators
     whose image fails to vanish, in order."""
     degree, apply = _d_squared(dga)
-    n = _superdiagonal_dim(degree)
-    rng = random.Random(seed)
-    bad = False  # then, per generator, whether a trial has found it
-    for _ in range(_TRIALS):
-        point = _rand_point(rng, (len(dga.generators), n - 1))
-        bad |= apply(point, tuple(rng.randrange(1, _SAMPLE_PRIME) for _ in range(4))).any(axis=1)
-    return [g for g, fails in zip(dga.generators, bad) if fails]
+    return _sampled(dga.generators, len(dga.generators), _superdiagonal_dim(degree),
+                    apply, seed)
 
 
 def _upper(diags):
@@ -672,11 +665,13 @@ _FACTORED = ("A_lower", "A_upper", "Ahat", "Acheck")
 def _phi_factorization(b: BraidWord):
     """phi_B(M) e_N - PhiL . M . PhiR e_N for M in _FACTORED, compiled once,
     after the degree bound, so that a braid too large for sampling is
-    refused before its symbolic Phi is built.  PhiL, PhiR and the four M are
-    read by tries keyed `by_length` at the point, and M once more at phi_B
-    of it, from the root e_N.  Returns N and a function of (t, scalars) that
-    gives, at the superdiagonal point t, an array (len(avars), N - 1), the
-    difference as an array (4, n, n, N): per M, each entry's last column."""
+    refused before its symbolic Phi is built.  Two tries, over PhiL and PhiR
+    and over the four M, are read by `superdiagonal` at the point, and M's
+    trie is walked once more at phi_B of it, from the root e_N, with dense
+    steps, and summed over its word lengths.  Returns N and a function of
+    (t, scalars) that gives, at the superdiagonal point t, an array
+    (len(avars), N - 1), the difference as an array (4, n * n * N): per M,
+    each entry's last column."""
     import numpy as np
     bound = _phi_degree_bound(b)
     _superdiagonal_dim(bound)  # raises for a bound too large
@@ -685,9 +680,8 @@ def _phi_factorization(b: BraidWord):
     avars = a_variables(n)
     ids = {a: k for k, a in enumerate(avars)}
     terms = lambda *ms: _Terms([e for M in ms for _, _, e in M.entries()], ids)
-    outer = _Trie(terms(phi_l, phi_r), by_length=True)
-    m_terms = terms(*(getattr(m, name) for name in _FACTORED))
-    mids, inner = _Trie(m_terms, by_length=True), _Trie(m_terms)
+    outer = _Trie(terms(phi_l, phi_r))
+    mids = _Trie(terms(*(getattr(m, name) for name in _FACTORED)))
     spans = outer.terms.spans.reshape(2, -1).max(axis=1)
     dim = _superdiagonal_dim(max(int(spans.sum()) + 1, bound))
 
@@ -698,10 +692,12 @@ def _phi_factorization(b: BraidWord):
         point, j = np.zeros((len(avars), dim, dim)), np.arange(dim - 1)
         point[:, j, j + 1] = t
         pushed = push(b, dict(zip(avars, point)), _sigma_value)
-        lhs = inner.evaluate(np.reshape([pushed[a] for a in avars], point.shape),
-                             scalars, np.eye(dim)[:, -1:])
+        mats = np.reshape([pushed[a] for a in avars], point.shape)
+        lhs = mids.walk(np.eye(dim)[-1], lambda values, letters, depth, scratch: _modp(
+            (mats[letters] @ values[..., None])[..., 0], scratch),
+            scalars).reshape(-1, len(mids.levels), dim).sum(axis=1)
         # two balanced residues of one class can differ by p
-        return _modp(rhs - lhs.reshape(rhs.shape))
+        return _modp(rhs.reshape(lhs.shape) - lhs).reshape(len(_FACTORED), -1)
     return dim, apply
 
 
@@ -711,10 +707,4 @@ def verify_phi_factorization_sampled(b: BraidWord, seed: int = 0) -> list[str]:
     instead of symbolic expansion; returns the names of failing identities,
     in order."""
     dim, apply = _phi_factorization(b)
-    rng = random.Random(seed)
-    bad = False  # then, per M, whether a trial has found it
-    for _ in range(_TRIALS):
-        point = _rand_point(rng, (len(a_variables(b.strands)), dim - 1))
-        scalars = tuple(rng.randrange(1, _SAMPLE_PRIME) for _ in range(4))
-        bad |= apply(point, scalars).reshape(len(_FACTORED), -1).any(axis=1)
-    return [name for name, fails in zip(_FACTORED, bad) if fails]
+    return _sampled(_FACTORED, len(a_variables(b.strands)), dim, apply, seed)

@@ -171,7 +171,8 @@ def test_commands_load_neither_sympy_nor_dataclasses():
     """`aug poly`, `aug count`, `table` and `verify` run on the package's
     own arithmetic: sympy, a test-only dependency, is never imported.  The
     records are named tuples, so neither `dataclasses` nor the `inspect`
-    it pulls in is loaded either."""
+    it pulls in is loaded either, and numpy is imported only when a sampled
+    check runs."""
     script = textwrap.dedent("""
         import contextlib, io, json, sys
         from xverse.cli import main
@@ -185,7 +186,7 @@ def test_commands_load_neither_sympy_nor_dataclasses():
                            "--prime", "2", "--seed", "0"])]
         print(json.dumps({"codes": codes, "lines": out.getvalue().splitlines(),
                           "loaded": [m for m in ("sympy", "dataclasses",
-                                                 "inspect")
+                                                 "inspect", "numpy")
                                      if m in sys.modules]}))
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -217,9 +217,9 @@ def test_terms_look_letters_up_by_code():
     # before the first code, between two and past the last
     for stray in (gen("a", 1, 2), gen("a", 1, 4), gen("b", 1, 2)):
         bad = p * NCPoly.generator(stray.family, stray.row, stray.col)
-        with pytest.raises(KeyError):
+        with pytest.raises(DgaError, match=f"^unknown generator {stray}$"):
             dga_module._Terms([bad], ids)
-    with pytest.raises(KeyError):
+    with pytest.raises(DgaError, match="^unknown generator a31$"):
         dga_module._Terms([p], {})
     # the top of the code range, the last indices of the first and the last
     # family, is looked up in int32; c_8191_8191 lies between them
@@ -228,8 +228,19 @@ def test_terms_look_letters_up_by_code():
     q = NCPoly({((top, low, top), (0, 0, 0, 0)): 1, ((low,), (1, 0, 0, 0)): 2})
     ids = {top: 0, low: 1}
     assert dga_module._Terms([q], ids).letters.tolist() == [[0, 1, 0], [1, 2, 2]]
-    with pytest.raises(KeyError):
+    with pytest.raises(DgaError, match="^unknown generator c_8191_8191$"):
         dga_module._Terms([q * NCPoly.generator("c", 8191, 8191)], ids)
+
+
+def test_unknown_letter_is_one_error_for_both_verifiers():
+    # c33 is no generator of a 2-strand DGA; a DgaError is a ValueError, a
+    # usage error of the CLI
+    dga = build_dga(TREFOIL)
+    e12 = gen("e", 1, 2)
+    dga.diff[e12] = dga.diff[e12] + NCPoly.generator("c", 3, 3)
+    for verify in (verify_d_squared, verify_d_squared_sampled):
+        with pytest.raises(DgaError, match="^unknown generator c33$"):
+            verify(dga)
 
 
 def test_terms_number_bases_in_first_appearance_order():
@@ -246,9 +257,9 @@ def test_terms_number_bases_in_first_appearance_order():
     assert [terms.bases[k] for k in terms.base_ids] == [
         b for p in polys for _, b in p.terms]
     rng = random.Random(4)
-    point, mats = _random_point(rng, [a12], 2)
+    t, mats = _superdiagonal_point(rng, [a12], 2)
     scalars = tuple(rng.randrange(1, P) for _ in range(4))
-    assert _as_ints(dga_module._Trie(terms).evaluate(point, scalars, np.eye(2))) == [
+    assert _as_ints(_from_diagonals(dga_module._Trie(terms).superdiagonal(t, scalars))) == [
         ref_eval(p, mats, scalars, 2).tolist() for p in polys]
 
 
@@ -386,7 +397,7 @@ _poly = st.lists(_term, max_size=6).map(
 _ALL_WORDS = NCPoly({(tuple(LETTERS[(k // 5 ** i) % 5] for i in range(5)),
                       (k % 3 - 1, 0, 0, 0)): 1 for k in range(5 ** 5)})
 # 400 words of one base whose coefficients are congruent to (P - 1) / 2, the
-# largest symmetric residue: one unsplit slot would sum about 2^54.6
+# largest balanced residue: sums of unreduced products would pass 2^53
 _HEAVY = NCPoly({(tuple(LETTERS[(k // 5 ** i) % 5] for i in range(4)),
                   (1, 0, 0, 0)): (P - 1) // 2 + k % 3 * P for k in range(400)})
 
@@ -417,12 +428,16 @@ def _from_diagonals(diags):
     return out
 
 
-def _slot_sums(trie):
-    """The sum of |coeff| over the terms of each slot of a trie."""
-    sums = np.zeros(len(trie.slot_poly))
-    for _, _, coeffs, slots, _ in trie.levels:
-        np.add.at(sums, slots, np.abs(coeffs))
-    return sums
+def _dense_column(trie, mats, scalars):
+    """The polynomials of a trie at the dense point that sends letter id k
+    to mats[k], an array (letters, dim, dim), on e_N: the walk from e_N with
+    the dense step of `_phi_factorization`, summed over the word lengths."""
+    dim = mats.shape[-1]
+
+    def step(values, letters, depth, scratch):
+        return dga_module._modp((mats[letters] @ values[..., None])[..., 0], scratch)
+    lengths = trie.walk(np.eye(dim)[-1], step, scalars).reshape(-1, len(trie.levels), dim)
+    return dga_module._modp(lengths.sum(axis=1))
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -436,17 +451,13 @@ def test_trie_evaluation_matches_term_by_term_reference(polys, dim, seed):
     scalars = tuple(rng.randrange(1, P) for _ in range(4))
     terms = dga_module._Terms(polys, {g: k for k, g in enumerate(LETTERS)})
     trie = dga_module._Trie(terms)
-    # every slot sum stays exact in float64: sum |c| * (P - 1) < 2^53
-    assert (_slot_sums(trie) * P < 2 ** 53).all()
-    want = [ref_eval(p, mats, scalars, dim).tolist() for p in polys]
-    assert _as_ints(trie.evaluate(point, scalars, np.eye(dim))) == want
+    want = [ref_eval(p, mats, scalars, dim)[:, -1].tolist() for p in polys]
+    assert _as_ints(_dense_column(trie, point, scalars)) == want
     with mock.patch.object(dga_module, "_BLOCK", 3):
-        assert _as_ints(trie.evaluate(point, scalars, np.eye(dim))) == want
+        assert _as_ints(_dense_column(trie, point, scalars)) == want
     # and at a superdiagonal point of dimension at least the longest word + 1
     n = int(terms.lens.max(initial=0)) + dim
     t, mats = _superdiagonal_point(rng, LETTERS, n)
-    trie = dga_module._Trie(terms, by_length=True)
-    assert (_slot_sums(trie) * P < 2 ** 53).all()
     want = [ref_eval(p, mats, scalars, n).tolist() for p in polys]
     assert _as_ints(_from_diagonals(trie.superdiagonal(t, scalars))) == want
     with mock.patch.object(dga_module, "_BLOCK", 3):
@@ -471,17 +482,17 @@ def _prefix_levels(words, depths):
     # past the 21 letters of 3 bits that fill one int64 sort key
     st.lists(st.integers(0, 1), min_size=19, max_size=26)).map(tuple),
     st.integers(0, 2), st.integers(-1, 1)), max_size=40),
-       by_length=st.booleans(), sel=st.one_of(st.none(), st.sets(st.integers(0, 39))))
-@example(terms=[], by_length=True, sel=None)
-@example(terms=[((), 0, 0), ((), 1, 0), ((), 0, 1)], by_length=False, sel={1})
+       sel=st.one_of(st.none(), st.sets(st.integers(0, 39))))
+@example(terms=[], sel=None)
+@example(terms=[((), 0, 0), ((), 1, 0), ((), 0, 1)], sel={1})
 @example(terms=[((3,), 0, 0), ((3,), 0, 1), ((3,), 1, 0), ((0,), 2, 0), ((4,), 0, 0)],
-         by_length=True, sel=None)
+         sel=None)
 @example(terms=[((1, 2), 0, 0), ((1,), 0, 0), ((1, 2, 2), 0, 1), ((2, 1), 1, 0),
-                ((), 1, 1), ((1, 2), 2, -1)], by_length=True, sel={0, 2, 3, 5})
-@example(terms=[((0, 1), 0, 0), ((2,), 1, 0)], by_length=True, sel=set())
+                ((), 1, 1), ((1, 2), 2, -1)], sel={0, 2, 3, 5})
+@example(terms=[((0, 1), 0, 0), ((2,), 1, 0)], sel=set())
 @example(terms=[((0,) * 21 + (1,), 0, 0), ((1,) * 21 + (0,), 0, 0), ((0,) * 22, 1, 0),
-                ((0,) * 21, 0, 0), ((0,) * 20, 2, 1)], by_length=False, sel=None)
-def test_one_sort_trie_levels_match_prefix_dicts(terms, by_length, sel):
+                ((0,) * 21, 0, 0), ((0,) * 20, 2, 1)], sel=None)
+def test_one_sort_trie_levels_match_prefix_dicts(terms, sel):
     # polynomial k holds the words of the terms (word, k, L exponent); a word
     # repeated with another base or in another polynomial is another term.
     # The trie takes the terms numbered in `sel` or, with None, all of them,
@@ -496,21 +507,21 @@ def test_one_sort_trie_levels_match_prefix_dicts(terms, by_length, sel):
     if sel is not None:
         sel = np.array(sorted(k for k in sel if k < len(expected)), dtype=np.intp)
         expected = [expected[k] for k in sel]
-    trie = dga_module._Trie(dga_module._Terms(polys, ids), sel, by_length=by_length)
+    trie = dga_module._Trie(dga_module._Terms(polys, ids), sel)
     words = [w for w, _, _, _ in expected]
     depths = max(map(len, words), default=0) + 1
-    if by_length:
-        expected = [(w, k * depths + len(w), b, c) for w, k, b, c in expected]
+    expected = [(w, k * depths + len(w), b, c) for w, k, b, c in expected]
     want = _prefix_levels(words, depths)
     assert len(trie.levels) == depths
     found = []
-    for depth, (parents, letters, coeffs, slots, nodes) in enumerate(trie.levels):
+    for depth, (parents, letters, coeffs, bases, targets, nodes) in enumerate(trie.levels):
         assert list(zip(parents.tolist(), letters.tolist())) == want[depth], depth
+        # a run of one target is summed at once
+        assert (np.diff(targets) >= 0).all(), depth
         # the word of each node that a term ends at, from the reference
         prefixes = sorted({w[:depth] for w in words if len(w) >= depth})
-        found += [(prefixes[node], int(trie.slot_poly[slot]),
-                   trie.terms.bases[trie.slot_base[slot]], int(coeff))
-                  for coeff, slot, node in zip(coeffs, slots, nodes)]
+        found += [(prefixes[node], int(target), trie.terms.bases[base], int(coeff))
+                  for coeff, base, target, node in zip(coeffs, bases, targets, nodes)]
     assert sorted(found) == sorted(expected)
 
 
@@ -519,7 +530,7 @@ def test_superdiagonal_points_tell_word_order_apart():
     x, y = LETTERS[:2]
     trie = dga_module._Trie(dga_module._Terms(
         [NCPoly({((x, y), (0, 0, 0, 0)): 1, ((y, x), (0, 0, 0, 0)): -1})],
-        {x: 0, y: 1}), by_length=True)
+        {x: 0, y: 1}))
     t = np.array([[2.0, 3.0], [5.0, 7.0]])
     assert _as_ints(_from_diagonals(trie.superdiagonal(t, (1, 1, 1, 1)))) == \
         [[[0, 0, (2 * 7 - 5 * 3) % P], [0, 0, 0], [0, 0, 0]]]
@@ -528,15 +539,23 @@ def test_superdiagonal_points_tell_word_order_apart():
         trie.superdiagonal(t[:, :1], (1, 1, 1, 1))
 
 
-def test_heavy_slot_is_split():
+def test_walk_reduces_every_product_before_its_sum():
+    # every word of length 4 over the letters, 625 terms of one (polynomial,
+    # length) target, at the extremes h = (p - 1) / 2: the coefficient -h
+    # times the base value p - 1 is a weight of about 2^46, reduced to h, and
+    # a constant step gives every node the value h, so each product is +h^2.
+    # Unreduced, a weight times h passes 2^53, and so does the sum of the
+    # 625 products
+    h = (P - 1) // 2
+    words = NCPoly({(tuple(LETTERS[(k // 5 ** i) % 5] for i in range(4)),
+                     (1, 0, 0, 0)): -h for k in range(5 ** 4)})
     trie = dga_module._Trie(dga_module._Terms(
-        [NCPoly.one(), _HEAVY], {g: k for k, g in enumerate(LETTERS)}))
-    # one slot for 1, and _HEAVY's one (polynomial, base) pair cut into the
-    # fewest slots that keep each sum below 2^53 / P: 400 (P - 1) / 2 needs 7
-    assert trie.slot_poly.tolist() == [0] + [1] * 7
-    sums = _slot_sums(trie)
-    assert sums[1:].sum() == 400 * (P - 1) // 2
-    assert (sums * P < 2 ** 53).all()
+        [words], {g: k for k, g in enumerate(LETTERS)}))
+    assert len(trie.levels[4][4]) == 5 ** 4
+    assert h * (P - 1) * h > 2 ** 53 and 5 ** 4 * h * h > 2 ** 53
+    got = trie.walk(np.array([float(h)]), lambda values, letters, depth, scratch:
+                    np.full(values.shape, float(h)), (P - 1, 1, 1, 1))
+    assert _as_ints(got) == [[0]] * 4 + [[5 ** 4 * -h * (P - 1) * h % P]]
 
 
 def _scrambled(dga, rng):
@@ -675,8 +694,7 @@ def test_trie_steps_are_exact_at_max_dim():
     # the lhs walk from e_N: x y e_N is x times a column of -h
     trie = dga_module._Trie(dga_module._Terms(
         [NCPoly({((x, y), (0, 0, 0, 0)): 1})], {x: 0, y: 1}))
-    assert _as_ints(trie.evaluate(mats, (1, 1, 1, 1), np.eye(n)[:, -1:])) == \
-        [[[-n * h * h % P]] * n]
+    assert _as_ints(_dense_column(trie, mats, (1, 1, 1, 1))) == [[-n * h * h % P] * n]
     # a 3 x 3 block product with the column blocks of two block vectors,
     # each entry the sum of three reduced products of n - 1 odd terms; not
     # reduced first, that odd sum would pass 2^53 and round
@@ -708,7 +726,6 @@ def test_trie_steps_are_exact_at_max_dim():
                         + [tx * v * (depth < n) % P])
         assert _as_ints(step(state, np.array([0, 1]), depth, None)) == want, depth
     # the hot trie's step at the extremes: the diagonal of x y is t[x] t[y]
-    trie = dga_module._Trie(trie.terms, by_length=True)
     got = _from_diagonals(trie.superdiagonal(t, (1, 1, 1, 1)))[0]
     assert _as_ints(np.diagonal(got, 2)) == [-h * h % P] * (n - 2)
     assert not (got - np.diag(np.diagonal(got, 2), 2)).any()
@@ -885,10 +902,8 @@ def test_push_matches_references(b, dim, seed):
     assert dga_module._phi_degree_bound(b) >= max(
         len(word) for p in images.values() for word, _ in p.terms)
     rng = random.Random(seed)
-    point, _ = _random_point(rng, avars, dim)
+    point, mats = _random_point(rng, avars, dim)
     scalars = tuple(rng.randrange(1, P) for _ in range(4))
     pushed = push(b, dict(zip(avars, point)), dga_module._sigma_value)
-    trie = dga_module._Trie(dga_module._Terms(
-        [images[a] for a in avars], {a: k for k, a in enumerate(avars)}))
-    assert _as_ints(np.array([pushed[a] for a in avars])) == \
-        _as_ints(trie.evaluate(point, scalars, np.eye(dim)))
+    assert _as_ints(np.array([pushed[a] for a in avars])) == [
+        ref_eval(images[a], mats, scalars, dim).tolist() for a in avars]
