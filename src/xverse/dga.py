@@ -338,18 +338,17 @@ def verify_phi_factorization(b: BraidWord) -> list[str]:
 # one `_Terms`, whose letter ids come from the words' int codes by one sorted
 # lookup and which owns the word layout: every word is stored reversed, so
 # every walk prepends a letter to its parent's word.  Each `_Trie` takes a
-# subset of those terms and is built once, before the trials, from one sort
-# of its rows, and sums its terms per (polynomial, word length) target.  A
-# trial is numpy work on blocks of at most _BLOCK nodes, reduced in a scratch
-# array made once per walk, and every walk starts from a root vector.  The
-# same walk evaluates a word at superdiagonal matrices (`superdiagonal`, one
-# diagonal per node), at dense ones on e_N, and d(d(g)) e_N (`_column_step`,
-# one entry per word length per node; see `_d_squared`).  The factorization
-# check has one trie over the four M: it pushes the point through the braid
-# (`phi.push`), walks M's trie there from e_N, and multiplies the
-# superdiagonal values of PhiL, M and PhiR e_N as n x n block matrices and
-# block columns (see `_phi_factorization`).  Both checks share one trial
-# loop (`_sampled`).
+# subset of those terms and is built once, before the trials, from one
+# `np.lexsort` of its rows, and sums its terms per (polynomial, word length)
+# target.  A trial is numpy work on blocks of at most _BLOCK nodes, and every
+# walk starts from a root vector.  The same walk evaluates a word at
+# superdiagonal matrices (`superdiagonal`, one diagonal per node), at dense
+# ones on e_N, and d(d(g)) e_N (`_column_step`, one entry per word length per
+# node; see `_d_squared`).  The factorization check has one trie over the
+# four M: it pushes the point through the braid (`phi.push`), walks M's trie
+# there from e_N, and multiplies the superdiagonal values of PhiL, M and PhiR
+# e_N as n x n block matrices and block columns (see `_phi_factorization`).
+# Both checks share one trial loop (`_sampled`).
 # ---------------------------------------------------------------------------
 
 _SAMPLE_PRIME = 16777213
@@ -358,18 +357,15 @@ _MAX_SUPERDIAGONAL = 62
 _BLOCK = 1024
 
 
-def _modp(arr, scratch=None):
+def _modp(arr):
     """Reduce a float64 array of integers below 2^53 in absolute value to
-    balanced residues mod p, in place, with the quotient in `scratch` (a flat
-    float64 array of at least arr.size) or, without it, in a new array.
+    balanced residues mod p, in place.
 
     The computed quotient arr / p is within 2^-23 of the true one, so its
     rounding leaves |r| < p / 2 + 2 with no correction; the product of the
     rounded quotient and p, and the difference, are exact."""
     import numpy as np
-    q = np.empty(arr.shape) if scratch is None else scratch[:arr.size].reshape(arr.shape)
-    np.rint(np.multiply(arr, 1.0 / _SAMPLE_PRIME, out=q), out=q)
-    arr -= np.multiply(q, _SAMPLE_PRIME, out=q)
+    arr -= np.rint(arr * (1.0 / _SAMPLE_PRIME)) * _SAMPLE_PRIME
     return arr
 
 
@@ -456,13 +452,11 @@ class _Trie:
         target = terms.polys[sel] * depths + terms.lens[sel]
         coeffs, bases = terms.coeffs[sel], terms.base_ids[sel]
         lens, letters = terms.lens[sel], terms.letters[sel, :depths - 1]
-        # one sort of the rows, packed into int64 keys of whole letters; at
-        # depth d a node starts at each sorted row whose first d letters differ
-        # from the row before's (padding sets a short word apart from its prefix)
-        bits = max(1, int(letters.max(initial=0)).bit_length())
-        chunks = np.split(letters.T, range(63 // bits, letters.shape[1], 63 // bits))
-        order = np.lexsort([reduce(lambda key, col: key << bits | col, chunk, np.zeros(
-            len(sel), np.int64)) for chunk in chunks[::-1]])
+        # one stable sort of the rows, first letter first (rows of empty words
+        # have no key and keep their order); at depth d a node starts at each
+        # sorted row whose first d letters differ from the row before's
+        # (padding sets a short word apart from its prefix)
+        order = np.lexsort(letters.T[::-1]) if depths > 1 else np.arange(len(sel))
         ordered = letters[order]
         first = np.concatenate(([-1], np.argmax(np.pad(  # the first such letter
             ordered[1:] != ordered[:-1], ((0, 0), (0, 1)), constant_values=True), axis=1)))
@@ -485,13 +479,11 @@ class _Trie:
 
     def walk(self, root, step, scalars):
         """The targets at a point, as an array (size, len(root)): the root
-        has the value `root`, a vector, and step(values, letters, depth,
-        scratch) gives the values, reduced by `_modp` in the float64 array
-        `scratch`, of the children at `depth` by `letters` of nodes whose
-        values are `values`.  Every value is a balanced residue."""
+        has the value `root`, a vector, and step(values, letters, depth)
+        gives the values, reduced by `_modp`, of the children at `depth` by
+        `letters` of nodes whose values are `values`.  Every value is a
+        balanced residue."""
         import numpy as np
-        scratch = np.empty(root.size * min(_BLOCK, max(
-            max(len(parents), len(targets)) for parents, *_, targets, _ in self.levels)))
         units = np.array([base_value(b, scalars, _SAMPLE_PRIME)
                           for b in self.terms.bases], dtype=np.float64)
         out = np.zeros((self.size, root.size))
@@ -503,12 +495,11 @@ class _Trie:
                 prev, level = level, np.empty((len(parents), root.size), np.float32)
                 for lo in range(0, len(parents), _BLOCK):
                     blk = slice(lo, lo + _BLOCK)
-                    level[blk] = step(prev[parents[blk]], letters[blk], depth, scratch)
+                    level[blk] = step(prev[parents[blk]], letters[blk], depth)
             weights = _modp(coeffs * units[bases])
             for lo in range(0, len(targets), _BLOCK):
                 blk = slice(lo, lo + _BLOCK)
-                _sum_runs(out, targets[blk], _modp(
-                    weights[blk, None] * level[nodes[blk]], scratch))
+                _sum_runs(out, targets[blk], _modp(weights[blk, None] * level[nodes[blk]]))
         return _modp(out)
 
     def superdiagonal(self, t, scalars):
@@ -525,9 +516,8 @@ class _Trie:
         if depths > n:
             raise DgaError(f"a word of length {depths - 1} vanishes at dimension {n}")
         wide = np.pad(t, ((0, 0), (0, 1)))
-        return self.walk(np.ones(n), lambda values, letters, depth, scratch: _modp(
-            wide[letters] * np.roll(values, -1, axis=1), scratch),
-            scalars).reshape(-1, depths, n)
+        return self.walk(np.ones(n), lambda values, letters, depth: _modp(
+            wide[letters] * np.roll(values, -1, axis=1)), scalars).reshape(-1, depths, n)
 
 
 def _column_step(t, diags, signs, depths):
@@ -552,10 +542,10 @@ def _column_step(t, diags, signs, depths):
     scale[:, :, :-1] *= np.append(signs, 1.0)[:, None, None]
     shift = np.pad(diags, ((0, 1), (0, 1), (0, 1)))[:, np.arange(width + 1), at]
 
-    def step(values, letters, depth, scratch):
+    def step(values, letters, depth):
         out = values * scale[letters, depth]
         out += shift[letters, depth] * values[:, -1:]
-        return _modp(out, scratch)
+        return _modp(out)
     return step, at[:, :-1]
 
 
@@ -693,8 +683,8 @@ def _phi_factorization(b: BraidWord):
         point[:, j, j + 1] = t
         pushed = push(b, dict(zip(avars, point)), _sigma_value)
         mats = np.reshape([pushed[a] for a in avars], point.shape)
-        lhs = mids.walk(np.eye(dim)[-1], lambda values, letters, depth, scratch: _modp(
-            (mats[letters] @ values[..., None])[..., 0], scratch),
+        lhs = mids.walk(np.eye(dim)[-1], lambda values, letters, depth: _modp(
+            (mats[letters] @ values[..., None])[..., 0]),
             scalars).reshape(-1, len(mids.levels), dim).sum(axis=1)
         # two balanced residues of one class can differ by p
         return _modp(rhs.reshape(lhs.shape) - lhs).reshape(len(_FACTORED), -1)

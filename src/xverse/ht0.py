@@ -42,6 +42,7 @@ class Ht0Presentation(NamedTuple):
     sl: int
     variables: list[Generator]
     relations: list[NCPoly]
+    lam_override: list | None = None  # as given to ht0_relations
 
 
 def cd_relations(b: BraidWord, flavor: str, phi, lift,
@@ -86,7 +87,7 @@ def ht0_relations(b: BraidWord, flavor: str = "minus", lam_override=None,
     return Ht0Presentation(braid=b, flavor=flavor,
                            sl=braid_stats(b).self_linking,
                            variables=a_variables(b.strands),
-                           relations=relations)
+                           relations=relations, lam_override=lam_override)
 
 
 def eliminate_linear(relations: list[NCPoly], flavor: str) -> list[NCPoly]:
@@ -116,15 +117,17 @@ def eliminate_linear(relations: list[NCPoly], flavor: str) -> list[NCPoly]:
                 if not q.is_zero()]
 
 
-def b_consequences(b: BraidWord, flavor: str = "minus") -> list[NCPoly]:
-    """The off-diagonal entries of A - Lam . phi_B(A) . Lam^-1, row-major.
+def b_consequences(b: BraidWord, flavor: str = "minus",
+                   lam_override=None) -> list[NCPoly]:
+    """The off-diagonal entries of A - Lam . phi_B(A) . Lam^-1, row-major,
+    with Lam the default or `lam_override`, as in `degree0_matrices`.
 
     These are the b-generator differentials of the full DGA; its degree-0
     homology is the quotient of Def-2.1 type, so they lie in the relation
     ideal and may be added freely when simplifying a presentation.
     """
     stats = braid_stats(b)
-    m = degree0_matrices(b)
+    m = degree0_matrices(b, lam_override)
     block = db_block(b, m.A_lower + m.A_upper, m.Lam, m.LamInv)
     return [block.at(a.row, a.col).specialize(flavor, stats.self_linking)
             for a in a_variables(b.strands)]
@@ -184,11 +187,12 @@ def _interreduce_univariate(relations: list[NCPoly], flavor: str) -> list[NCPoly
 
 def reduced_relations(h: Ht0Presentation) -> list[NCPoly]:
     """Display-oriented simplification of a presentation: adjoin the
-    b-differential consequences, run the bounded substitution pass, and,
-    when at most one variable survives, interreduce the univariate system.
+    b-differential consequences, with the presentation's Lam, run the
+    bounded substitution pass, and, when at most one variable survives,
+    interreduce the univariate system.
     Returns normalized deduplicated relations."""
-    rels = eliminate_linear(h.relations + b_consequences(h.braid, h.flavor),
-                            h.flavor)
+    rels = eliminate_linear(
+        h.relations + b_consequences(h.braid, h.flavor, h.lam_override), h.flavor)
     if len(set().union(*(r.generators() for r in rels))) <= 1:
         return _interreduce_univariate(rels, h.flavor)
     return _canonical(rels, h.flavor)

@@ -99,10 +99,6 @@ def gen(family: str, row: int, col: int) -> Generator:
     return Generator(_FAMILIES.index(family) << 2 * _BITS | row << _BITS | col)
 
 
-def word_degree(word: Word) -> int:
-    return sum(letter(g).degree for g in word)
-
-
 def collect(pairs: Iterable[tuple[Term, int]],
             terms: dict[Term, int] | None = None) -> "NCPoly":
     """The polynomial `terms` + sum of the (term, coeff) pairs.  `terms` is
@@ -167,13 +163,6 @@ class NCPoly:
         """Terms in canonical order: word length, then word (family a<b<...<f,
         then row, then col), then scalar exponents."""
         return sorted(self.terms.items(), key=lambda item: _term_key(item[0]))
-
-    def homogeneous_degree(self) -> int | None:
-        """The common generator degree of all terms, or None if mixed/zero."""
-        degs = {word_degree(word) for word, _ in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
 
     # ---- arithmetic ----
 

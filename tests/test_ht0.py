@@ -110,6 +110,23 @@ def test_split_matches_unsplit_on_counts():
         assert cw == cs
 
 
+def test_reduction_keeps_the_presentations_lam_override():
+    """dB adjoined to a presentation built with a Lam override uses that
+    Lam: with the default one, both counts below fell from 1 to 0."""
+    from xverse.augment import AugQuery, count_augmentations_exhaustive
+    b, override = parse_braid("1 -2 1 -2"), [(1, 0, 0), (1, 0, 0), (1, 1, 0)]
+    h = ht0_relations(b, "hat", lam_override=override)
+    assert h.lam_override == override
+    assert ht0_relations(b, "hat").lam_override is None
+
+    def count(relations):
+        q = AugQuery(h._replace(relations=relations), 3, 2, 1, 0, 1)
+        return count_augmentations_exhaustive(q).count
+    assert count(h.relations) == 1
+    assert count(h.relations + b_consequences(b, "hat", override)) == 1
+    assert count(reduced_relations(h)) > 0
+
+
 def test_eliminate_linear_drops_the_larger_variable():
     x, y = NCPoly.generator("a", 1, 2), NCPoly.generator("a", 2, 1)
     # x + y = 0 eliminates the larger variable y = a21 as -x
