@@ -359,13 +359,16 @@ _BLOCK = 1024
 
 def _modp(arr):
     """Reduce a float64 array of integers below 2^53 in absolute value to
-    balanced residues mod p, in place.
+    balanced residues mod p, in place, through one temporary array.
 
     The computed quotient arr / p is within 2^-23 of the true one, so its
     rounding leaves |r| < p / 2 + 2 with no correction; the product of the
     rounded quotient and p, and the difference, are exact."""
     import numpy as np
-    arr -= np.rint(arr * (1.0 / _SAMPLE_PRIME)) * _SAMPLE_PRIME
+    q = arr * (1.0 / _SAMPLE_PRIME)
+    np.rint(q, out=q)
+    q *= _SAMPLE_PRIME
+    arr -= q
     return arr
 
 

@@ -1,18 +1,18 @@
 """Run the committed mutation corpus: every mutant must be killed.
 
-    python tests/mutants/run.py [NAME ...]
+    python tests/mutants/run.py
 
 Each mutant in `mutants.json` is a name, a file under the repository root,
 an exact text that occurs once in it, the text that replaces it, and the
 pytest ids of the tests that must fail once it is applied.  For each mutant
-(or only the named ones) the runner copies `src/`, `tests/` and
-`pyproject.toml` to a temporary directory, runs the named tests there
-unmutated (they must pass), applies the edit and runs them again with
-`PYTHONPATH` on the copy's `src/`, one at a time.  A mutant is killed
-when every named test fails; otherwise it survives.  The runner names
-every survivor, with the tests that passed, and every mutant it could not
-run (an old text that is not found exactly once, or tests that fail
-unmutated), and exits 1 if there is any.  It needs only the standard library and pytest.
+the runner copies `src/`, `tests/` and `pyproject.toml` to a temporary
+directory, runs the named tests there unmutated (they must pass), applies
+the edit and runs them again with `PYTHONPATH` on the copy's `src/`, one
+at a time.  A mutant is killed when every named test fails; otherwise it
+survives.  The runner names every survivor, with the tests that passed,
+and every mutant it could not run (an old text that is not found exactly
+once, or tests that fail unmutated), and exits 1 if there is any.  It
+needs only the standard library and pytest.
 """
 
 import json
@@ -54,16 +54,9 @@ def run_mutant(mutant: dict) -> str:
         return f"SURVIVED ({', '.join(passed)} passed)" if passed else "killed"
 
 
-def main(names: list[str]) -> int:
-    corpus = json.loads(CORPUS.read_text())
-    unknown = set(names) - {m["name"] for m in corpus}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
+def main() -> int:
     bad = []
-    for mutant in corpus:
-        if names and mutant["name"] not in names:
-            continue
+    for mutant in json.loads(CORPUS.read_text()):
         verdict = run_mutant(mutant)
         print(f"{verdict:8s} {mutant['name']}", flush=True)
         if verdict != "killed":
@@ -76,4 +69,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
