@@ -26,12 +26,13 @@ d(xy) = (dx)y + (-1)^|x| x(dy).  So d of a word x_1 ... x_k is the top
 right block of the product of the dual matrices [[(-1)^|x| x, dx], [0, x]]
 of its letters, which is how the sampled d^2 check evaluates it.
 
-Each formula is written once, here: `cd_blocks` forms the products
-Lam . PhiL . X and Y . PhiR . Lam^-1 (dC, dD, dE, dF, the modified DGA and
-ht0's degree-0 relations, cut or whole), `db_block` forms dB (the DGA and
-`ht0.b_consequences`) from the table `phi.phi_images`, and `_assemble`
-turns blocks into a specialized presentation for both `build_dga` and
-`build_modified_dga`.  The a-variable order is `phi.a_variables`.
+Each formula is written once, here: `cd_products` forms the products
+Lam . PhiL . Y and X . PhiR . Lam^-1, which dC, dD, dE, dF, the modified DGA
+and ht0's degree-0 relations, cut or whole, subtract from their left sides;
+`db_block` forms dB (the DGA and `ht0.b_consequences`) from the table
+`phi.phi_images`, and `_assemble` turns blocks into a specialized
+presentation for both `build_dga` and `build_modified_dga`.  The
+a-variable order is `phi.a_variables`.
 """
 
 from __future__ import annotations
@@ -146,18 +147,13 @@ class DgaPresentation(NamedTuple):
     phi_r: GenMatrix
 
 
-def cd_blocks(c_left, d_left, ahat, acheck, lam, lam_inv, phi_l, phi_r):
-    """The C- and D-blocks
-
-        c_left - Lam . PhiL . Acheck
-        d_left - Ahat . PhiR . Lam^-1
-
-    over any entry type with +, -, * and is_zero.  With c_left = Ahat and
-    d_left = Acheck they are dC and dD; every other use of these two
-    products (the cut relations of ht0, dE, dF and the modified DGA) goes
-    through here as well."""
-    return (c_left - lam @ phi_l @ acheck,
-            d_left - ahat @ phi_r @ lam_inv)
+def cd_products(x, y, lam, lam_inv, phi_l, phi_r):
+    """The products (Lam . PhiL . Y, X . PhiR . Lam^-1) over any entry type
+    with +, * and is_zero.  dC, dD, dE, dF, the modified DGA and ht0's
+    degree-0 relations, cut or whole, subtract them from their left sides:
+    with X = Ahat and Y = Acheck they give dC and dD, with X = C and Y = D
+    dE and dF."""
+    return lam @ phi_l @ y, x @ phi_r @ lam_inv
 
 
 def db_block(b: BraidWord, A: GenMatrix, lam: GenMatrix,
@@ -210,14 +206,12 @@ def build_dga(b: BraidWord, flavor: str = "minus") -> DgaPresentation:
             if not dB.at(i, i).is_zero():
                 raise DgaError(f"nonzero diagonal in dB at {i}")
         Cg, Dg = _gen_matrix(n, "c"), _gen_matrix(n, "d")
-        dC, dD = cd_blocks(m.Ahat, m.Acheck, m.Ahat, m.Acheck,
-                           m.Lam, m.LamInv, phi_l, phi_r)
-        dE, dF = cd_blocks(m.Bhat - Cg, m.Bcheck - Dg, Cg, Dg,
-                           m.Lam, m.LamInv, phi_l, phi_r)
+        lpa, apl = cd_products(m.Ahat, m.Acheck, m.Lam, m.LamInv, phi_l, phi_r)
+        lpd, cpl = cd_products(Cg, Dg, m.Lam, m.LamInv, phi_l, phi_r)
         full = _all_indices(n)
         return [("a", GenMatrix(n), _offdiag(n)), ("b", dB, _offdiag(n)),
-                ("c", dC, full), ("d", dD, full), ("e", dE, full),
-                ("f", dF, full)]
+                ("c", m.Ahat - lpa, full), ("d", m.Acheck - apl, full),
+                ("e", m.Bhat - Cg - lpd, full), ("f", m.Bcheck - Dg - cpl, full)]
     return _assemble(b, flavor, blocks)
 
 
@@ -227,25 +221,16 @@ def build_modified_dga(b: BraidWord, flavor: str = "minus") -> DgaPresentation:
     def blocks(m, phi_l, phi_r):
         n = m.n
         Cg, Dg = _gen_matrix(n, "c"), _gen_matrix(n, "d")
-        dC, dD = cd_blocks(m.Ahat, m.Acheck, m.Ahat, m.Acheck,
-                           m.Lam, m.LamInv, phi_l, phi_r)
-        # Lam . PhiL . D and C . PhiR . Lam^-1, as 0 - Lam . PhiL . (-D)
-        # and 0 - (-C) . PhiR . Lam^-1 (negating twice keeps the term order)
-        LPD, CRL = cd_blocks(GenMatrix(n), GenMatrix(n), -Cg, -Dg,
-                             m.Lam, m.LamInv, phi_l, phi_r)
-        scale_u = lambda M: M.map(lambda p: p.scale_base(u=1))
-        scale_v = lambda M: M.map(lambda p: p.scale_base(v=1))
-        E_diag = Cg + LPD
-        E_off = Cg - scale_u(Dg) + LPD - scale_u(CRL)
-        F_diag = Dg + CRL
-        F_off = Dg - scale_v(Cg) + CRL - scale_v(LPD)
-        dE = GenMatrix.build(
-            n, lambda i, j: (E_diag if i == j else E_off).at(i, j))
-        dF = GenMatrix.build(
-            n, lambda i, j: (F_diag if i == j else F_off).at(i, j))
+        lpa, apl = cd_products(m.Ahat, m.Acheck, m.Lam, m.LamInv, phi_l, phi_r)
+        lpd, cpl = cd_products(Cg, Dg, m.Lam, m.LamInv, phi_l, phi_r)
+        E, F = Cg + lpd, Dg + cpl
+        dE = GenMatrix.build(n, lambda i, j: E.at(i, j) if i == j
+                             else E.at(i, j) - F.at(i, j).scale_base(u=1))
+        dF = GenMatrix.build(n, lambda i, j: F.at(i, j) if i == j
+                             else F.at(i, j) - E.at(i, j).scale_base(v=1))
         full = _all_indices(n)
-        return [("a", GenMatrix(n), _offdiag(n)), ("c", dC, full),
-                ("d", dD, full),
+        return [("a", GenMatrix(n), _offdiag(n)), ("c", m.Ahat - lpa, full),
+                ("d", m.Acheck - apl, full),
                 ("e", dE, [(i, j) for i, j in full if i <= j]),
                 ("f", dF, [(i, j) for i, j in full if j <= i])]
     return _assemble(b, flavor, blocks)
@@ -283,15 +268,18 @@ def verify_d_squared(dga: DgaPresentation) -> list[tuple[Generator, NCPoly]]:
     return failures
 
 
+_FACTORED = ("A_lower", "A_upper", "Ahat", "Acheck")
+
+
 def verify_phi_factorization(b: BraidWord) -> list[str]:
-    """Check phi_B(M) = PhiL . M . PhiR for M in {A_lower, A_upper, Ahat,
-    Acheck}; returns the names of failing identities."""
+    """Check phi_B(M) = PhiL . M . PhiR for M in _FACTORED; returns the
+    names of failing identities."""
     m = degree0_matrices(b)
     phi_l, phi_r = phi_matrices(b)
     images = phi_images(b)
     failures = []
-    for name, M in (("A_lower", m.A_lower), ("A_upper", m.A_upper),
-                    ("Ahat", m.Ahat), ("Acheck", m.Acheck)):
+    for name in _FACTORED:
+        M = getattr(m, name)
         if M.substitute(images) != phi_l @ M @ phi_r:
             failures.append(name)
     return failures
@@ -650,9 +638,6 @@ def _block_matvec(x, v):
     sum."""
     return _modp(sum(_modp(x[..., :, k, None, :, :] @ v[..., None, k, :, :, None])
                      for k in range(x.shape[-3])))[..., 0]
-
-
-_FACTORED = ("A_lower", "A_upper", "Ahat", "Acheck")
 
 
 def _phi_factorization(b: BraidWord):

@@ -10,10 +10,10 @@ flavor-specialized, or by their split form at a cut of the word.  One
 construction, `cd_relations`, builds both blocks over any matrix-entry
 type: `ht0_relations` runs it over symbolic `NCPoly` entries, and
 `augment.packed_relations` over abelianized F_p entries.  It owns the cut,
-the specialization and the lift into the entry type; the block formula
-itself is `dga.cd_blocks`, as the b-differentials of `b_consequences` are
-`dga.db_block`, so the DGA and its degree-0 quotient share one copy of
-each.  The variable order is `phi.a_variables`.
+the specialization and the lift into the entry type; the two products it
+subtracts are `dga.cd_products`, as the b-differentials of
+`b_consequences` are `dga.db_block`, so the DGA and its degree-0 quotient
+share one copy of each.  The variable order is `phi.a_variables`.
 
 The relations are kept raw.  `reduced_relations` simplifies them for
 display and for the index-2 polynomial: it adjoins `b_consequences`,
@@ -31,7 +31,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .braid import BraidWord, braid_stats, braid_transform
-from .dga import DgaError, cd_blocks, db_block, degree0_matrices
+from .dga import DgaError, cd_products, db_block, degree0_matrices
 from .ncpoly import Generator, NCPoly, flavor_rule
 from .phi import a_variables, phi_matrices
 
@@ -74,9 +74,9 @@ def cd_relations(b: BraidWord, flavor: str, phi, lift,
     phi_l, phi_r = phi(BraidWord(n, b.letters[cut:]))
     l1inv, r1inv = phi(braid_transform(BraidWord(n, b.letters[:cut]),
                                        "inverse"))
-    c_block, d_block = cd_blocks(l1inv @ ahat, acheck @ r1inv, ahat, acheck,
-                                 lam, lam_inv, phi_l, phi_r)
-    return [e for block in (c_block, d_block) for _, _, e in block.entries()]
+    lpa, apl = cd_products(ahat, acheck, lam, lam_inv, phi_l, phi_r)
+    return [e for block in (l1inv @ ahat - lpa, acheck @ r1inv - apl)
+            for _, _, e in block.entries()]
 
 
 def ht0_relations(b: BraidWord, flavor: str = "minus", lam_override=None,

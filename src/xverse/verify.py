@@ -32,8 +32,7 @@ import math
 import random
 from typing import NamedTuple
 
-from .augment import (BudgetError, _budget_from_env, _scalar_point,
-                      augmentation_number)
+from .augment import BudgetError, _scalar_point, augmentation_number
 # re-exported only for the pinned acceptance tests, which import it from here
 from .augment import _auto_split  # noqa: F401
 from .braid import BraidWord, braid_stats, braid_transform, markov_move
@@ -172,7 +171,6 @@ def run_check(spec: CheckSpec, budget: int | None = None) -> CheckReport:
     in order of first appearance: the first count over `budget` is the
     one a pair-by-pair run would reach first."""
     jobs = _check_jobs(spec)
-    budget = _budget_from_env(budget)
     found: dict[tuple, int] = {}
     for _, left, right in jobs:
         for query in filter(None, (left, right)):
@@ -255,7 +253,6 @@ def reproduce_table(rows: list[str] | None = None,
     for r in rows or ():
         if _row_key(r) not in known:
             raise ValueError(f"unknown table row {r!r}")
-    budget = _budget_from_env(budget)
     wanted = None if rows is None else {_row_key(r) for r in rows}
     out = []
     for name, point, entries in TABLE_ROWS:

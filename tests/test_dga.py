@@ -1,3 +1,4 @@
+import hashlib
 import random
 from unittest import mock
 
@@ -13,6 +14,7 @@ from xverse.dga import (FLAVORS, DgaError, build_dga, build_modified_dga,
                         verify_d_squared, verify_d_squared_sampled,
                         verify_phi_factorization,
                         verify_phi_factorization_sampled)
+from xverse.ht0 import ht0_relations
 from xverse.ncpoly import NCPoly, gen, letter
 from xverse.phi import a_variables, apply_phi, phi_images, push
 
@@ -87,6 +89,27 @@ def test_d_squared_modified_dga():
     for flavor in ("minus", "infinity"):
         for b in (UNKNOT, TREFOIL):
             assert verify_d_squared(build_modified_dga(b, flavor)) == []
+    for b in (FIG8, parse_braid("-2 -2 1 2 3 -2 -2")):
+        for flavor in FLAVORS:
+            assert verify_d_squared_sampled(build_modified_dga(b, flavor)) == []
+
+
+def test_differentials_and_cut_relations_are_pinned():
+    """The printed differentials of both DGAs and the ht0 relations at
+    every cut, in every flavor, hashed in one digest."""
+    h = hashlib.sha256()
+    for text in ("1 1 1", "1 -2 1 -2", "1 1 1 2 -1 2"):
+        b = parse_braid(text)
+        for flavor in FLAVORS:
+            for build in (build_dga, build_modified_dga):
+                d = build(b, flavor)
+                for g in d.generators:
+                    h.update(f"{g} = {d.diff[g]}\n".encode())
+            for cut in range(len(b.letters) + 1):
+                for r in ht0_relations(b, flavor, split=cut).relations:
+                    h.update(f"{r}\n".encode())
+    assert h.hexdigest() == (
+        "aa3b236e2b12114cca6be1bea021e9d3da669179b8decbe0080019e65a7d4f79")
 
 
 def test_corrupted_presentation_detected():

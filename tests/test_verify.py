@@ -164,7 +164,8 @@ def test_table_budget_recorded_not_fatal():
 def test_bad_budget_rejected_before_counting(monkeypatch, budget):
     def unreachable(*args, **kwargs):
         raise AssertionError("counted")
-    monkeypatch.setattr(xverse.verify, "augmentation_number", unreachable)
+    # the first count resolves the budget before it builds or searches
+    monkeypatch.setattr(xverse.augment, "packed_relations", unreachable)
     with pytest.raises(ValueError, match=f"got {budget!r}"):
         run_check(CheckSpec(TREFOIL, "mirror"), budget=budget)
     with pytest.raises(ValueError, match=f"got {budget!r}"):
